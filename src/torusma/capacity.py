@@ -21,7 +21,7 @@ from .geometry import (
     min_eig_field,
     _hessian_multiplier,
 )
-from .pluripotential import MeasureField, SublevelSet, psh_tolerance
+from .pluripotential import SublevelSet, psh_tolerance
 from .regularize import mollify, psh_repair
 
 _BOUND_SLACK = 1e-9
@@ -151,62 +151,50 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int = 40,
     return CapacityEstimate(float(best_val), best_v, evaluated)
 
 
-def _sample(mu: MeasureField, sets, metric: HermitianMetric, budget: int):
-    caps, masses = [], []
-    for E in sets:
-        caps.append(estimate_capacity(E, metric, budget=budget).lower)
-        masses.append(mu.mass_on(E.mask, metric))
-    return np.array(caps), np.array(masses)
+# alpha_1 of the exponential law: the largest exponent on the grid 0.1, ..., 1.0
+_ALPHA1 = 1.0
 
 
-def fit_volume_capacity(mu: MeasureField, sets, metric: HermitianMetric,
-                        budget: int = 40, alpha_grid=None) -> DecayFit:
-    """Smallest C with mu(K) <= C exp(-alpha1 / cap(K)^(1/n)) over the sample.
-
-    alpha1 is scanned on a fixed grid; among exponents admitting a finite C the
-    largest one is preferred (strongest statement). Capacity lower bounds make
-    the inequality harder, so a nonpositive residual is meaningful.
-    """
-    if len(sets) < 5:
+def _checked_sample(caps, masses):
+    """(caps, masses) as float arrays after the preconditions both fits share."""
+    caps = np.asarray(caps, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    if caps.shape != masses.shape or caps.ndim != 1:
+        raise PreconditionError("caps and masses must be 1-d arrays of equal length")
+    if caps.size < 5:
         raise PreconditionError("need at least 5 sublevel sets")
-    if mu.mass <= 0.0:
-        raise PreconditionError("measure must have positive mass")
-    caps, masses = _sample(mu, sets, metric, budget)
     if np.ptp(caps) < 1e-12:
         raise PreconditionError("degenerate sample: all capacity estimates equal")
-    n = metric.torus.n
-    if alpha_grid is None:
-        alpha_grid = [round(0.1 * k, 1) for k in range(1, 11)]
-    best = None
-    for alpha1 in alpha_grid:
-        bound_log = -alpha1 / np.where(caps > 0.0, caps, np.inf) ** (1.0 / n)
-        active = masses > 0.0
-        if not active.any():
-            C = 0.0
-        else:
-            if np.any(active & (caps <= 0.0)):
-                continue  # positive mass on a zero-capacity set: no finite C
-            C = float(np.max(masses[active] / np.exp(bound_log[active])))
-        residual = float(np.max(masses - C * np.exp(bound_log)))
-        best = DecayFit(C=C, exponent=float(alpha1), residual=residual, law="exp")
-    if best is None:
-        raise PreconditionError("no exponent on the grid admits a finite constant")
-    return best
+    if np.any((masses > 0.0) & (caps <= 0.0)):
+        raise PreconditionError("positive mass on a zero-capacity set")
+    return caps, masses
 
 
-def fit_htau(mu: MeasureField, sets, tau: float, metric: HermitianMetric,
-             budget: int = 40) -> DecayFit:
+def fit_volume_capacity(caps, masses, n: int) -> DecayFit:
+    """Smallest C with mu(K) <= C exp(-alpha1 / cap(K)^(1/n)) over the sample.
+
+    `caps[i]` and `masses[i]` are cap(K_i) and mu(K_i) for each sampled set.
+    Whether a finite C exists does not depend on alpha1 (only on positive mass
+    sitting on a zero-capacity set), so alpha1 is the largest exponent on the
+    grid 0.1, 0.2, ..., 1.0; the inequality is strongest there. Capacity lower
+    bounds make the inequality harder, so a nonpositive residual is meaningful.
+    """
+    caps, masses = _checked_sample(caps, masses)
+    if masses.sum() <= 0.0:
+        raise PreconditionError("measure must have positive mass")
+    bound = np.exp(-_ALPHA1 / np.where(caps > 0.0, caps, np.inf) ** (1.0 / n))
+    active = masses > 0.0
+    C = float(np.max(masses[active] / bound[active]))
+    residual = float(np.max(masses - C * bound))
+    return DecayFit(C=C, exponent=_ALPHA1, residual=residual, law="exp")
+
+
+def fit_htau(caps, masses, tau: float) -> DecayFit:
     """Smallest C_tau with mu(K) <= C_tau cap(K)^(1+tau) over the sample."""
     if tau <= 0.0:
         raise PreconditionError("tau must be positive")
-    if len(sets) < 5:
-        raise PreconditionError("need at least 5 sublevel sets")
-    caps, masses = _sample(mu, sets, metric, budget)
-    if np.ptp(caps) < 1e-12:
-        raise PreconditionError("degenerate sample: all capacity estimates equal")
+    caps, masses = _checked_sample(caps, masses)
     active = masses > 0.0
-    if np.any(active & (caps <= 0.0)):
-        raise PreconditionError("positive mass on a zero-capacity set")
     if active.any():
         C = float(np.max(masses[active] / caps[active] ** (1.0 + tau)))
     else:

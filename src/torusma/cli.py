@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import TorusMAError, ConfigError
+from .errors import TorusMAError, ConfigError, PreconditionError
 from .geometry import Torus, GridFunction, flat_metric, conformal_metric
 from .pluripotential import ma_measure, sublevel
 from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
@@ -91,10 +91,14 @@ def load_config(path=None, overrides=()):
                         f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
     for sec, key, value in overrides:
         cfg[sec][key] = value
-    if cfg["torus"]["n"] not in (1, 2):
-        raise ConfigError("torus n must be 1 or 2")
-    if cfg["torus"]["N"] < 4:
-        raise ConfigError("torus N must be >= 4")
+    # Torus decides which sizes are valid; check every size the run will use
+    sizes = [("torus", cfg["torus"]["N"])]
+    sizes += [("sweep", N) for N in cfg["sweep"]["N"] or ()]
+    for sec, N in sizes:
+        try:
+            Torus(cfg["torus"]["n"], N)
+        except PreconditionError as exc:
+            raise ConfigError(f"bad value in [{sec}]: {exc}") from exc
     if cfg["metric"]["kind"] not in ("flat", "conformal"):
         raise ConfigError("metric kind must be flat or conformal")
     if cfg["fixture"]["name"] not in fixtures.FIXTURE_NAMES:
@@ -193,7 +197,7 @@ def run_capacity(cfg, out, dump_stages, rng):
                                           cfg["fixture"]["amplitude"])
     zero = GridFunction.constant(torus, 0.0)
     osc = float(ref.values.max() - ref.values.min())
-    sets, rows = [], []
+    rows = []
     prev = None
     monotone = True
     # smallest set first so each maximizer seeds the next (nested) ascent,
@@ -207,12 +211,12 @@ def run_capacity(cfg, out, dump_stages, rng):
         if prev is not None and cap.lower < prev.lower - 1e-12:
             monotone = False
         prev = cap
-        sets.append(E)
         rows.append((s, E.fraction(), mass, cap.lower))
-    sets.reverse()
     rows.reverse()
-    fit_vc = fit_volume_capacity(mu, sets, metric, budget=20)
-    fit_h = fit_htau(mu, sets, cfg["certificate"]["tau"], metric, budget=20)
+    # the fits use exactly the mu_mass and cap_lower columns of capacity.csv
+    _, _, masses, caps = zip(*rows)
+    fit_vc = fit_volume_capacity(caps, masses, torus.n)
+    fit_h = fit_htau(caps, masses, cfg["certificate"]["tau"])
     write_csv(os.path.join(out, "capacity.csv"),
               ["s", "fraction", "mu_mass", "cap_lower"], rows)
     ok = (np.isfinite(fit_vc.C) and np.isfinite(fit_h.C)

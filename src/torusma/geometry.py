@@ -61,9 +61,6 @@ class Torus:
         shape[axis] = self.N
         return x.reshape(shape)
 
-    def coords(self) -> list:
-        return [self.axis_coord(a) for a in range(self.ndim_real)]
-
     def periodic_distance(self, center: tuple) -> np.ndarray:
         """Euclidean distance on the torus from each lattice point to `center`."""
         if len(center) != self.ndim_real:
@@ -120,10 +117,6 @@ class GridFunction:
     @classmethod
     def constant(cls, torus: Torus, value: float) -> "GridFunction":
         return cls(torus, np.full(torus.shape, float(value)))
-
-    @classmethod
-    def from_values(cls, torus: Torus, values: np.ndarray) -> "GridFunction":
-        return cls(torus, np.asarray(values, dtype=float))
 
     def shifted(self, const: float) -> "GridFunction":
         return GridFunction(self.torus, self.values + const)

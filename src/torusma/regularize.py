@@ -117,7 +117,7 @@ def _kernel_fft_key(n: int, N: int, delta: float):
     return np.fft.fftn(k.values)
 
 
-def mollify(phi: GridFunction, delta: float, metric: HermitianMetric = None) -> GridFunction:
+def mollify(phi: GridFunction, delta: float) -> GridFunction:
     """rho_delta phi: periodic convolution with the discrete unit-mass kernel."""
     torus = phi.torus
     build_kernel(torus, delta)  # validates delta
@@ -205,8 +205,7 @@ class KLTransform:
     t_grid: tuple
 
 
-def kiselman_legendre(phi: GridFunction, delta: float, b: float, K: float,
-                      metric: HermitianMetric = None) -> KLTransform:
+def kiselman_legendre(phi: GridFunction, delta: float, b: float, K: float) -> KLTransform:
     """Infimum over a geometric t-grid {delta 2^-k}; the -b log(t/delta) term
     blows up as t -> 0, so truncating the grid at two lattice spacings is safe
     once rho_t phi is bounded."""

@@ -45,11 +45,6 @@ class ContinuationSchedule:
     delta_list: tuple
 
 
-def _ma_mass(phi: GridFunction, metric: HermitianMetric) -> float:
-    M = metric.g + complex_hessian(phi)
-    return float(np.mean(det_field(M)) * metric.torus.volume)
-
-
 def _newton_step(phi: GridFunction, residual: np.ndarray,
                  metric: HermitianMetric) -> np.ndarray:
     """Solve tr(adj(M) H(psi)) / det g = -residual on the zero-mean subspace,

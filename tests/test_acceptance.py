@@ -226,16 +226,19 @@ def test_criterion_08_volume_capacity_fits():
     base_mass = ma_measure(zero, m)
     prev = None
     lb_ok, mono_ok = True, True
+    caps, masses = [], []
     for E in reversed(sets):  # smallest first, seeding the nested ascents
         extra = () if prev is None else (prev.candidate,)
         cap = estimate_capacity(E, m, budget=10, extra_candidates=extra)
+        caps.append(cap.lower)
+        masses.append(mu.mass_on(E.mask, m))
         if cap.lower < base_mass.mass_on(E.mask, m):
             lb_ok = False
         if prev is not None and cap.lower < prev.lower:
             mono_ok = False
         prev = cap
-    fit_vc = fit_volume_capacity(mu, sets, m, budget=10)
-    fit_h = fit_htau(mu, sets, 1.0, m, budget=10)
+    fit_vc = fit_volume_capacity(caps, masses, m.torus.n)
+    fit_h = fit_htau(caps, masses, 1.0)
     fits_ok = (np.isfinite(fit_vc.C) and np.isfinite(fit_h.C)
                and fit_vc.residual <= 0.0 + 1e-15 and fit_h.residual <= 0.0 + 1e-15)
     ok = lb_ok and mono_ok and fits_ok

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torusma.geometry import Torus, GridFunction, flat_metric
+from torusma.errors import PreconditionError
 from torusma.pluripotential import MeasureField, ma_measure, sublevel
 from torusma.capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from torusma.certify import lp_density_fixture
@@ -73,35 +74,88 @@ class TestEstimateCapacity:
 
 
 @pytest.fixture(scope="module")
-def mu_and_sets(setup32):
+def sample(setup32):
+    """(caps, masses, n) over the nested sets: the arrays the fits consume."""
     t, m, phi, zero = setup32
     mu = lp_density_fixture(2.0, 0.5, m)
-    return mu, nested_sets(phi, zero), m
+    sets = nested_sets(phi, zero)
+    caps = np.array([estimate_capacity(E, m, budget=10).lower for E in sets])
+    masses = np.array([mu.mass_on(E.mask, m) for E in sets])
+    return caps, masses, t.n
+
+
+def _old_alpha_scan(caps, masses, n):
+    """The exponential fit as a scan over the alpha grid, kept as a reference."""
+    best = None
+    for alpha1 in [round(0.1 * k, 1) for k in range(1, 11)]:
+        bound_log = -alpha1 / np.where(caps > 0.0, caps, np.inf) ** (1.0 / n)
+        active = masses > 0.0
+        if np.any(active & (caps <= 0.0)):
+            continue
+        C = float(np.max(masses[active] / np.exp(bound_log[active])))
+        best = (C, alpha1, float(np.max(masses - C * np.exp(bound_log))))
+    return best
 
 
 class TestDecayFits:
-    def test_volume_capacity_fit(self, mu_and_sets):
-        mu, sets, m = mu_and_sets
-        fit = fit_volume_capacity(mu, sets, m, budget=10)
+    def test_volume_capacity_fit(self, sample):
+        caps, masses, n = sample
+        fit = fit_volume_capacity(caps, masses, n)
         assert np.isfinite(fit.C) and fit.C > 0.0
         assert 0.1 <= fit.exponent <= 1.0
         assert fit.residual <= 1e-12
         assert fit.law == "exp"
 
-    def test_htau_fit(self, mu_and_sets):
-        mu, sets, m = mu_and_sets
-        fit = fit_htau(mu, sets, 1.0, m, budget=10)
+    def test_htau_fit(self, sample):
+        caps, masses, n = sample
+        fit = fit_htau(caps, masses, 1.0)
         assert np.isfinite(fit.C) and fit.C > 0.0
         assert fit.exponent == 1.0
         assert fit.residual <= 1e-12
         assert fit.law == "power"
 
-    def test_fit_is_tight_somewhere(self, mu_and_sets):
+    def test_fit_is_tight_somewhere(self, sample):
         # the fitted constant is the max ratio, so some sample attains it
-        mu, sets, m = mu_and_sets
-        fit = fit_htau(mu, sets, 1.0, m, budget=10)
-        caps = [estimate_capacity(E, m, budget=10).lower for E in sets]
-        masses = [mu.mass_on(E.mask, m) for E in sets]
+        caps, masses, n = sample
+        fit = fit_htau(caps, masses, 1.0)
         ratios = [mass / cap ** 2.0 for mass, cap in zip(masses, caps)
                   if cap > 0.0]
         assert max(ratios) == pytest.approx(fit.C, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("empty_set", [False, True])
+    def test_alpha_rule_matches_grid_scan(self, sample, n, empty_set):
+        caps, masses, _ = sample
+        if empty_set:  # a massless zero-capacity sample admits every alpha
+            caps, masses = np.append(caps, 0.0), np.append(masses, 0.0)
+        fit = fit_volume_capacity(caps, masses, n)
+        assert (fit.C, fit.exponent, fit.residual) == _old_alpha_scan(caps, masses, n)
+        assert fit.exponent == 1.0
+
+
+def _fit_vc(caps, masses):
+    return fit_volume_capacity(caps, masses, 1)
+
+
+def _fit_h(caps, masses):
+    return fit_htau(caps, masses, 1.0)
+
+
+@pytest.mark.parametrize("fit", [_fit_vc, _fit_h])
+class TestFitPreconditions:
+    def test_fewer_than_five_samples(self, fit):
+        with pytest.raises(PreconditionError, match="at least 5"):
+            fit([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4])
+
+    def test_all_caps_equal(self, fit):
+        with pytest.raises(PreconditionError, match="degenerate"):
+            fit([0.5] * 6, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+
+    def test_mass_on_zero_capacity_sample(self, fit):
+        with pytest.raises(PreconditionError, match="zero-capacity"):
+            fit([0.0, 0.2, 0.4, 0.6, 0.8], [0.01, 0.2, 0.3, 0.4, 0.5])
+
+
+def test_volume_capacity_needs_positive_mass():
+    with pytest.raises(PreconditionError, match="positive mass"):
+        fit_volume_capacity([0.2, 0.4, 0.6, 0.8, 1.0], [0.0] * 5, 1)

@@ -41,6 +41,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="N"):
             load_config(p)
 
+    @pytest.mark.parametrize("N", [4, 12, 48])
+    def test_N_rejected_like_torus(self, tmp_path, N):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[torus]\nN = {N}\n")
+        with pytest.raises(ConfigError, match="N must be a power of two"):
+            load_config(p)
+        # rejected before the run creates its output directory
+        assert main(["capacity", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_sweep_size_rejected(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text("[sweep]\ncommand = solve\nN = 32,12\n")
+        with pytest.raises(ConfigError, match="sweep"):
+            load_config(p)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/path.ini")
@@ -75,6 +92,26 @@ class TestSolveCommand:
         mu = MeasureField.from_density(mu_dens, m)
         c_expected = ma_measure(phi, m).mass / mu.mass
         assert float(rows[-1]["c"]) == pytest.approx(c_expected, abs=1e-9)
+
+
+class TestCapacityCommand:
+    def test_summary_rederivable_from_csv(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["capacity", "--out", str(out)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("capacity PASS")
+        summary = dict(part.split("=") for part in line.split()[2:])
+        rows = read_csv(out / "capacity.csv")
+        caps = np.array([float(r["cap_lower"]) for r in rows])
+        masses = np.array([float(r["mu_mass"]) for r in rows])
+        n, tau = 1, 1.0  # the default config
+        alpha1 = float(summary["alpha1"])
+        assert alpha1 == 1.0  # the largest exponent on the fit's grid
+        active = masses > 0.0
+        C = np.max(masses[active] * np.exp(alpha1 / caps[active] ** (1.0 / n)))
+        C_tau = np.max(masses[active] / caps[active] ** (1.0 + tau))
+        assert float(summary["C"]) == pytest.approx(C, rel=1e-12)
+        assert float(summary["C_tau"]) == pytest.approx(C_tau, rel=1e-12)
 
 
 class TestErrorPaths:
