@@ -18,8 +18,10 @@ from .geometry import (
     adjugate_field,
     complex_hessian,
     det_field,
+    from_spectrum,
     min_eig_field,
-    _hessian_multiplier,
+    spectral_symbols,
+    to_spectrum,
 )
 from .pluripotential import SublevelSet, psh_tolerance
 from .regularize import mollify, psh_repair
@@ -62,17 +64,19 @@ def _is_feasible(v: GridFunction, metric: HermitianMetric) -> bool:
 
 
 def _ascent_gradient(mask: np.ndarray, v: GridFunction, metric: HermitianMetric) -> np.ndarray:
-    """Gradient of the masked Monge-Ampere mass w.r.t. v (spectral adjoint)."""
+    """Gradient of the masked Monge-Ampere mass w.r.t. v (spectral adjoint).
+
+    With w = mask adj(M), the gradient is sum_jk H_jk^*(w_kj); the two
+    off-diagonal terms combine to 2 (S_re Re w_10 - S_im Im w_10) in spectrum.
+    """
     torus = v.torus
-    n = torus.n
-    M = metric.g + complex_hessian(v)
-    w = mask[..., None, None] * adjugate_field(M)
-    grad = np.zeros(torus.shape)
-    for j in range(n):
-        for k in range(n):
-            W = np.fft.fftn(w[..., k, j])
-            grad += np.fft.ifftn(_hessian_multiplier(torus, j, k) * W).real
-    return grad
+    sym = spectral_symbols(torus)
+    w = mask[..., None, None] * adjugate_field(metric.g + complex_hessian(v))
+    G = sum(s * to_spectrum(w[..., j, j].real) for j, s in enumerate(sym.hess_diag))
+    if torus.n == 2:
+        G += 2.0 * (sym.hess_off_re * to_spectrum(w[..., 1, 0].real)
+                    - sym.hess_off_im * to_spectrum(w[..., 1, 0].imag))
+    return from_spectrum(torus, G)
 
 
 def _seed_candidates(E: SublevelSet, metric: HermitianMetric):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .capacity import estimate_capacity
 from .errors import DominationError, PreconditionError
-from .geometry import GridFunction, HermitianMetric, integrate
+from .geometry import GridFunction, HermitianMetric, integrate, to_spectrum
 from .pluripotential import (
     MeasureField,
     is_omega_psh,
@@ -18,7 +18,13 @@ from .pluripotential import (
     psh_tolerance,
     sublevel,
 )
-from .regularize import kernel_second_moment, kiselman_legendre, l1_rate, mollify
+from .regularize import (
+    kernel_second_moment,
+    kiselman_legendre,
+    l1_rate,
+    mollify,
+    rate_deltas,
+)
 from .solver import SolveReport, solve_ma
 
 # Pointwise chain checks run on lattice-smooth representatives; this slack
@@ -173,19 +179,6 @@ class HoelderCertificate:
     trivial: bool = False
 
 
-def _rate_deltas(delta_list, torus):
-    """Extend delta_list so the L1-rate regression has >= 4 points over a decade."""
-    deltas = sorted(set(float(d) for d in delta_list))
-    lo, hi = deltas[0], deltas[-1]
-    while (len(deltas) < 4 or deltas[-1] / deltas[0] < 8.0) and hi * 2.0 <= 0.25:
-        hi *= 2.0
-        deltas.append(hi)
-    while (len(deltas) < 4 or deltas[-1] / deltas[0] < 8.0) and lo / 2.0 >= 2.0 * torus.spacing:
-        lo /= 2.0
-        deltas.insert(0, lo)
-    return deltas
-
-
 def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
                         metric: HermitianMetric, delta_list) -> HoelderCertificate:
     """Run the full Hoelder chain on a solution of (omega + dd^c phi)^n = c mu.
@@ -199,11 +192,7 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
     torus = metric.torus
     n = torus.n
     deltas = sorted((float(d) for d in delta_list), reverse=True)
-    if not deltas:
-        raise PreconditionError("delta_list must be nonempty")
-    for d in deltas:
-        if d < 2.0 * torus.spacing:
-            raise PreconditionError(f"delta {d} below two lattice spacings")
+    ladder = rate_deltas(deltas, torus)
 
     # precondition: phi solves the equation for mu up to the constant
     model = ma_measure(phi, metric)
@@ -225,7 +214,8 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
             rows=[], passed=True, trivial=True,
         )
 
-    alpha1, _ = l1_rate(phi, mu, _rate_deltas(deltas, torus), metric)
+    phi_hat = to_spectrum(phi.values)  # shared by every mollification below
+    alpha1, _ = l1_rate(phi, mu, ladder, metric, phi_hat)
     alpha = min(gamma, alpha1)
     if alpha <= 0.0:
         raise PreconditionError(f"nonpositive fitted exponent alpha1 = {alpha1}")
@@ -248,8 +238,8 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
                 )
         else:
             b = d**alpha
-        T = kiselman_legendre(phi, d, b, K_eff)
-        rho_d = mollify(phi, d).values
+        T = kiselman_legendre(phi, d, b, K_eff, phi_hat)
+        rho_d = T.rho_delta.values
         upper = rho_d + K_eff * d + K_eff * d * d
         sandwich_ok = bool(
             np.all(T.value.values >= phi.values - scale)
@@ -263,7 +253,7 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
         t0_min = float(T.t_opt.values.min())
         kappa_hat = t0_min / d
         r = max(kappa_hat * d, 2.0 * torus.spacing)
-        modulus = float((mollify(phi, r).values - phi.values).max())
+        modulus = float((mollify(phi, r, phi_hat).values - phi.values).max())
         rows.append(CertificateRow(
             delta=d, b=float(b), gap=gap, t0_min=t0_min, kappa_hat=float(kappa_hat),
             modulus=modulus, sandwich_ok=sandwich_ok, diff2_ok=diff2_ok and diff1_ok,

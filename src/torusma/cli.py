@@ -20,7 +20,7 @@ from .errors import TorusMAError, ConfigError, PreconditionError
 from .geometry import Torus, GridFunction, flat_metric, conformal_metric
 from .pluripotential import ma_measure, sublevel
 from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
-from .regularize import (kernel_eta, build_kernel, l1_rate,
+from .regularize import (kernel_eta, build_kernel, l1_rate, rate_deltas,
                          discrete_mass_convergence)
 from .solver import solve_ma, continuation_solve
 from .certify import stability_check, hoelder_certificate, mixture_experiment
@@ -105,6 +105,14 @@ def load_config(path=None, overrides=()):
         raise ConfigError(f"unknown fixture {cfg['fixture']['name']!r}; "
                           f"choose from {fixtures.FIXTURE_NAMES}")
     return cfg
+
+
+def _rate_ladder(cfg, torus):
+    """The certificate's delta ladder, checked before any expensive work."""
+    try:
+        return rate_deltas(cfg["certificate"]["delta_list"], torus)
+    except PreconditionError as exc:
+        raise ConfigError(f"bad [certificate] delta_list: {exc}") from exc
 
 
 def _metric_for(cfg):
@@ -229,6 +237,7 @@ def run_capacity(cfg, out, dump_stages, rng):
 def run_regularize(cfg, out, dump_stages, rng):
     metric = _metric_for(cfg)
     torus = metric.torus
+    deltas = _rate_ladder(cfg, torus)
     n = torus.n
     eta = kernel_eta(n)
     kernel = build_kernel(torus, 0.125)
@@ -236,10 +245,6 @@ def run_regularize(cfg, out, dump_stages, rng):
     errs = discrete_mass_convergence(n, 0.125, N_list)
     phi, mu, _ = fixtures.manufactured_cos(torus.n, torus.N,
                                            cfg["fixture"]["amplitude"])
-    deltas = sorted(set(cfg["certificate"]["delta_list"]))
-    # the rate regression needs >= 4 points over a decade; extend dyadically
-    while (len(deltas) < 4 or deltas[-1] / deltas[0] < 8.0) and deltas[-1] * 2 <= 0.25:
-        deltas.append(deltas[-1] * 2.0)
     rate, rate_C = l1_rate(phi, mu, deltas, metric)
     rows = [("eta", n, eta), ("continuum_mass", 0.125, kernel.continuum_mass)]
     rows += [("discrete_mass_err", N, e) for N, e in zip(N_list, errs)]
@@ -289,6 +294,7 @@ _CERT_HEADER = ["delta", "b", "gap", "t0_min", "kappa_hat", "modulus",
 
 def run_certificate(cfg, out, dump_stages, rng):
     metric = _metric_for(cfg)
+    _rate_ladder(cfg, metric.torus)
     mu, phi_star = _build_measure(cfg, metric)
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
@@ -312,6 +318,7 @@ def run_certificate(cfg, out, dump_stages, rng):
 
 def run_mixture(cfg, out, dump_stages, rng):
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
+    _rate_ladder(cfg, Torus(n, N))
     phi1, phi2, c1, c2, metric = fixtures.mixture_pair(n, N, rng)
     res = mixture_experiment(phi1, phi2, c1, c2, metric,
                              tol=cfg["solver"]["tol"],

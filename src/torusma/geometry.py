@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import PreconditionError
 
@@ -71,28 +72,6 @@ class Torus:
             d = np.minimum(d, 1.0 - d)
             d2 = d2 + d**2
         return np.sqrt(d2)
-
-
-@lru_cache(maxsize=32)
-def _wavenumbers(N: int, zero_nyquist: bool) -> np.ndarray:
-    """Angular wavenumbers for one axis.
-
-    The Nyquist mode is zeroed for odd-order derivative factors (its sign is
-    ambiguous on real data) but kept for squared factors, so even-order
-    operators like the Laplacian remain invertible on every nonzero mode.
-    """
-    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
-    if zero_nyquist:
-        xi = xi.copy()
-        xi[N // 2] = 0.0
-    return xi
-
-
-def _axis_xi(torus: Torus, axis: int, zero_nyquist: bool = True) -> np.ndarray:
-    xi = _wavenumbers(torus.N, zero_nyquist)
-    shape = [1] * torus.ndim_real
-    shape[axis] = torus.N
-    return xi.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -261,68 +240,104 @@ def mixed_det_field(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # spectral differential operators
 # ---------------------------------------------------------------------------
 
-def _hessian_multiplier(torus: Torus, j: int, k: int) -> np.ndarray:
-    """Fourier multiplier of d^2/(dz_j dzbar_k)."""
-    if j == k:
-        # same-axis squares: keep the Nyquist mode (even order)
-        xj = _axis_xi(torus, 2 * j, zero_nyquist=False)
-        yj = _axis_xi(torus, 2 * j + 1, zero_nyquist=False)
-        return -0.25 * (xj**2 + yj**2)
-    xj = _axis_xi(torus, 2 * j)
-    yj = _axis_xi(torus, 2 * j + 1)
-    xk = _axis_xi(torus, 2 * k)
-    yk = _axis_xi(torus, 2 * k + 1)
-    return 0.25 * (1j * xj + yj) * (1j * xk - yk)
+@dataclass(frozen=True)
+class SpectralSymbols:
+    """Fourier symbols of the lattice operators in the rfftn half-spectrum layout.
+
+    Arrays broadcast against `to_spectrum(values)`. Odd-order factors (xi) have
+    the Nyquist mode zeroed, since its sign is ambiguous on real data; even-order
+    factors keep it, so the Laplacian stays invertible on every nonzero mode.
+    """
+
+    xi: tuple                    # angular wavenumber per real axis, Nyquist zeroed
+    hess_diag: tuple             # symbol of d^2/(dz_j dzbar_j), j < n
+    hess_off_re: np.ndarray      # d^2/(dz_0 dzbar_1) = hess_off_re + i hess_off_im (n=2)
+    hess_off_im: np.ndarray      # both parts are real and even; None for n=1
+    quarter_lap: np.ndarray      # symbol of Lap / 4
+    inv_quarter_lap: np.ndarray  # its inverse, 0 on the constant mode
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=16)
+def spectral_symbols(torus: Torus) -> SpectralSymbols:
+    """The symbol table of `torus`, built once per lattice."""
+    N, d = torus.N, torus.ndim_real
+    xi, xi_even = [], []
+    for a in range(d):
+        # the last axis is halved by rfftn
+        k = np.fft.rfftfreq(N, d=1.0 / N) if a == d - 1 else np.fft.fftfreq(N, d=1.0 / N)
+        shape = [1] * d
+        shape[a] = k.size
+        k = k.reshape(shape)
+        xi_even.append(2.0 * np.pi * k)
+        xi.append(_frozen(np.where(np.abs(k) == N // 2, 0.0, xi_even[-1])))
+    hess_diag = tuple(_frozen(-0.25 * (xi_even[2 * j] ** 2 + xi_even[2 * j + 1] ** 2))
+                      for j in range(torus.n))
+    off_re = off_im = None
+    if torus.n == 2:
+        # 0.25 (i x0 + y0)(i x1 - y1): products of two odd factors, hence even
+        off_re = _frozen(-0.25 * (xi[0] * xi[2] + xi[1] * xi[3]))
+        off_im = _frozen(0.25 * (xi[1] * xi[2] - xi[0] * xi[3]))
+    quarter_lap = sum(hess_diag)
+    with np.errstate(divide="ignore"):
+        inv = np.where(quarter_lap != 0.0, 1.0 / quarter_lap, 0.0)
+    return SpectralSymbols(
+        xi=tuple(xi), hess_diag=hess_diag, hess_off_re=off_re, hess_off_im=off_im,
+        quarter_lap=_frozen(quarter_lap), inv_quarter_lap=_frozen(inv),
+    )
+
+
+def to_spectrum(values: np.ndarray) -> np.ndarray:
+    """rfftn half spectrum of a real lattice field."""
+    return scipy.fft.rfftn(values)
+
+
+def from_spectrum(torus: Torus, spectrum: np.ndarray) -> np.ndarray:
+    """Real lattice field of a Hermitian half spectrum (inverse of `to_spectrum`)."""
+    return scipy.fft.irfftn(spectrum, s=torus.shape)
 
 
 def complex_hessian(f: GridFunction) -> np.ndarray:
     """Field of mixed second derivatives f_{z_j zbar_k}, Hermitian at every point."""
     torus = f.torus
     n = torus.n
-    F = np.fft.fftn(f.values)
+    sym = spectral_symbols(torus)
+    F = to_spectrum(f.values)
     H = np.empty(torus.shape + (n, n), dtype=complex)
     for j in range(n):
-        for k in range(j, n):
-            h = np.fft.ifftn(_hessian_multiplier(torus, j, k) * F)
-            H[..., j, k] = h
-            if k != j:
-                H[..., k, j] = np.conj(h)
-    for j in range(n):
-        H[..., j, j] = H[..., j, j].real
+        H[..., j, j] = from_spectrum(torus, sym.hess_diag[j] * F)
+    if n == 2:
+        re = from_spectrum(torus, sym.hess_off_re * F)
+        im = from_spectrum(torus, sym.hess_off_im * F)
+        H[..., 0, 1] = re + 1j * im
+        H[..., 1, 0] = re - 1j * im
     return H
 
 
 def laplacian(f: GridFunction) -> np.ndarray:
     """Full real Laplacian (sum over the 2n real axes)."""
-    torus = f.torus
-    F = np.fft.fftn(f.values)
-    mult = np.zeros(torus.shape)
-    for a in range(torus.ndim_real):
-        mult = mult - _axis_xi(torus, a, zero_nyquist=False) ** 2
-    return np.fft.ifftn(mult * F).real
+    sym = spectral_symbols(f.torus)
+    return from_spectrum(f.torus, 4.0 * sym.quarter_lap * to_spectrum(f.values))
 
 
 def inverse_quarter_laplacian(torus: Torus, rhs: np.ndarray) -> np.ndarray:
     """Solve (1/4) Lap u = rhs - mean(rhs) spectrally; zero-mean solution."""
-    mult = np.zeros(torus.shape)
-    for a in range(torus.ndim_real):
-        mult = mult - _axis_xi(torus, a, zero_nyquist=False) ** 2
-    mult *= 0.25
-    R = np.fft.fftn(rhs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        U = np.where(mult != 0.0, R / np.where(mult != 0.0, mult, 1.0), 0.0)
-    U.flat[0] = 0.0
-    return np.fft.ifftn(U).real
+    sym = spectral_symbols(torus)
+    return from_spectrum(torus, sym.inv_quarter_lap * to_spectrum(rhs))
 
 
 def gradient_sup_norm(f: GridFunction) -> float:
     """Sup over the lattice of the Euclidean norm of the spectral gradient."""
     torus = f.torus
-    F = np.fft.fftn(f.values)
+    sym = spectral_symbols(torus)
+    F = to_spectrum(f.values)
     g2 = np.zeros(torus.shape)
-    for a in range(torus.ndim_real):
-        da = np.fft.ifftn(1j * _axis_xi(torus, a) * F).real
-        g2 = g2 + da**2
+    for xi in sym.xi:
+        g2 += from_spectrum(torus, 1j * xi * F) ** 2
     return float(np.sqrt(g2).max())
 
 

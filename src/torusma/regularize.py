@@ -20,9 +20,11 @@ from .geometry import (
     HermitianMetric,
     Torus,
     complex_hessian,
+    from_spectrum,
     integrate,
     inverse_quarter_laplacian,
     min_eig_field,
+    to_spectrum,
 )
 from .pluripotential import MeasureField, psh_tolerance
 
@@ -72,19 +74,12 @@ def kernel_second_moment(n: int) -> float:
 
 @dataclass(frozen=True)
 class MollifierKernel:
-    """Discretized kernel at radius delta on a torus lattice."""
+    """Discretized unit-mass kernel at radius delta on a torus lattice."""
 
     torus: Torus
     delta: float
-    values: np.ndarray          # lattice array, unit discrete mass
+    spectrum: np.ndarray        # real rfftn half spectrum (the kernel is even)
     continuum_mass: float       # Riemann mass with the continuum eta, before renormalization
-
-    @property
-    def n(self) -> int:
-        return self.torus.n
-
-
-_kernel_cache: dict = {}
 
 
 def build_kernel(torus: Torus, delta: float) -> MollifierKernel:
@@ -94,9 +89,11 @@ def build_kernel(torus: Torus, delta: float) -> MollifierKernel:
         raise PreconditionError(
             f"delta = {delta} under-resolved: needs >= 2 lattice spacings = {2*torus.spacing}"
         )
-    key = (torus.n, torus.N, float(delta))
-    if key in _kernel_cache:
-        return _kernel_cache[key]
+    return _kernel(torus, float(delta))
+
+
+@lru_cache(maxsize=32)
+def _kernel(torus: Torus, delta: float) -> MollifierKernel:
     d2 = torus.periodic_distance((0.0,) * torus.ndim_real) ** 2
     raw = kernel_profile_raw(d2 / delta**2)
     eta = kernel_eta(torus.n)
@@ -105,25 +102,21 @@ def build_kernel(torus: Torus, delta: float) -> MollifierKernel:
     total = raw.sum()
     if total <= 0.0:
         raise PreconditionError("discrete kernel has no support points")
-    kernel = MollifierKernel(torus, float(delta), raw / total, continuum_mass)
-    _kernel_cache[key] = kernel
-    return kernel
+    spectrum = to_spectrum(raw / total).real.copy()
+    spectrum.setflags(write=False)
+    return MollifierKernel(torus, delta, spectrum, continuum_mass)
 
 
-@lru_cache(maxsize=None)
-def _kernel_fft_key(n: int, N: int, delta: float):
-    torus = Torus(n, N)
-    k = build_kernel(torus, delta)
-    return np.fft.fftn(k.values)
+def mollify(phi: GridFunction, delta: float, spectrum: np.ndarray = None) -> GridFunction:
+    """rho_delta phi: periodic convolution with the discrete unit-mass kernel.
 
-
-def mollify(phi: GridFunction, delta: float) -> GridFunction:
-    """rho_delta phi: periodic convolution with the discrete unit-mass kernel."""
+    `spectrum` is phi's `to_spectrum` when the caller already has it.
+    """
     torus = phi.torus
-    build_kernel(torus, delta)  # validates delta
-    K = _kernel_fft_key(torus.n, torus.N, float(delta))
-    out = np.fft.ifftn(np.fft.fftn(phi.values) * K).real
-    return GridFunction(torus, out)
+    kernel = build_kernel(torus, delta)
+    if spectrum is None:
+        spectrum = to_spectrum(phi.values)
+    return GridFunction(torus, from_spectrum(torus, spectrum * kernel.spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +196,14 @@ class KLTransform:
     value: GridFunction
     t_opt: GridFunction
     t_grid: tuple
+    rho_delta: GridFunction  # rho_delta phi, the mollification at t = delta
 
 
-def kiselman_legendre(phi: GridFunction, delta: float, b: float, K: float) -> KLTransform:
+def kiselman_legendre(phi: GridFunction, delta: float, b: float, K: float,
+                      spectrum: np.ndarray = None) -> KLTransform:
     """Infimum over a geometric t-grid {delta 2^-k}; the -b log(t/delta) term
     blows up as t -> 0, so truncating the grid at two lattice spacings is safe
-    once rho_t phi is bounded."""
+    once rho_t phi is bounded. `spectrum` is phi's `to_spectrum` if known."""
     if b <= 0.0:
         raise PreconditionError(f"level b must be positive, got {b}")
     torus = phi.torus
@@ -217,11 +212,16 @@ def kiselman_legendre(phi: GridFunction, delta: float, b: float, K: float) -> KL
     t_min = 2.0 * torus.spacing
     k_max = max(0, int(math.floor(math.log2(delta / t_min))))
     t_grid = tuple(delta * 2.0**-k for k in range(k_max + 1))
+    if spectrum is None:
+        spectrum = to_spectrum(phi.values)
     best = None
     best_t = None
+    rho_delta = None
     for t in t_grid:
-        cand = mollify(phi, t).values + K * t * t + K * t - b * math.log(t / delta)
+        rho_t = mollify(phi, t, spectrum)
+        cand = rho_t.values + K * t * t + K * t - b * math.log(t / delta)
         if best is None:
+            rho_delta = rho_t
             best = cand
             best_t = np.full(torus.shape, t)
         else:
@@ -233,6 +233,7 @@ def kiselman_legendre(phi: GridFunction, delta: float, b: float, K: float) -> KL
         value=GridFunction(torus, best),
         t_opt=GridFunction(torus, best_t),
         t_grid=t_grid,
+        rho_delta=rho_delta,
     )
 
 
@@ -251,20 +252,55 @@ def hessian_lower_bound_check(T: KLTransform, metric: HermitianMetric, A: float)
 # L^1 regularization-rate estimation
 # ---------------------------------------------------------------------------
 
+def rate_deltas(delta_list, torus: Torus) -> list:
+    """delta_list, ascending and extended dyadically (up, then down) until the
+    L1-rate regression has >= 4 radii spanning a factor >= 8.
+
+    Raises PreconditionError when a delta lies outside [2/N, 1/4] or the
+    ladder cannot reach that size inside the range.
+    """
+    deltas = sorted(set(float(d) for d in delta_list))
+    if not deltas:
+        raise PreconditionError("delta_list must be nonempty")
+    lo, hi = deltas[0], deltas[-1]
+    floor = 2.0 * torus.spacing
+    if lo < floor or hi > 0.25:
+        raise PreconditionError(
+            f"every delta must lie in [2/N, 1/4] = [{floor}, 0.25], got {deltas}")
+
+    def short():
+        return len(deltas) < 4 or deltas[-1] / deltas[0] < 8.0
+
+    while short() and hi * 2.0 <= 0.25:
+        hi *= 2.0
+        deltas.append(hi)
+    while short() and lo / 2.0 >= floor:
+        lo /= 2.0
+        deltas.insert(0, lo)
+    if short():
+        raise PreconditionError(
+            f"delta ladder {deltas} has fewer than 4 radii or spans less than a "
+            f"factor of 8 inside [{floor}, 0.25]")
+    return deltas
+
+
 def l1_rate(phi: GridFunction, mu: MeasureField, delta_list,
-            metric: HermitianMetric) -> tuple:
+            metric: HermitianMetric, spectrum: np.ndarray = None) -> tuple:
     """Regression of log ||rho_delta phi - phi||_{L1(d mu)} against log delta.
 
-    Returns (alpha1_hat, C). Constant phi reports (1.0, 0.0).
+    Returns (alpha1_hat, C). Constant phi reports (1.0, 0.0). `spectrum` is
+    phi's `to_spectrum` when the caller already has it.
     """
     if len(delta_list) < 4:
         raise PreconditionError("need at least 4 delta values")
     span = max(delta_list) / min(delta_list)
     if span < 8.0 - 1e-9:
         raise PreconditionError("delta_list must span roughly a decade (factor >= 8)")
+    if spectrum is None:
+        spectrum = to_spectrum(phi.values)
     logs = []
     for d in delta_list:
-        diff = np.abs(mollify(phi, d).values - phi.values)
+        diff = np.abs(mollify(phi, d, spectrum).values - phi.values)
         l1 = integrate(diff * mu.density.values, metric)
         logs.append((math.log(d), l1))
     if all(l1 < 1e-14 for _, l1 in logs):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -14,9 +14,11 @@ from .geometry import (
     adjugate_field,
     complex_hessian,
     det_field,
+    from_spectrum,
     inverse_quarter_laplacian,
     min_eig_field,
-    _hessian_multiplier,
+    spectral_symbols,
+    to_spectrum,
 )
 from .pluripotential import MeasureField, ma_measure, psh_defect, psh_tolerance
 from .regularize import mollify, psh_repair
@@ -33,6 +35,7 @@ class SolveReport:
     iterations: int
     converged: bool
     cauchy_diffs: list = field(default_factory=list)
+    krylov_unconverged: int = 0  # Newton steps whose inner Krylov solve did not converge
 
 
 @dataclass(frozen=True)
@@ -45,42 +48,53 @@ class ContinuationSchedule:
     delta_list: tuple
 
 
-def _newton_step(phi: GridFunction, residual: np.ndarray,
-                 metric: HermitianMetric) -> np.ndarray:
-    """Solve tr(adj(M) H(psi)) / det g = -residual on the zero-mean subspace,
-    preconditioned by the inverse flat quarter-Laplacian."""
+def _linearization(phi: GridFunction, metric: HermitianMetric):
+    """psi -> tr(adj(M) H(psi)) / det g minus its mean, with M = g + H(phi),
+    as a map on flattened lattice arrays."""
     torus = phi.torus
-    n = torus.n
-    M = metric.g + complex_hessian(phi)
-    adj = adjugate_field(M)
+    sym = spectral_symbols(torus)
+    adj = adjugate_field(metric.g + complex_hessian(phi))
     detg = metric.det()
-    shape = torus.shape
-    size = torus.npoints
-
-    mults = [[_hessian_multiplier(torus, j, k) for k in range(n)] for j in range(n)]
+    # tr(adj H) = sum_j adj_jj H_jj + 2 Re(adj_10 H_01); H_jj is real
+    diag = [adj[..., j, j].real / detg for j in range(torus.n)]
+    if torus.n == 2:
+        off_re = 2.0 * adj[..., 1, 0].real / detg
+        off_im = -2.0 * adj[..., 1, 0].imag / detg
 
     def apply_L(vec):
-        psi = vec.reshape(shape)
-        P = np.fft.fftn(psi)
-        out = np.zeros(shape)
-        for j in range(n):
-            for k in range(n):
-                h = np.fft.ifftn(mults[j][k] * P)
-                out += (adj[..., k, j] * h).real
-        out = out / detg
+        P = to_spectrum(vec.reshape(torus.shape))
+        out = sum(c * from_spectrum(torus, s * P) for c, s in zip(diag, sym.hess_diag))
+        if torus.n == 2:
+            out += off_re * from_spectrum(torus, sym.hess_off_re * P)
+            out += off_im * from_spectrum(torus, sym.hess_off_im * P)
         out -= out.mean()
         return out.ravel()
+
+    return apply_L
+
+
+def _newton_step(phi: GridFunction, residual: np.ndarray,
+                 metric: HermitianMetric) -> tuple:
+    """Solve tr(adj(M) H(psi)) / det g = -residual on the zero-mean subspace,
+    preconditioned by the inverse flat quarter-Laplacian.
+
+    Returns (psi, converged) with `converged` the inner Krylov solve's flag.
+    """
+    torus = phi.torus
+    shape = torus.shape
+    size = torus.npoints
 
     def apply_prec(vec):
         r = vec.reshape(shape)
         return inverse_quarter_laplacian(torus, r).ravel()
 
-    L = LinearOperator((size, size), matvec=apply_L)
-    Mprec = LinearOperator((size, size), matvec=apply_prec)
+    # an explicit dtype spares the probe matvec LinearOperator makes without one
+    L = LinearOperator((size, size), matvec=_linearization(phi, metric), dtype=float)
+    Mprec = LinearOperator((size, size), matvec=apply_prec, dtype=float)
     rhs = (-(residual - residual.mean())).ravel()
-    sol, _ = lgmres(L, rhs, M=Mprec, rtol=1e-6, atol=0.0, maxiter=50)
+    sol, info = lgmres(L, rhs, M=Mprec, rtol=1e-6, atol=0.0, maxiter=50)
     psi = sol.reshape(shape)
-    return psi - psi.mean()
+    return psi - psi.mean(), info == 0
 
 
 def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
@@ -117,6 +131,7 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     c_trace.append(c)
     converged = res_norm <= tol
     iterations = 0
+    unconverged = 0
 
     # degenerate data pushes the solution onto the boundary of the
     # positive-definite cone, so the line search accepts iterates down to the
@@ -125,7 +140,8 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
 
     while not converged and iterations < max_iter:
         iterations += 1
-        psi = _newton_step(phi, res, metric)
+        psi, inner_ok = _newton_step(phi, res, metric)
+        unconverged += not inner_ok
         step = 1.0
         accepted = False
         pd_seen = False
@@ -142,7 +158,9 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         if not pd_seen:
             if warm_start is not None:
                 # retry once from a cold start before declaring divergence
-                return solve_ma(mu, metric, tol=tol, max_iter=max_iter)
+                cold = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
+                return replace(cold, krylov_unconverged=cold.krylov_unconverged
+                               + unconverged)
             raise DivergenceError(
                 "no positive-definite iterate after 30 step halvings"
             )
@@ -159,6 +177,7 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         c_trace=c_trace,
         iterations=iterations,
         converged=bool(converged),
+        krylov_unconverged=unconverged,
     )
 
 
@@ -193,7 +212,8 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
 
     The returned report is the final stage; its c_trace holds the per-stage c_j
     and cauchy_diffs the sup-norm gaps between consecutive stage solutions (the
-    computable stand-in for the Cauchy-sequence argument).
+    computable stand-in for the Cauchy-sequence argument); krylov_unconverged
+    sums over the stages.
     """
     if not schedule.delta_list:
         raise PreconditionError("schedule has no mollification radii")
@@ -201,6 +221,7 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
     cauchy: list = []
     prev_phi = None
     report = None
+    unconverged = 0
     for delta in schedule.delta_list:
         u_j = psh_repair(mollify(schedule.u, delta), metric)
         ma_uj = ma_measure(u_j, metric)
@@ -208,6 +229,7 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
         mu_j = MeasureField.from_density(GridFunction(metric.torus, dens_j), metric)
         report = solve_ma(mu_j, metric, tol=tol, max_iter=max_iter, warm_start=prev_phi)
         c_trace.append(report.c)
+        unconverged += report.krylov_unconverged
         if prev_phi is not None:
             cauchy.append(float(np.abs(report.phi.values - prev_phi.values).max()))
         prev_phi = report.phi
@@ -219,4 +241,5 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
         iterations=report.iterations,
         converged=report.converged,
         cauchy_diffs=cauchy,
+        krylov_unconverged=unconverged,
     )

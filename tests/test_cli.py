@@ -140,6 +140,26 @@ class TestErrorPaths:
         assert "empty" in capsys.readouterr().err
 
 
+class TestDeltaLadder:
+    @pytest.mark.parametrize("command", ["certificate", "mixture", "regularize"])
+    def test_unresolvable_deltas_fail_before_solving(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        import torusma.certify
+        import torusma.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ma called before the delta check")
+
+        monkeypatch.setattr(torusma.cli, "solve_ma", no_solve)
+        monkeypatch.setattr(torusma.certify, "solve_ma", no_solve)
+        ini = tmp_path / "c.ini"
+        ini.write_text("[torus]\nn = 2\nN = 16\n")  # default delta_list
+        code = main([command, "--config", str(ini),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "delta_list" in capsys.readouterr().err
+
+
 class TestStabilityCommand:
     def test_passes_and_writes_ledger(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"

@@ -10,7 +10,7 @@ from torusma.pluripotential import ma_measure, psh_defect, psh_tolerance, is_ome
 from torusma.regularize import (
     kernel_profile_raw, kernel_eta, kernel_second_moment, build_kernel,
     mollify, psh_repair, kiselman_legendre, hessian_lower_bound_check,
-    l1_rate, discrete_mass_convergence,
+    l1_rate, rate_deltas, discrete_mass_convergence,
 )
 
 
@@ -199,3 +199,28 @@ class TestL1Rate:
             l1_rate(phi, mu, (1 / 4, 1 / 8), m)
         with pytest.raises(PreconditionError):
             l1_rate(phi, mu, (1 / 4, 1 / 5, 1 / 6, 1 / 7), m)
+
+
+class TestRateDeltas:
+    def test_extends_up_then_down(self):
+        t = Torus(1, 64)
+        assert rate_deltas((1 / 8, 1 / 16, 1 / 32), t) == [1 / 32, 1 / 16, 1 / 8, 1 / 4]
+        assert rate_deltas((1 / 4,), t) == [1 / 32, 1 / 16, 1 / 8, 1 / 4]
+
+    def test_long_ladder_kept(self):
+        deltas = (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64)
+        assert rate_deltas(deltas, Torus(1, 128)) == sorted(deltas)
+
+    @pytest.mark.parametrize("deltas", [(1 / 8, 1 / 16, 1 / 32), (0.3, 0.125)])
+    def test_delta_outside_range_rejected(self, deltas):
+        with pytest.raises(PreconditionError, match=r"\[2/N, 1/4\]"):
+            rate_deltas(deltas, Torus(2, 16))
+
+    def test_short_ladder_rejected(self):
+        # at N=16 the floor 2/N = 1/8 leaves only two dyadic radii
+        with pytest.raises(PreconditionError, match="fewer than 4"):
+            rate_deltas((1 / 4, 1 / 8), Torus(2, 16))
+
+    def test_empty_rejected(self):
+        with pytest.raises(PreconditionError, match="nonempty"):
+            rate_deltas((), Torus(1, 64))

@@ -128,3 +128,26 @@ class TestContinuation:
                                    delta_list=(2.0 ** -8,))
         with pytest.raises(PreconditionError):
             continuation_solve(bad, m)
+
+
+class TestInnerSolveFlag:
+    def test_unconverged_inner_solves_counted(self, monkeypatch):
+        import torusma.solver as solver
+        lgmres = solver.lgmres
+
+        def flagged(*args, **kwargs):
+            x, _ = lgmres(*args, **kwargs)
+            return x, 1
+
+        monkeypatch.setattr(solver, "lgmres", flagged)
+        _, mu, m = manufactured_cos(1, 64)
+        rep = solve_ma(mu, m, tol=1e-12)
+        # the flag is reported; Newton acceptance is unchanged
+        assert rep.converged and rep.iterations >= 1
+        assert rep.krylov_unconverged == rep.iterations
+
+    def test_converged_inner_solves_not_counted(self):
+        _, mu, m = manufactured_cos(1, 64)
+        rep = solve_ma(mu, m, tol=1e-12)
+        assert rep.iterations >= 1
+        assert rep.krylov_unconverged == 0
