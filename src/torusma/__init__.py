@@ -22,6 +22,7 @@ from .geometry import (
     flat_metric,
     conformal_metric,
     complex_hessian,
+    omega_form,
     laplacian,
     integrate,
 )

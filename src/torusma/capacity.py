@@ -16,10 +16,10 @@ from .geometry import (
     GridFunction,
     HermitianMetric,
     adjugate_field,
-    complex_hessian,
     det_field,
     from_spectrum,
     min_eig_field,
+    omega_form,
     spectral_symbols,
     to_spectrum,
 )
@@ -48,21 +48,6 @@ class DecayFit:
     law: str          # "exp" or "power"
 
 
-def _objective(mask: np.ndarray, v: GridFunction, metric: HermitianMetric) -> float:
-    """integral over E of (omega + dd^c v)^n."""
-    M = metric.g + complex_hessian(v)
-    dens = np.maximum(det_field(M), 0.0)
-    return float(np.mean(mask * dens) * metric.torus.volume)
-
-
-def _is_feasible(v: GridFunction, metric: HermitianMetric) -> bool:
-    vals = v.values
-    if vals.min() < -_BOUND_SLACK or vals.max() > 1.0 + _BOUND_SLACK:
-        return False
-    M = metric.g + complex_hessian(v)
-    return float(min_eig_field(M).min()) >= -psh_tolerance(metric)
-
-
 def _ascent_gradient(mask: np.ndarray, v: GridFunction, metric: HermitianMetric) -> np.ndarray:
     """Gradient of the masked Monge-Ampere mass w.r.t. v (spectral adjoint).
 
@@ -71,7 +56,7 @@ def _ascent_gradient(mask: np.ndarray, v: GridFunction, metric: HermitianMetric)
     """
     torus = v.torus
     sym = spectral_symbols(torus)
-    w = mask[..., None, None] * adjugate_field(metric.g + complex_hessian(v))
+    w = mask[..., None, None] * adjugate_field(omega_form(v, metric))
     G = sum(s * to_spectrum(w[..., j, j].real) for j, s in enumerate(sym.hess_diag))
     if torus.n == 2:
         G += 2.0 * (sym.hess_off_re * to_spectrum(w[..., 1, 0].real)
@@ -115,12 +100,17 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int = 40,
     evaluated = 0
 
     def consider(v: GridFunction):
+        """Keep v if it is feasible and beats the best masked mass so far."""
         nonlocal best_val, best_v, evaluated
         evaluated += 1
-        if not _is_feasible(v, metric):
+        if v.values.min() < -_BOUND_SLACK or v.values.max() > 1.0 + _BOUND_SLACK:
             return
         v = GridFunction(torus, np.clip(v.values, 0.0, 1.0))
-        val = _objective(mask, v, metric)
+        M = omega_form(v, metric)
+        if float(min_eig_field(M).min()) < -psh_tolerance(metric):
+            return
+        # integral over E of (omega + dd^c v)^n
+        val = float(np.mean(mask * np.maximum(det_field(M), 0.0)) * torus.volume)
         if val > best_val:
             best_val = val
             best_v = v

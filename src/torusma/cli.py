@@ -12,7 +12,6 @@ import configparser
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -115,6 +114,13 @@ def _rate_ladder(cfg, torus):
         raise ConfigError(f"bad [certificate] delta_list: {exc}") from exc
 
 
+def _require_flat(cfg, what):
+    """`what` builds its own flat metric: reject a [metric] it would ignore."""
+    if cfg["metric"]["kind"] != "flat":
+        raise ConfigError(f"{what} uses the flat metric; [metric] kind = "
+                          f"{cfg['metric']['kind']} is not supported")
+
+
 def _metric_for(cfg):
     torus = Torus(cfg["torus"]["n"], cfg["torus"]["N"])
     if cfg["metric"]["kind"] == "flat":
@@ -170,13 +176,16 @@ def _build_measure(cfg, metric):
 
 
 def run_solve(cfg, out, dump_stages, rng):
-    metric = _metric_for(cfg)
     if cfg["fixture"]["name"] == "holder_subsolution":
+        _require_flat(cfg, "holder_subsolution")
+        if cfg["torus"]["n"] != 1:
+            raise ConfigError("holder_subsolution is defined for [torus] n = 1 only")
         sched, metric = fixtures.holder_subsolution(cfg["torus"]["N"])
         rep = continuation_solve(sched, metric, tol=cfg["solver"]["tol"],
                                  max_iter=cfg["solver"]["max_iter"])
         mu = None
     else:
+        metric = _metric_for(cfg)
         mu, _ = _build_measure(cfg, metric)
         rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                        max_iter=cfg["solver"]["max_iter"])
@@ -265,6 +274,7 @@ def run_regularize(cfg, out, dump_stages, rng):
 
 
 def run_stability(cfg, out, dump_stages, rng):
+    _require_flat(cfg, "stability")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     psi, phi, mu, metric = fixtures.stability_pair(
         n, N, cfg["stability"]["amplitude"])
@@ -317,6 +327,7 @@ def run_certificate(cfg, out, dump_stages, rng):
 
 
 def run_mixture(cfg, out, dump_stages, rng):
+    _require_flat(cfg, "mixture")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     _rate_ladder(cfg, Torus(n, N))
     phi1, phi2, c1, c2, metric = fixtures.mixture_pair(n, N, rng)
@@ -346,7 +357,7 @@ _COMMANDS = {
 }
 
 
-def run_sweep(cfg, out, dump_stages, rng, threads=1):
+def run_sweep(cfg, out, dump_stages, rng):
     command = cfg["sweep"]["command"]
     if command not in _COMMANDS:
         raise ConfigError(f"sweep command must be one of {sorted(_COMMANDS)}")
@@ -361,8 +372,8 @@ def run_sweep(cfg, out, dump_stages, rng, threads=1):
     cells = [(N, tau) for N in Ns for tau in taus]
     seed = cfg["run"]["seed"]
 
-    def one(cell):
-        N, tau = cell
+    results = []
+    for N, tau in cells:
         sub = {sec: dict(keys) for sec, keys in cfg.items()}
         sub["torus"]["N"] = N
         sub["certificate"]["tau"] = tau
@@ -374,10 +385,7 @@ def run_sweep(cfg, out, dump_stages, rng, threads=1):
             code, line = _COMMANDS[command](sub, cell_out, dump_stages, cell_rng)
         except TorusMAError as exc:
             code, line = 1, f"{command} ERROR {exc}"
-        return N, tau, code, line
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = list(pool.map(one, cells))
+        results.append((N, tau, code, line))
     write_csv(os.path.join(out, "sweep.csv"),
               ["N", "tau", "exit", "summary"], results)
     worst = max(code for _, _, code, _ in results)
@@ -399,8 +407,6 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--dump-stages", action="store_true",
                         help="write intermediate CMAG artifacts")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep cells")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config RNG seed")
     args = parser.parse_args(argv)
@@ -413,8 +419,7 @@ def main(argv=None):
         os.makedirs(out, exist_ok=True)
         rng = np.random.default_rng(cfg["run"]["seed"])
         if args.command == "sweep":
-            code, line = run_sweep(cfg, out, args.dump_stages, rng,
-                                   threads=args.threads)
+            code, line = run_sweep(cfg, out, args.dump_stages, rng)
         else:
             code, line = _COMMANDS[args.command](cfg, out, args.dump_stages, rng)
     except TorusMAError as exc:

@@ -121,28 +121,33 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class HermitianMetric:
-    """Positive Hermitian n x n matrix field g(z), with curvature/torsion constants.
+    """Conformally flat Hermitian metric g = factor * I, with curvature/torsion constants.
 
-    K bounds the curvature contribution to mollification monotonicity,
-    A the negative part of the Chern curvature, B the dd^c(omega^k) torsion terms.
-    All three vanish for the flat metric; for conformal perturbations they are
-    coarse lattice sup-bounds (see `conformal_metric`).
+    `factor` is the float 1.0 for the flat metric, otherwise a positive real
+    lattice field e^u. K bounds the curvature contribution to mollification
+    monotonicity, A the negative part of the Chern curvature, B the
+    dd^c(omega^k) torsion terms. All three vanish for the flat metric; for
+    conformal perturbations they are coarse lattice sup-bounds (see
+    `conformal_metric`).
     """
 
     torus: Torus
-    g: np.ndarray  # shape lattice + (n, n), complex Hermitian positive definite
+    factor: float | np.ndarray = 1.0  # or a real field of the lattice shape
     K: float = 0.0
     A: float = 0.0
     B: float = 0.0
 
     def __post_init__(self):
-        n = self.torus.n
-        g = np.asarray(self.g, dtype=complex)
-        if g.shape != self.torus.shape + (n, n):
-            raise PreconditionError("metric field shape mismatch")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "g", g)
+        if np.ndim(self.factor) == 0:
+            factor = float(self.factor)
+        else:
+            factor = np.array(self.factor, dtype=float)
+            if factor.shape != self.torus.shape:
+                raise PreconditionError("metric factor shape mismatch")
+            factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+        if not np.all(np.isfinite(factor)):
+            raise PreconditionError("metric factor must be finite")
         if min(self.K, self.A, self.B) < 0:
             raise PreconditionError("K, A, B must be nonnegative")
         if self.min_eig() <= 0:
@@ -150,25 +155,22 @@ class HermitianMetric:
 
     @property
     def is_flat(self) -> bool:
-        n = self.torus.n
-        eye = np.eye(n)
-        return bool(np.allclose(self.g, eye, atol=1e-15)) and self.K == self.A == self.B == 0.0
+        return bool(np.allclose(self.factor, 1.0, atol=1e-15)) \
+            and self.K == self.A == self.B == 0.0
 
-    def det(self) -> np.ndarray:
-        return det_field(self.g)
+    def det(self) -> float | np.ndarray:
+        return self.factor ** self.torus.n
 
     def min_eig(self) -> float:
-        return float(min_eig_field(self.g).min())
+        return float(np.min(self.factor))
 
     def sup_norm(self) -> float:
         """Sup over the lattice of the largest eigenvalue of g."""
-        return float(max_eig_field(self.g).max())
+        return float(np.max(self.factor))
 
 
 def flat_metric(torus: Torus) -> HermitianMetric:
-    n = torus.n
-    g = np.broadcast_to(np.eye(n, dtype=complex), torus.shape + (n, n)).copy()
-    return HermitianMetric(torus, g, K=0.0, A=0.0, B=0.0)
+    return HermitianMetric(torus)
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +213,6 @@ def min_eig_field(M: np.ndarray) -> np.ndarray:
     # eigenvalues of a 2x2 Hermitian matrix
     disc = np.sqrt(np.maximum(half_tr**2 - det_field(M), 0.0))
     return half_tr - disc
-
-
-def max_eig_field(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-1]
-    if n == 1:
-        return M[..., 0, 0].real
-    half_tr = 0.5 * trace_field(M)
-    disc = np.sqrt(np.maximum(half_tr**2 - det_field(M), 0.0))
-    return half_tr + disc
 
 
 def mixed_det_field(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -318,6 +311,14 @@ def complex_hessian(f: GridFunction) -> np.ndarray:
     return H
 
 
+def omega_form(f: GridFunction, metric: HermitianMetric) -> np.ndarray:
+    """Matrix field of omega + dd^c f, that is g + H(f) with g = factor * I."""
+    M = complex_hessian(f)
+    for j in range(metric.torus.n):
+        M[..., j, j] += metric.factor
+    return M
+
+
 def laplacian(f: GridFunction) -> np.ndarray:
     """Full real Laplacian (sum over the 2n real axes)."""
     sym = spectral_symbols(f.torus)
@@ -366,15 +367,11 @@ def conformal_metric(torus: Torus, amplitude: float) -> HermitianMetric:
     """
     if abs(amplitude) >= 0.5:
         raise PreconditionError("conformal amplitude must satisfy |amplitude| < 0.5")
-    n = torus.n
     if amplitude == 0.0:
         return flat_metric(torus)
     u_vals = amplitude * np.cos(2.0 * np.pi * torus.axis_coord(0)) \
         * np.ones(torus.shape)
     factor = np.exp(u_vals)
-    g = np.zeros(torus.shape + (n, n), dtype=complex)
-    for j in range(n):
-        g[..., j, j] = factor
     u = GridFunction(torus, u_vals)
     Hu = complex_hessian(u)
     hu_norm = float(np.abs(Hu).sum(axis=(-1, -2)).max())
@@ -384,4 +381,4 @@ def conformal_metric(torus: Torus, amplitude: float) -> HermitianMetric:
     g11 = GridFunction(torus, factor)
     Hg = complex_hessian(g11)
     B = float(np.abs(Hg).sum(axis=(-1, -2)).max()) + gradient_sup_norm(g11) ** 2
-    return HermitianMetric(torus, g, K=K, A=A, B=B)
+    return HermitianMetric(torus, factor, K=K, A=A, B=B)

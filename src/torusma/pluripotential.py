@@ -10,11 +10,11 @@ from .errors import NotOmegaPshError, PreconditionError
 from .geometry import (
     GridFunction,
     HermitianMetric,
-    complex_hessian,
     det_field,
     integrate,
     min_eig_field,
     mixed_det_field,
+    omega_form,
 )
 
 _CLAMP = 1e-12
@@ -70,7 +70,7 @@ def psh_defect(f: GridFunction, metric: HermitianMetric) -> float:
 
     f is accepted as omega-psh when the result >= -psh_tolerance(metric).
     """
-    M = metric.g + complex_hessian(f)
+    M = omega_form(f, metric)
     return float(min_eig_field(M).min())
 
 
@@ -81,7 +81,7 @@ def is_omega_psh(f: GridFunction, metric: HermitianMetric) -> bool:
 def ma_measure(f: GridFunction, metric: HermitianMetric) -> MeasureField:
     """Monge-Ampere measure (omega + dd^c f)^n as a density w.r.t. det(g) dV."""
     tol = psh_tolerance(metric)
-    M = metric.g + complex_hessian(f)
+    M = omega_form(f, metric)
     defect = float(min_eig_field(M).min())
     if defect < -100.0 * tol:
         raise NotOmegaPshError(
@@ -100,8 +100,8 @@ def mixed_form_mass(f: GridFunction, u: GridFunction, p: int,
     if not 0 <= p <= n:
         raise PreconditionError(f"p must lie in [0, {n}], got {p}")
     tol = psh_tolerance(metric)
-    A = metric.g + complex_hessian(f)
-    B = metric.g + complex_hessian(u)
+    A = omega_form(f, metric)
+    B = omega_form(u, metric)
     for name, M in (("f", A), ("u", B)):
         d = float(min_eig_field(M).min())
         if d < -100.0 * tol:

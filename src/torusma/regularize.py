@@ -19,11 +19,11 @@ from .geometry import (
     GridFunction,
     HermitianMetric,
     Torus,
-    complex_hessian,
     from_spectrum,
     integrate,
     inverse_quarter_laplacian,
     min_eig_field,
+    omega_form,
     to_spectrum,
 )
 from .pluripotential import MeasureField, psh_tolerance
@@ -161,20 +161,20 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
     as a last resort (it always lands in the cone since g is positive).
     """
     tol = psh_tolerance(metric)
-    g = metric.g
     current = f
     for _ in range(rounds):
-        H = complex_hessian(current)
-        M = g + H
+        M = omega_form(current, metric)
         defect = float(min_eig_field(M).min())
         if defect >= -tol:
             return current
         clamped = _clamp_eigs(M, 0.0)
-        target_trace = np.trace(clamped - g, axis1=-2, axis2=-1).real
+        # trace of the clamped Hessian part, clamped - g
+        target_trace = sum(clamped[..., j, j].real - metric.factor
+                           for j in range(f.torus.n))
         mean = float(current.values.mean())
         rebuilt = inverse_quarter_laplacian(f.torus, target_trace) + mean
         current = GridFunction(f.torus, rebuilt)
-    defect = float(min_eig_field(g + complex_hessian(current)).min())
+    defect = float(min_eig_field(omega_form(current, metric)).min())
     if defect >= -tol:
         return current
     lam = metric.min_eig()
@@ -241,11 +241,12 @@ def hessian_lower_bound_check(T: KLTransform, metric: HermitianMetric, A: float)
     """Min eigenvalue over the lattice of g + H(Phi) + (A b + 2 K delta) g.
 
     Phi is an infimum of a family and may be non-smooth, so the spectral
-    Hessian here is a diagnostic; callers should accept >= -1e-3.
+    Hessian here is a diagnostic; callers should accept >= -1e-3. Since g is
+    a multiple of I, the shift moves every eigenvalue by shift * factor.
     """
     shift = A * T.b + 2.0 * T.K * T.delta
-    M = (1.0 + shift) * metric.g + complex_hessian(T.value)
-    return float(min_eig_field(M).min())
+    M = omega_form(T.value, metric)
+    return float(np.min(min_eig_field(M) + shift * metric.factor))
 
 
 # ---------------------------------------------------------------------------

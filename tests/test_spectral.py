@@ -80,24 +80,31 @@ def ref_gradient_sup_norm(values, torus):
     return float(np.sqrt(g2).max())
 
 
+def ref_metric(metric):
+    """The metric as a full matrix field, g = factor I."""
+    torus = metric.torus
+    factor = np.broadcast_to(metric.factor, torus.shape)
+    return factor[..., None, None] * np.eye(torus.n)
+
+
 def ref_newton_matvec(phi, metric, psi):
     torus = phi.torus
     n = torus.n
-    adj = adjugate_field(metric.g + ref_hessian(phi.values, torus))
+    adj = adjugate_field(ref_metric(metric) + ref_hessian(phi.values, torus))
     P = np.fft.fftn(psi)
     out = np.zeros(torus.shape)
     for j in range(n):
         for k in range(n):
             h = np.fft.ifftn(ref_multiplier(torus, j, k) * P)
             out += (adj[..., k, j] * h).real
-    out = out / metric.det()
+    out = out / np.linalg.det(ref_metric(metric)).real
     return out - out.mean()
 
 
 def ref_ascent_gradient(mask, v, metric):
     torus = v.torus
     n = torus.n
-    w = mask[..., None, None] * adjugate_field(metric.g + ref_hessian(v.values, torus))
+    w = mask[..., None, None] * adjugate_field(ref_metric(metric) + ref_hessian(v.values, torus))
     grad = np.zeros(torus.shape)
     for j in range(n):
         for k in range(n):
