@@ -74,8 +74,8 @@ from .certify import (
     hoelder_certificate,
     mixture_domination_slack,
     mixture_experiment,
-    lp_density_fixture,
 )
+from .fixtures import lp_density_fixture
 from .gridio import read_grid, write_grid
 from . import fixtures
 

@@ -48,15 +48,16 @@ class DecayFit:
     law: str          # "exp" or "power"
 
 
-def _ascent_gradient(mask: np.ndarray, v: GridFunction, metric: HermitianMetric) -> np.ndarray:
-    """Gradient of the masked Monge-Ampere mass w.r.t. v (spectral adjoint).
+def _ascent_gradient(mask: np.ndarray, M: np.ndarray, metric: HermitianMetric) -> np.ndarray:
+    """Gradient of the masked Monge-Ampere mass w.r.t. v at M = g + H(v)
+    (spectral adjoint).
 
     With w = mask adj(M), the gradient is sum_jk H_jk^*(w_kj); the two
     off-diagonal terms combine to 2 (S_re Re w_10 - S_im Im w_10) in spectrum.
     """
-    torus = v.torus
+    torus = metric.torus
     sym = spectral_symbols(torus)
-    w = mask[..., None, None] * adjugate_field(omega_form(v, metric))
+    w = mask[..., None, None] * adjugate_field(M)
     G = sum(s * to_spectrum(w[..., j, j].real) for j, s in enumerate(sym.hess_diag))
     if torus.n == 2:
         G += 2.0 * (sym.hess_off_re * to_spectrum(w[..., 1, 0].real)
@@ -96,12 +97,13 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int = 40,
         return CapacityEstimate(0.0, GridFunction.constant(torus, 0.0), 0)
 
     best_val = -np.inf
-    best_v = None
+    best_v = best_form = None
     evaluated = 0
 
     def consider(v: GridFunction):
-        """Keep v if it is feasible and beats the best masked mass so far."""
-        nonlocal best_val, best_v, evaluated
+        """Keep v, and the form it was verified on, if it is feasible and
+        beats the best masked mass so far."""
+        nonlocal best_val, best_v, best_form, evaluated
         evaluated += 1
         if v.values.min() < -_BOUND_SLACK or v.values.max() > 1.0 + _BOUND_SLACK:
             return
@@ -113,21 +115,22 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int = 40,
         val = float(np.mean(mask * np.maximum(det_field(M), 0.0)) * torus.volume)
         if val > best_val:
             best_val = val
-            best_v = v
+            best_v, best_form = v, M
 
     for seed in _seed_candidates(E, metric):
         consider(seed)
     for cand in extra_candidates:
         consider(cand)
 
-    # projected ascent from the best seed
-    v = best_v if best_v is not None else GridFunction.constant(torus, 0.0)
+    # projected ascent from the best seed; the zero seed is always feasible,
+    # so best_v is set. The gradient changes only when v does.
+    v, form = best_v, best_form
+    grad = None
     step = 0.1
-    remaining = budget
-    while remaining > 0:
-        remaining -= 1
-        grad = _ascent_gradient(mask, v, metric)
-        gnorm = np.abs(grad).max()
+    for _ in range(budget):
+        if grad is None:
+            grad = _ascent_gradient(mask, form, metric)
+            gnorm = np.abs(grad).max()
         if gnorm < 1e-14:
             break
         trial_vals = np.clip(v.values + step * grad / gnorm, 0.0, 1.0)
@@ -136,7 +139,8 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int = 40,
         before = best_val
         consider(trial)
         if best_val > before + 1e-15:
-            v = best_v
+            v, form = best_v, best_form
+            grad = None
             step = min(0.5, step * 1.5)
         else:
             step *= 0.5

@@ -329,41 +329,3 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
     cert = hoelder_certificate(report.phi, mu, tau, metric, delta_list)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)
-
-
-# ---------------------------------------------------------------------------
-# L^p singular density fixture
-# ---------------------------------------------------------------------------
-
-def lp_density_fixture(p: float, singularity_exponent: float,
-                       metric: HermitianMetric, center=None,
-                       subsamples: int = 8) -> MeasureField:
-    """Density dist(z, z0)^(-s), cell-averaged at the singular point and
-    normalized to unit mass; requires s p < 2n so the density is in L^p."""
-    torus = metric.torus
-    n = torus.n
-    s = singularity_exponent
-    if p <= 1.0:
-        raise PreconditionError("p must exceed 1")
-    if s < 0.0:
-        raise PreconditionError("singularity exponent must be nonnegative")
-    if s * p >= 2 * n:
-        raise PreconditionError(f"s*p = {s*p} >= 2n = {2*n}: density not in L^p")
-    if center is None:
-        center = (0.0,) * torus.ndim_real
-    if s == 0.0:
-        dens = np.ones(torus.shape)
-    else:
-        dist = torus.periodic_distance(center)
-        with np.errstate(divide="ignore"):
-            dens = np.where(dist > 0.0, dist, 1.0) ** (-s)
-        # cell-average at lattice points coinciding with the singularity
-        sing = dist == 0.0
-        if sing.any():
-            h = torus.spacing
-            offs = (np.arange(subsamples) + 0.5) / subsamples - 0.5
-            grids = np.meshgrid(*([offs * h] * torus.ndim_real), indexing="ij")
-            r = np.sqrt(sum(g**2 for g in grids))
-            dens[sing] = float(np.mean(r**-s))
-    mu = MeasureField.from_density(GridFunction(torus, dens), metric)
-    return mu.scaled(1.0 / mu.mass, metric)

@@ -19,8 +19,8 @@ from .errors import TorusMAError, ConfigError, PreconditionError
 from .geometry import Torus, GridFunction, flat_metric, conformal_metric
 from .pluripotential import ma_measure, sublevel
 from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
-from .regularize import (kernel_eta, build_kernel, l1_rate, rate_deltas,
-                         discrete_mass_convergence)
+from .regularize import (kernel_eta, build_kernel, l1_rate, mollify,
+                         rate_deltas, discrete_mass_convergence)
 from .solver import solve_ma, continuation_solve
 from .certify import stability_check, hoelder_certificate, mixture_experiment
 from .gridio import write_grid
@@ -121,6 +121,14 @@ def _require_flat(cfg, what):
                           f"{cfg['metric']['kind']} is not supported")
 
 
+def _require_default_fixture(cfg, what):
+    """`what` builds its own fixture: reject a [fixture] name it would ignore."""
+    default = _SCHEMA["fixture"]["name"][1]
+    if cfg["fixture"]["name"] != default:
+        raise ConfigError(f"{what} builds its own fixture; [fixture] name = "
+                          f"{cfg['fixture']['name']} is not supported")
+
+
 def _metric_for(cfg):
     torus = Torus(cfg["torus"]["n"], cfg["torus"]["N"])
     if cfg["metric"]["kind"] == "flat":
@@ -169,8 +177,8 @@ def _build_measure(cfg, metric):
             mu = ma_measure(phi, metric)
         return mu, phi
     if name == "singular_density":
-        from .certify import lp_density_fixture
-        mu = lp_density_fixture(cfg["fixture"]["p"], cfg["fixture"]["s"], metric)
+        mu = fixtures.lp_density_fixture(cfg["fixture"]["p"],
+                                         cfg["fixture"]["s"], metric)
         return mu, None
     raise ConfigError(f"fixture {name!r} does not define a measure datum")
 
@@ -244,6 +252,7 @@ def run_capacity(cfg, out, dump_stages, rng):
 
 
 def run_regularize(cfg, out, dump_stages, rng):
+    _require_default_fixture(cfg, "regularize")
     metric = _metric_for(cfg)
     torus = metric.torus
     deltas = _rate_ladder(cfg, torus)
@@ -261,7 +270,6 @@ def run_regularize(cfg, out, dump_stages, rng):
     write_csv(os.path.join(out, "regularize.csv"), ["quantity", "param", "value"],
               rows)
     if dump_stages:
-        from .regularize import mollify
         for d in deltas:
             write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"),
                        mollify(phi, d))
@@ -275,6 +283,7 @@ def run_regularize(cfg, out, dump_stages, rng):
 
 def run_stability(cfg, out, dump_stages, rng):
     _require_flat(cfg, "stability")
+    _require_default_fixture(cfg, "stability")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     psi, phi, mu, metric = fixtures.stability_pair(
         n, N, cfg["stability"]["amplitude"])
@@ -315,7 +324,6 @@ def run_certificate(cfg, out, dump_stages, rng):
     write_grid(os.path.join(out, "phi.cmag"), rep.phi)
     write_grid(os.path.join(out, "mu_density.cmag"), mu.density)
     if dump_stages:
-        from .regularize import mollify
         for d in cfg["certificate"]["delta_list"]:
             write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"),
                        mollify(rep.phi, d))
@@ -328,11 +336,13 @@ def run_certificate(cfg, out, dump_stages, rng):
 
 def run_mixture(cfg, out, dump_stages, rng):
     _require_flat(cfg, "mixture")
+    _require_default_fixture(cfg, "mixture")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     _rate_ladder(cfg, Torus(n, N))
     phi1, phi2, c1, c2, metric = fixtures.mixture_pair(n, N, rng)
     res = mixture_experiment(phi1, phi2, c1, c2, metric,
                              tol=cfg["solver"]["tol"],
+                             tau=cfg["certificate"]["tau"],
                              delta_list=cfg["certificate"]["delta_list"],
                              max_iter=cfg["solver"]["max_iter"])
     write_csv(os.path.join(out, "mixture.csv"), _CERT_HEADER,

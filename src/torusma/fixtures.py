@@ -13,9 +13,9 @@ from .geometry import Torus, GridFunction, HermitianMetric, flat_metric
 from .pluripotential import MeasureField, ma_measure, is_omega_psh
 from .regularize import psh_repair
 from .solver import ContinuationSchedule, decompose_subsolution
-from .certify import lp_density_fixture
 
 __all__ = [
+    "lp_density_fixture",
     "manufactured_cos",
     "singular_density",
     "holder_subsolution",
@@ -46,6 +46,40 @@ def manufactured_cos(n: int, N: int, amplitude: float = 0.05):
     if not is_omega_psh(phi, metric):
         raise PreconditionError(f"amplitude {amplitude} too large for psh fixture")
     return phi, ma_measure(phi, metric), metric
+
+
+def lp_density_fixture(p: float, singularity_exponent: float,
+                       metric: HermitianMetric, center=None,
+                       subsamples: int = 8) -> MeasureField:
+    """Density dist(z, z0)^(-s), cell-averaged at the singular point and
+    normalized to unit mass; requires s p < 2n so the density is in L^p."""
+    torus = metric.torus
+    n = torus.n
+    s = singularity_exponent
+    if p <= 1.0:
+        raise PreconditionError("p must exceed 1")
+    if s < 0.0:
+        raise PreconditionError("singularity exponent must be nonnegative")
+    if s * p >= 2 * n:
+        raise PreconditionError(f"s*p = {s*p} >= 2n = {2*n}: density not in L^p")
+    if center is None:
+        center = (0.0,) * torus.ndim_real
+    if s == 0.0:
+        dens = np.ones(torus.shape)
+    else:
+        dist = torus.periodic_distance(center)
+        with np.errstate(divide="ignore"):
+            dens = np.where(dist > 0.0, dist, 1.0) ** (-s)
+        # cell-average at lattice points coinciding with the singularity
+        sing = dist == 0.0
+        if sing.any():
+            h = torus.spacing
+            offs = (np.arange(subsamples) + 0.5) / subsamples - 0.5
+            grids = np.meshgrid(*([offs * h] * torus.ndim_real), indexing="ij")
+            r = np.sqrt(sum(g**2 for g in grids))
+            dens[sing] = float(np.mean(r**-s))
+    mu = MeasureField.from_density(GridFunction(torus, dens), metric)
+    return mu.scaled(1.0 / mu.mass, metric)
 
 
 def singular_density(n: int = 1, N: int = 64, s: float = 0.5, p: float = 2.0):
@@ -132,5 +166,4 @@ def mixture_pair(n: int, N: int, rng: np.random.Generator,
 
 
 # names accepted by the command-line configuration
-FIXTURE_NAMES = ("manufactured_cos", "singular_density", "holder_subsolution",
-                 "stability_pair", "mixture_pair")
+FIXTURE_NAMES = ("manufactured_cos", "singular_density", "holder_subsolution")

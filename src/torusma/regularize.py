@@ -25,6 +25,7 @@ from .geometry import (
     min_eig_field,
     omega_form,
     to_spectrum,
+    trace_field,
 )
 from .pluripotential import MeasureField, psh_tolerance
 
@@ -123,54 +124,28 @@ def mollify(phi: GridFunction, delta: float, spectrum: np.ndarray = None) -> Gri
 # psh repair: approximate projection back into the omega-psh cone
 # ---------------------------------------------------------------------------
 
-def _clamp_eigs(M: np.ndarray, floor: float) -> np.ndarray:
-    n = M.shape[-1]
-    if n == 1:
-        out = M.copy()
-        out[..., 0, 0] = np.maximum(M[..., 0, 0].real, floor)
-        return out
-    a = M[..., 0, 0].real
-    d = M[..., 1, 1].real
-    b = M[..., 0, 1]
-    half_tr = 0.5 * (a + d)
-    det = a * d - (b * np.conj(b)).real
-    disc = np.sqrt(np.maximum(half_tr**2 - det, 0.0))
-    lam1 = half_tr - disc
-    deficit = np.maximum(floor - lam1, 0.0)
-    # rank-one correction along the min-eigenvalue eigenvector;
-    # when b == 0 fall back to the basis vector of the smaller diagonal entry
-    has_b = np.abs(b) > 1e-300
-    vx = np.where(has_b, b, np.where(a <= d, 1.0, 0.0)).astype(complex)
-    vy = np.where(has_b, (lam1 - a).astype(complex), np.where(a <= d, 0.0, 1.0))
-    norm2 = (vx * np.conj(vx) + vy * np.conj(vy)).real
-    norm2 = np.where(norm2 > 0.0, norm2, 1.0)
-    out = M.copy()
-    out[..., 0, 0] += deficit * (vx * np.conj(vx)).real / norm2
-    out[..., 1, 1] += deficit * (vy * np.conj(vy)).real / norm2
-    out[..., 0, 1] += deficit * vx * np.conj(vy) / norm2
-    out[..., 1, 0] += deficit * vy * np.conj(vx) / norm2
-    return out
-
-
 def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> GridFunction:
     """Push f toward the omega-psh cone.
 
-    Pointwise eigenvalue clamp of g + H(f) followed by spectral reconstruction
-    matching the clamped trace; iterated. Not a true metric projection: callers
-    must re-verify feasibility. A contraction toward the zero function is used
-    as a last resort (it always lands in the cone since g is positive).
+    Each round raises the smallest eigenvalue of M = g + H(f) to 0 wherever it
+    is negative, which adds max(-lambda_min, 0) to the trace of M, and rebuilds
+    f spectrally from the trace of that clamped Hessian part,
+    tr M + max(-lambda_min, 0) - n factor. Not a true metric projection:
+    callers must re-verify feasibility. A contraction toward the zero function
+    is used as a last resort (it always lands in the cone since g is positive).
     """
     tol = psh_tolerance(metric)
     current = f
     for _ in range(rounds):
         M = omega_form(current, metric)
-        defect = float(min_eig_field(M).min())
+        lam = min_eig_field(M)
+        defect = float(lam.min())
         if defect >= -tol:
             return current
-        clamped = _clamp_eigs(M, 0.0)
-        # trace of the clamped Hessian part, clamped - g
-        target_trace = sum(clamped[..., j, j].real - metric.factor
-                           for j in range(f.torus.n))
+        # sum the clamped diagonal before subtracting g: at n = 1 this is
+        # max(M_00, 0) - factor bit for bit
+        target_trace = (trace_field(M) + np.maximum(-lam, 0.0)
+                        - f.torus.n * metric.factor)
         mean = float(current.values.mean())
         rebuilt = inverse_quarter_laplacian(f.torus, target_trace) + mean
         current = GridFunction(f.torus, rebuilt)

@@ -11,6 +11,7 @@ from .errors import DivergenceError, DominationError, PreconditionError
 from .geometry import (
     GridFunction,
     HermitianMetric,
+    Torus,
     adjugate_field,
     det_field,
     from_spectrum,
@@ -48,12 +49,15 @@ class ContinuationSchedule:
     delta_list: tuple
 
 
-def _linearization(phi: GridFunction, metric: HermitianMetric):
-    """psi -> tr(adj(M) H(psi)) / det g minus its mean, with M = g + H(phi),
-    as a map on flattened lattice arrays."""
-    torus = phi.torus
+def _linearization(M: np.ndarray, metric: HermitianMetric):
+    """psi -> tr(adj(M) H(psi)) / det g minus its mean, with M = g + H(phi) the
+    form of the current iterate, as a map on flattened lattice arrays.
+
+    The map keeps only the adjugate entries it reads, not M.
+    """
+    torus = metric.torus
     sym = spectral_symbols(torus)
-    adj = adjugate_field(omega_form(phi, metric))
+    adj = adjugate_field(M)
     detg = metric.det()
     # tr(adj H) = sum_j adj_jj H_jj + 2 Re(adj_10 H_01); H_jj is real
     diag = [adj[..., j, j].real / detg for j in range(torus.n)]
@@ -73,14 +77,12 @@ def _linearization(phi: GridFunction, metric: HermitianMetric):
     return apply_L
 
 
-def _newton_step(phi: GridFunction, residual: np.ndarray,
-                 metric: HermitianMetric) -> tuple:
-    """Solve tr(adj(M) H(psi)) / det g = -residual on the zero-mean subspace,
-    preconditioned by the inverse flat quarter-Laplacian.
+def _newton_step(apply_L, residual: np.ndarray, torus: Torus) -> tuple:
+    """Solve apply_L(psi) = -residual on the zero-mean subspace, preconditioned
+    by the inverse flat quarter-Laplacian; apply_L is a `_linearization`.
 
     Returns (psi, converged) with `converged` the inner Krylov solve's flag.
     """
-    torus = phi.torus
     shape = torus.shape
     size = torus.npoints
 
@@ -89,7 +91,7 @@ def _newton_step(phi: GridFunction, residual: np.ndarray,
         return inverse_quarter_laplacian(torus, r).ravel()
 
     # an explicit dtype spares the probe matvec LinearOperator makes without one
-    L = LinearOperator((size, size), matvec=_linearization(phi, metric), dtype=float)
+    L = LinearOperator((size, size), matvec=apply_L, dtype=float)
     Mprec = LinearOperator((size, size), matvec=apply_prec, dtype=float)
     rhs = (-(residual - residual.mean())).ravel()
     sol, info = lgmres(L, rhs, M=Mprec, rtol=1e-6, atol=0.0, maxiter=50)
@@ -120,14 +122,15 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     c_trace: list = []
 
     def diagnostics(p: GridFunction):
+        """(c, residual, sup residual, min eigenvalue, form) at p."""
         M = omega_form(p, metric)
         det_M = det_field(M)
         dens = det_M / detg
         c = float(np.mean(det_M) * torus.volume) / mu.mass
         res = dens - c * f
-        return c, res, float(np.abs(res).max()), float(min_eig_field(M).min())
+        return c, res, float(np.abs(res).max()), float(min_eig_field(M).min()), M
 
-    c, res, res_norm, _ = diagnostics(phi)
+    c, res, res_norm, _, form = diagnostics(phi)
     residual_history.append(res_norm)
     c_trace.append(c)
     converged = res_norm <= tol
@@ -141,14 +144,17 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
 
     while not converged and iterations < max_iter:
         iterations += 1
-        psi, inner_ok = _newton_step(phi, res, metric)
+        apply_L = _linearization(form, metric)
+        form = None  # not held while lgmres runs; the line search builds the next
+        psi, inner_ok = _newton_step(apply_L, res, torus)
         unconverged += not inner_ok
         step = 1.0
         accepted = False
         pd_seen = False
         for _ in range(30):
             trial = GridFunction(torus, phi.values + step * psi).sup_normalized()
-            c_t, res_t, norm_t, mineig_t = diagnostics(trial)
+            # the trial's form; used only once the trial is accepted
+            c_t, res_t, norm_t, mineig_t, form = diagnostics(trial)
             if mineig_t > pd_floor:
                 pd_seen = True
                 if norm_t < res_norm:

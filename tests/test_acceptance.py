@@ -23,7 +23,7 @@ from torusma.regularize import (
 from torusma.solver import solve_ma, continuation_solve
 from torusma.certify import (
     stability_gamma, stability_check, hoelder_certificate,
-    mixture_domination_slack, mixture_experiment, lp_density_fixture,
+    mixture_domination_slack, mixture_experiment,
 )
 from torusma.fixtures import (
     manufactured_cos, singular_density, holder_subsolution, stability_pair,

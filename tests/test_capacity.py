@@ -7,7 +7,7 @@ from torusma.geometry import Torus, GridFunction, flat_metric
 from torusma.errors import PreconditionError
 from torusma.pluripotential import MeasureField, ma_measure, sublevel
 from torusma.capacity import estimate_capacity, fit_volume_capacity, fit_htau
-from torusma.certify import lp_density_fixture
+from torusma.fixtures import lp_density_fixture
 
 
 @pytest.fixture(scope="module")

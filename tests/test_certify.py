@@ -11,10 +11,11 @@ from torusma.pluripotential import ma_measure
 from torusma.solver import solve_ma
 from torusma.certify import (
     stability_gamma, check_subsolution, stability_check, hoelder_certificate,
-    mixture_domination_slack, mixture_experiment, lp_density_fixture,
+    mixture_domination_slack, mixture_experiment,
 )
 from torusma.fixtures import (
-    manufactured_cos, singular_density, stability_pair, mixture_pair,
+    lp_density_fixture, manufactured_cos, singular_density, stability_pair,
+    mixture_pair,
 )
 
 

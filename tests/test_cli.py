@@ -169,11 +169,18 @@ class TestIgnoredConfigRejected:
                   "[metric]\nkind = conformal\namplitude = 0.2\n"),
         ("stability", "[metric]\nkind = conformal\namplitude = 0.2\n"),
         ("mixture", "[metric]\nkind = conformal\namplitude = 0.2\n"),
+        ("stability", "[fixture]\nname = singular_density\n"),
+        ("stability", "[fixture]\nname = holder_subsolution\n"),
+        ("mixture", "[fixture]\nname = singular_density\n"),
+        ("mixture", "[fixture]\nname = holder_subsolution\n"),
+        ("regularize", "[fixture]\nname = singular_density\n"),
+        ("regularize", "[fixture]\nname = holder_subsolution\n"),
     ])
     def test_exits_one_before_solving(self, tmp_path, capsys, monkeypatch,
                                       command, text):
         import torusma.certify
         import torusma.cli
+        import torusma.fixtures
         import torusma.solver
 
         def no_solve(*args, **kwargs):
@@ -183,7 +190,11 @@ class TestIgnoredConfigRejected:
                              (torusma.cli, "continuation_solve"),
                              (torusma.solver, "solve_ma"),
                              (torusma.certify, "solve_ma"),
-                             (torusma.certify, "estimate_capacity")]:
+                             (torusma.certify, "estimate_capacity"),
+                             (torusma.cli, "l1_rate"),
+                             (torusma.fixtures, "stability_pair"),
+                             (torusma.fixtures, "mixture_pair"),
+                             (torusma.fixtures, "manufactured_cos")]:
             monkeypatch.setattr(module, name, no_solve)
         ini = tmp_path / "c.ini"
         ini.write_text(text)
@@ -191,7 +202,28 @@ class TestIgnoredConfigRejected:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "flat metric" in err or "n = 1 only" in err
+        assert ("flat metric" in err or "n = 1 only" in err
+                or "builds its own fixture" in err)
+
+    @pytest.mark.parametrize("name", ["stability_pair", "mixture_pair"])
+    def test_unread_fixture_names_rejected(self, tmp_path, name):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[fixture]\nname = {name}\n")
+        with pytest.raises(ConfigError, match="unknown fixture"):
+            load_config(p)
+
+
+class TestMixtureCommand:
+    def test_certificate_tau_reaches_the_certificate(self, tmp_path, capsys):
+        # gamma = 1 / (1 + (n+2)(n + 1/tau)) is 0.1 at n = 1, tau = 0.5
+        ini = tmp_path / "c.ini"
+        ini.write_text("[certificate]\ntau = 0.5\n")
+        assert main(["mixture", "--config", str(ini),
+                     "--out", str(tmp_path / "o")]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("mixture PASS")
+        summary = dict(part.split("=") for part in line.split()[2:])
+        assert float(summary["alpha"]) == 0.1
 
 
 class TestStabilityCommand:

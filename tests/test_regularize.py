@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusma.errors import PreconditionError
-from torusma.geometry import Torus, GridFunction, flat_metric
+from torusma.geometry import (
+    Torus, GridFunction, flat_metric, conformal_metric, inverse_quarter_laplacian,
+    min_eig_field, omega_form,
+)
 from torusma.pluripotential import ma_measure, psh_defect, psh_tolerance, is_omega_psh
 from torusma.regularize import (
     kernel_profile_raw, kernel_eta, kernel_second_moment, build_kernel,
@@ -116,6 +119,82 @@ class TestPshRepair:
         f = GridFunction(t, 0.2 * np.cos(2 * np.pi * x) * np.ones(t.shape))
         g = psh_repair(f, m, rounds=8)
         assert psh_defect(g, m) >= -psh_tolerance(m)
+
+
+def ref_clamp_eigs(M, floor):
+    """Clamped matrix field: the smallest eigenvalue of each M raised to
+    `floor` by a rank-one correction along its eigenvector."""
+    n = M.shape[-1]
+    if n == 1:
+        out = M.copy()
+        out[..., 0, 0] = np.maximum(M[..., 0, 0].real, floor)
+        return out
+    a = M[..., 0, 0].real
+    d = M[..., 1, 1].real
+    b = M[..., 0, 1]
+    half_tr = 0.5 * (a + d)
+    det = a * d - (b * np.conj(b)).real
+    lam1 = half_tr - np.sqrt(np.maximum(half_tr**2 - det, 0.0))
+    deficit = np.maximum(floor - lam1, 0.0)
+    # when b == 0 the eigenvector is the basis vector of the smaller diagonal entry
+    has_b = np.abs(b) > 1e-300
+    vx = np.where(has_b, b, np.where(a <= d, 1.0, 0.0)).astype(complex)
+    vy = np.where(has_b, (lam1 - a).astype(complex), np.where(a <= d, 0.0, 1.0))
+    norm2 = (vx * np.conj(vx) + vy * np.conj(vy)).real
+    norm2 = np.where(norm2 > 0.0, norm2, 1.0)
+    out = M.copy()
+    out[..., 0, 0] += deficit * (vx * np.conj(vx)).real / norm2
+    out[..., 1, 1] += deficit * (vy * np.conj(vy)).real / norm2
+    out[..., 0, 1] += deficit * vx * np.conj(vy) / norm2
+    out[..., 1, 0] += deficit * vy * np.conj(vx) / norm2
+    return out
+
+
+def ref_psh_repair(f, metric, rounds=5):
+    """psh repair that rebuilds f from the trace of the whole clamped field."""
+    tol = psh_tolerance(metric)
+    current = f
+    for _ in range(rounds):
+        M = omega_form(current, metric)
+        defect = float(min_eig_field(M).min())
+        if defect >= -tol:
+            return current
+        clamped = ref_clamp_eigs(M, 0.0)
+        target_trace = sum(clamped[..., j, j].real - metric.factor
+                           for j in range(f.torus.n))
+        mean = float(current.values.mean())
+        current = GridFunction(
+            f.torus, inverse_quarter_laplacian(f.torus, target_trace) + mean)
+    defect = float(min_eig_field(omega_form(current, metric)).min())
+    if defect >= -tol:
+        return current
+    lam = metric.min_eig()
+    theta = lam / (lam - defect + tol)
+    return GridFunction(f.torus, theta * current.values)
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 8), (2, 16)])
+@pytest.mark.parametrize("kind", ["flat", "conformal"])
+@pytest.mark.parametrize("rounds", [1, 5, 8])
+def test_trace_repair_matches_clamped_field(n, N, kind, rounds):
+    """Raising lambda_min to 0 adds max(-lambda_min, 0) to the trace, so the
+    repair from the trace reproduces the repair from the clamped field:
+    bit for bit at n = 1, to rounding at n = 2."""
+    t = Torus(n, N)
+    m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
+    x = t.axis_coord(0)
+    rng = np.random.default_rng(n * 1000 + N)
+    vals = (0.05 * np.abs(np.sin(np.pi * x)) ** 0.5 * np.ones(t.shape)
+            + 0.003 * rng.standard_normal(t.shape))
+    f = GridFunction(t, vals)
+    assert not is_omega_psh(f, m)
+    got = psh_repair(f, m, rounds=rounds).values
+    want = ref_psh_repair(f, m, rounds=rounds).values
+    assert not np.array_equal(want, vals)
+    if n == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestKiselmanLegendre:

@@ -1,5 +1,7 @@
 """Damped Newton solver and mollified continuation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,25 @@ class TestSolveMA:
         rep = solve_ma(mu, m, tol=1e-12)
         assert rep.converged
         assert np.abs(rep.phi.values - phi_star.values).max() < 1e-8
+
+    def test_each_form_built_once(self, monkeypatch):
+        # the Newton step linearizes at the form the line search verified
+        # instead of transforming the accepted iterate again
+        import torusma.geometry
+
+        seen = []  # one digest per array transformed
+        hessian = torusma.geometry.complex_hessian
+
+        def hashing_hessian(f):
+            seen.append(hashlib.sha256(f.values.tobytes()).hexdigest())
+            return hessian(f)
+
+        _, mu, m = manufactured_cos(2, 16)
+        monkeypatch.setattr(torusma.geometry, "complex_hessian", hashing_hessian)
+        rep = solve_ma(mu, m, tol=1e-12)
+        assert rep.converged and rep.iterations >= 2
+        assert len(seen) > rep.iterations
+        assert len(set(seen)) == len(seen)
 
     def test_uniform_datum_gives_constant(self):
         m = flat_metric(Torus(1, 64))
