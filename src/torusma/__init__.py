@@ -18,6 +18,7 @@ from .errors import (
 from .geometry import (
     Torus,
     GridFunction,
+    HermitianForm,
     HermitianMetric,
     flat_metric,
     conformal_metric,

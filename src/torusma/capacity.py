@@ -14,11 +14,9 @@ import numpy as np
 from .errors import PreconditionError
 from .geometry import (
     GridFunction,
+    HermitianForm,
     HermitianMetric,
-    adjugate_field,
-    det_field,
     from_spectrum,
-    min_eig_field,
     omega_form,
     spectral_symbols,
     to_spectrum,
@@ -48,20 +46,14 @@ class DecayFit:
     law: str          # "exp" or "power"
 
 
-def _ascent_gradient(mask: np.ndarray, M: np.ndarray, metric: HermitianMetric) -> np.ndarray:
+def _ascent_gradient(mask: np.ndarray, M: HermitianForm,
+                     metric: HermitianMetric) -> np.ndarray:
     """Gradient of the masked Monge-Ampere mass w.r.t. v at M = g + H(v)
-    (spectral adjoint).
-
-    With w = mask adj(M), the gradient is sum_jk H_jk^*(w_kj); the two
-    off-diagonal terms combine to 2 (S_re Re w_10 - S_im Im w_10) in spectrum.
+    (spectral adjoint): sum_k H_k^*(mask C_k) over the adjugate weights C.
     """
     torus = metric.torus
-    sym = spectral_symbols(torus)
-    w = mask[..., None, None] * adjugate_field(M)
-    G = sum(s * to_spectrum(w[..., j, j].real) for j, s in enumerate(sym.hess_diag))
-    if torus.n == 2:
-        G += 2.0 * (sym.hess_off_re * to_spectrum(w[..., 1, 0].real)
-                    - sym.hess_off_im * to_spectrum(w[..., 1, 0].imag))
+    G = sum(s * to_spectrum(mask * c)
+            for s, c in zip(spectral_symbols(torus).hess, M.adjugate_weights()))
     return from_spectrum(torus, G)
 
 
@@ -109,10 +101,10 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int = 40,
             return
         v = GridFunction(torus, np.clip(v.values, 0.0, 1.0))
         M = omega_form(v, metric)
-        if float(min_eig_field(M).min()) < -psh_tolerance(metric):
+        if float(M.min_eig().min()) < -psh_tolerance(metric):
             return
         # integral over E of (omega + dd^c v)^n
-        val = float(np.mean(mask * np.maximum(det_field(M), 0.0)) * torus.volume)
+        val = float(np.mean(mask * np.maximum(M.det(), 0.0)) * torus.volume)
         if val > best_val:
             best_val = val
             best_v, best_form = v, M

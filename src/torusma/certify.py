@@ -150,6 +150,33 @@ def stability_check(psi: GridFunction, phi: GridFunction, mu: MeasureField,
 # Hoelder certificate
 # ---------------------------------------------------------------------------
 
+def _kl_level(delta: float, alpha: float, K_eff: float, A: float) -> float:
+    """Kiselman-Legendre level b = (delta^alpha - 2 K_eff delta) / A, or
+    delta^alpha when A = 0 (the Hessian bound then holds for any b)."""
+    if A == 0.0:
+        return delta**alpha
+    b = (delta**alpha - 2.0 * K_eff * delta) / A
+    if b <= 0.0:
+        raise PreconditionError(
+            f"delta {delta} too large for the level formula: delta^alpha <= 2 K delta"
+        )
+    return b
+
+
+def check_level_formula(metric: HermitianMetric, tau: float, delta_list) -> None:
+    """Raise before any solve when the level formula fails at alpha = gamma.
+
+    The certificate uses alpha = min(gamma, alpha1) <= gamma, and delta < 1
+    gives delta^alpha >= delta^gamma, so a ladder that passes here passes for
+    every fitted alpha1.
+    """
+    n = metric.torus.n
+    gamma = stability_gamma(n, tau)
+    K_eff = metric.K + kernel_second_moment(n)
+    for d in sorted((float(d) for d in delta_list), reverse=True):
+        _kl_level(d, gamma, K_eff, metric.A)
+
+
 @dataclass(frozen=True)
 class CertificateRow:
     delta: float
@@ -230,14 +257,7 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
     all_ok = True
     gaps, moduli = [], []
     for d in deltas:
-        if A > 0.0:
-            b = (d**alpha - 2.0 * K_eff * d) / A
-            if b <= 0.0:
-                raise PreconditionError(
-                    f"delta {d} too large for the level formula: delta^alpha <= 2 K delta"
-                )
-        else:
-            b = d**alpha
+        b = _kl_level(d, alpha, K_eff, A)
         T = kiselman_legendre(phi, d, b, K_eff, phi_hat)
         rho_d = T.rho_delta.values
         upper = rho_d + K_eff * d + K_eff * d * d

@@ -22,7 +22,8 @@ from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from .regularize import (kernel_eta, build_kernel, l1_rate, mollify,
                          rate_deltas, discrete_mass_convergence)
 from .solver import solve_ma, continuation_solve
-from .certify import stability_check, hoelder_certificate, mixture_experiment
+from .certify import (check_level_formula, stability_check, hoelder_certificate,
+                      mixture_experiment)
 from .gridio import write_grid
 from . import fixtures
 
@@ -121,12 +122,13 @@ def _require_flat(cfg, what):
                           f"{cfg['metric']['kind']} is not supported")
 
 
-def _require_default_fixture(cfg, what):
-    """`what` builds its own fixture: reject a [fixture] name it would ignore."""
-    default = _SCHEMA["fixture"]["name"][1]
-    if cfg["fixture"]["name"] != default:
-        raise ConfigError(f"{what} builds its own fixture; [fixture] name = "
-                          f"{cfg['fixture']['name']} is not supported")
+def _require_default_fixture(cfg, what, reads=()):
+    """`what` builds its own fixture and reads only the [fixture] keys in
+    `reads`: reject any other key that is not at its default."""
+    for key, (_, default) in _SCHEMA["fixture"].items():
+        if key not in reads and cfg["fixture"][key] != default:
+            raise ConfigError(f"{what} builds its own fixture; [fixture] {key} = "
+                              f"{cfg['fixture'][key]} is not supported")
 
 
 def _metric_for(cfg):
@@ -252,7 +254,7 @@ def run_capacity(cfg, out, dump_stages, rng):
 
 
 def run_regularize(cfg, out, dump_stages, rng):
-    _require_default_fixture(cfg, "regularize")
+    _require_default_fixture(cfg, "regularize", reads=("amplitude",))
     metric = _metric_for(cfg)
     torus = metric.torus
     deltas = _rate_ladder(cfg, torus)
@@ -314,6 +316,8 @@ _CERT_HEADER = ["delta", "b", "gap", "t0_min", "kappa_hat", "modulus",
 def run_certificate(cfg, out, dump_stages, rng):
     metric = _metric_for(cfg)
     _rate_ladder(cfg, metric.torus)
+    check_level_formula(metric, cfg["certificate"]["tau"],
+                        cfg["certificate"]["delta_list"])
     mu, phi_star = _build_measure(cfg, metric)
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])

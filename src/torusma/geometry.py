@@ -174,59 +174,59 @@ def flat_metric(torus: Torus) -> HermitianMetric:
 
 
 # ---------------------------------------------------------------------------
-# pointwise Hermitian matrix-field helpers (n <= 2, closed forms)
+# pointwise Hermitian forms (n <= 2, closed forms)
 # ---------------------------------------------------------------------------
 
-def det_field(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-1]
-    if n == 1:
-        return M[..., 0, 0].real
-    return (M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]).real
+@dataclass(frozen=True)
+class HermitianForm:
+    """Field of Hermitian n x n matrices as one stack of real lattice fields.
 
-
-def trace_field(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-1]
-    if n == 1:
-        return M[..., 0, 0].real
-    return (M[..., 0, 0] + M[..., 1, 1]).real
-
-
-def adjugate_field(M: np.ndarray) -> np.ndarray:
-    """Adjugate matrix field; M @ adj(M) = det(M) I."""
-    n = M.shape[-1]
-    if n == 1:
-        out = np.ones_like(M)
-        return out
-    out = np.empty_like(M)
-    out[..., 0, 0] = M[..., 1, 1]
-    out[..., 1, 1] = M[..., 0, 0]
-    out[..., 0, 1] = -M[..., 0, 1]
-    out[..., 1, 0] = -M[..., 1, 0]
-    return out
-
-
-def min_eig_field(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-1]
-    if n == 1:
-        return M[..., 0, 0].real
-    half_tr = 0.5 * trace_field(M)
-    # eigenvalues of a 2x2 Hermitian matrix
-    disc = np.sqrt(np.maximum(half_tr**2 - det_field(M), 0.0))
-    return half_tr - disc
-
-
-def mixed_det_field(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Polarized mixed determinant D(A, B) with D(A, A) = det A (n <= 2).
-
-    For n=2 this is the density of alpha ^ beta relative to the volume form,
-    normalized so the pure powers reduce to determinants.
+    `parts` has shape (k, *torus.shape): (a,) at n=1, and (a, d, b_re, b_im)
+    at n=2 for [[a, b], [conj(b), d]] with b = b_re + i b_im.
     """
-    n = A.shape[-1]
-    if n == 1:
-        return 0.5 * (A[..., 0, 0] + B[..., 0, 0]).real
-    s = (A[..., 0, 0] * B[..., 1, 1] + A[..., 1, 1] * B[..., 0, 0]
-         - A[..., 0, 1] * B[..., 1, 0] - A[..., 1, 0] * B[..., 0, 1])
-    return 0.5 * s.real
+
+    parts: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return 1 if len(self.parts) == 1 else 2
+
+    def det(self) -> np.ndarray:
+        if self.n == 1:
+            return self.parts[0]
+        a, d, re, im = self.parts
+        return a * d - (re * re + im * im)
+
+    def trace(self) -> np.ndarray:
+        return self.parts[0] if self.n == 1 else self.parts[0] + self.parts[1]
+
+    def min_eig(self) -> np.ndarray:
+        if self.n == 1:
+            return self.parts[0]
+        half_tr = 0.5 * self.trace()
+        disc = np.sqrt(np.maximum(half_tr**2 - self.det(), 0.0))
+        return half_tr - disc
+
+    def mixed_det(self, other: "HermitianForm") -> np.ndarray:
+        """Polarized mixed determinant D(A, B) with D(A, A) = det A.
+
+        For n=2 this is the density of alpha ^ beta relative to the volume
+        form, normalized so the pure powers reduce to determinants.
+        """
+        if self.n == 1:
+            return 0.5 * (self.parts[0] + other.parts[0])
+        a, d, re, im = self.parts
+        a2, d2, re2, im2 = other.parts
+        off = re * re2 + im * im2
+        return 0.5 * (a * d2 + d * a2 - off - off)
+
+    def adjugate_weights(self) -> tuple:
+        """Weights C with tr(adj(M) H) = sum_k C_k H_k for every form H,
+        in the order of `parts`."""
+        if self.n == 1:
+            return (1.0,)
+        a, d, re, im = self.parts
+        return (d, a, -2.0 * re, -2.0 * im)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +243,7 @@ class SpectralSymbols:
     """
 
     xi: tuple                    # angular wavenumber per real axis, Nyquist zeroed
-    hess_diag: tuple             # symbol of d^2/(dz_j dzbar_j), j < n
-    hess_off_re: np.ndarray      # d^2/(dz_0 dzbar_1) = hess_off_re + i hess_off_im (n=2)
-    hess_off_im: np.ndarray      # both parts are real and even; None for n=1
+    hess: tuple                  # symbols of the HermitianForm parts of the Hessian
     quarter_lap: np.ndarray      # symbol of Lap / 4
     inv_quarter_lap: np.ndarray  # its inverse, 0 on the constant mode
 
@@ -268,18 +266,19 @@ def spectral_symbols(torus: Torus) -> SpectralSymbols:
         k = k.reshape(shape)
         xi_even.append(2.0 * np.pi * k)
         xi.append(_frozen(np.where(np.abs(k) == N // 2, 0.0, xi_even[-1])))
-    hess_diag = tuple(_frozen(-0.25 * (xi_even[2 * j] ** 2 + xi_even[2 * j + 1] ** 2))
-                      for j in range(torus.n))
-    off_re = off_im = None
+    # d^2/(dz_j dzbar_j), j < n
+    hess = [_frozen(-0.25 * (xi_even[2 * j] ** 2 + xi_even[2 * j + 1] ** 2))
+            for j in range(torus.n)]
+    quarter_lap = sum(hess)
     if torus.n == 2:
-        # 0.25 (i x0 + y0)(i x1 - y1): products of two odd factors, hence even
-        off_re = _frozen(-0.25 * (xi[0] * xi[2] + xi[1] * xi[3]))
-        off_im = _frozen(0.25 * (xi[1] * xi[2] - xi[0] * xi[3]))
-    quarter_lap = sum(hess_diag)
+        # d^2/(dz_0 dzbar_1) = 0.25 (i x0 + y0)(i x1 - y1), split into real and
+        # imaginary parts: products of two odd factors, hence even
+        hess.append(_frozen(-0.25 * (xi[0] * xi[2] + xi[1] * xi[3])))
+        hess.append(_frozen(0.25 * (xi[1] * xi[2] - xi[0] * xi[3])))
     with np.errstate(divide="ignore"):
         inv = np.where(quarter_lap != 0.0, 1.0 / quarter_lap, 0.0)
     return SpectralSymbols(
-        xi=tuple(xi), hess_diag=hess_diag, hess_off_re=off_re, hess_off_im=off_im,
+        xi=tuple(xi), hess=tuple(hess),
         quarter_lap=_frozen(quarter_lap), inv_quarter_lap=_frozen(inv),
     )
 
@@ -294,28 +293,21 @@ def from_spectrum(torus: Torus, spectrum: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(spectrum, s=torus.shape)
 
 
-def complex_hessian(f: GridFunction) -> np.ndarray:
-    """Field of mixed second derivatives f_{z_j zbar_k}, Hermitian at every point."""
+def complex_hessian(f: GridFunction) -> HermitianForm:
+    """Form of mixed second derivatives f_{z_j zbar_k}."""
     torus = f.torus
-    n = torus.n
-    sym = spectral_symbols(torus)
     F = to_spectrum(f.values)
-    H = np.empty(torus.shape + (n, n), dtype=complex)
-    for j in range(n):
-        H[..., j, j] = from_spectrum(torus, sym.hess_diag[j] * F)
-    if n == 2:
-        re = from_spectrum(torus, sym.hess_off_re * F)
-        im = from_spectrum(torus, sym.hess_off_im * F)
-        H[..., 0, 1] = re + 1j * im
-        H[..., 1, 0] = re - 1j * im
-    return H
+    hess = spectral_symbols(torus).hess
+    parts = np.empty((len(hess),) + torus.shape)
+    for part, s in zip(parts, hess):
+        part[...] = from_spectrum(torus, s * F)
+    return HermitianForm(parts)
 
 
-def omega_form(f: GridFunction, metric: HermitianMetric) -> np.ndarray:
-    """Matrix field of omega + dd^c f, that is g + H(f) with g = factor * I."""
+def omega_form(f: GridFunction, metric: HermitianMetric) -> HermitianForm:
+    """omega + dd^c f, that is g + H(f) with g = factor * I."""
     M = complex_hessian(f)
-    for j in range(metric.torus.n):
-        M[..., j, j] += metric.factor
+    M.parts[:metric.torus.n] += metric.factor
     return M
 
 
@@ -373,12 +365,17 @@ def conformal_metric(torus: Torus, amplitude: float) -> HermitianMetric:
         * np.ones(torus.shape)
     factor = np.exp(u_vals)
     u = GridFunction(torus, u_vals)
-    Hu = complex_hessian(u)
-    hu_norm = float(np.abs(Hu).sum(axis=(-1, -2)).max())
-    grad_u = gradient_sup_norm(u)
-    A = hu_norm
-    K = A + grad_u**2
     g11 = GridFunction(torus, factor)
-    Hg = complex_hessian(g11)
-    B = float(np.abs(Hg).sum(axis=(-1, -2)).max()) + gradient_sup_norm(g11) ** 2
+
+    def entry_sum_sup(f):
+        """Sup over the lattice of |a| + |d| + 2 |b|, the entry sum of H(f)."""
+        p = complex_hessian(f).parts
+        total = np.abs(p[:torus.n]).sum(axis=0)
+        if torus.n == 2:
+            total += 2.0 * np.hypot(p[2], p[3])
+        return float(total.max())
+
+    A = entry_sum_sup(u)
+    K = A + gradient_sup_norm(u) ** 2
+    B = entry_sum_sup(g11) + gradient_sup_norm(g11) ** 2
     return HermitianMetric(torus, factor, K=K, A=A, B=B)

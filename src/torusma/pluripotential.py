@@ -10,10 +10,7 @@ from .errors import NotOmegaPshError, PreconditionError
 from .geometry import (
     GridFunction,
     HermitianMetric,
-    det_field,
     integrate,
-    min_eig_field,
-    mixed_det_field,
     omega_form,
 )
 
@@ -70,8 +67,7 @@ def psh_defect(f: GridFunction, metric: HermitianMetric) -> float:
 
     f is accepted as omega-psh when the result >= -psh_tolerance(metric).
     """
-    M = omega_form(f, metric)
-    return float(min_eig_field(M).min())
+    return float(omega_form(f, metric).min_eig().min())
 
 
 def is_omega_psh(f: GridFunction, metric: HermitianMetric) -> bool:
@@ -82,13 +78,13 @@ def ma_measure(f: GridFunction, metric: HermitianMetric) -> MeasureField:
     """Monge-Ampere measure (omega + dd^c f)^n as a density w.r.t. det(g) dV."""
     tol = psh_tolerance(metric)
     M = omega_form(f, metric)
-    defect = float(min_eig_field(M).min())
+    defect = float(M.min_eig().min())
     if defect < -100.0 * tol:
         raise NotOmegaPshError(
             f"psh defect {defect:.3e} below -100*tol = {-100*tol:.3e}; "
             "not a valid Monge-Ampere input"
         )
-    density = det_field(M) / metric.det()
+    density = M.det() / metric.det()
     density = np.maximum(density, 0.0)
     return MeasureField.from_density(GridFunction(f.torus, density), metric)
 
@@ -103,15 +99,15 @@ def mixed_form_mass(f: GridFunction, u: GridFunction, p: int,
     A = omega_form(f, metric)
     B = omega_form(u, metric)
     for name, M in (("f", A), ("u", B)):
-        d = float(min_eig_field(M).min())
+        d = float(M.min_eig().min())
         if d < -100.0 * tol:
             raise NotOmegaPshError(f"{name} has psh defect {d:.3e}")
     if p == n:
-        dens = det_field(A)
+        dens = A.det()
     elif p == 0:
-        dens = det_field(B)
+        dens = B.det()
     else:  # n == 2, p == 1
-        dens = mixed_det_field(A, B)
+        dens = A.mixed_det(B)
     return float(np.mean(dens) * metric.torus.volume)
 
 

@@ -22,10 +22,8 @@ from .geometry import (
     from_spectrum,
     integrate,
     inverse_quarter_laplacian,
-    min_eig_field,
     omega_form,
     to_spectrum,
-    trace_field,
 )
 from .pluripotential import MeasureField, psh_tolerance
 
@@ -138,18 +136,18 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
     current = f
     for _ in range(rounds):
         M = omega_form(current, metric)
-        lam = min_eig_field(M)
+        lam = M.min_eig()
         defect = float(lam.min())
         if defect >= -tol:
             return current
         # sum the clamped diagonal before subtracting g: at n = 1 this is
         # max(M_00, 0) - factor bit for bit
-        target_trace = (trace_field(M) + np.maximum(-lam, 0.0)
+        target_trace = (M.trace() + np.maximum(-lam, 0.0)
                         - f.torus.n * metric.factor)
         mean = float(current.values.mean())
         rebuilt = inverse_quarter_laplacian(f.torus, target_trace) + mean
         current = GridFunction(f.torus, rebuilt)
-    defect = float(min_eig_field(omega_form(current, metric)).min())
+    defect = float(omega_form(current, metric).min_eig().min())
     if defect >= -tol:
         return current
     lam = metric.min_eig()
@@ -221,7 +219,7 @@ def hessian_lower_bound_check(T: KLTransform, metric: HermitianMetric, A: float)
     """
     shift = A * T.b + 2.0 * T.K * T.delta
     M = omega_form(T.value, metric)
-    return float(np.min(min_eig_field(M) + shift * metric.factor))
+    return float(np.min(M.min_eig() + shift * metric.factor))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,11 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .errors import DivergenceError, DominationError, PreconditionError
 from .geometry import (
     GridFunction,
+    HermitianForm,
     HermitianMetric,
     Torus,
-    adjugate_field,
-    det_field,
     from_spectrum,
     inverse_quarter_laplacian,
-    min_eig_field,
     omega_form,
     spectral_symbols,
     to_spectrum,
@@ -49,28 +47,20 @@ class ContinuationSchedule:
     delta_list: tuple
 
 
-def _linearization(M: np.ndarray, metric: HermitianMetric):
+def _linearization(M: HermitianForm, metric: HermitianMetric):
     """psi -> tr(adj(M) H(psi)) / det g minus its mean, with M = g + H(phi) the
     form of the current iterate, as a map on flattened lattice arrays.
 
-    The map keeps only the adjugate entries it reads, not M.
+    The map keeps only the adjugate weights it reads, not M.
     """
     torus = metric.torus
-    sym = spectral_symbols(torus)
-    adj = adjugate_field(M)
+    hess = spectral_symbols(torus).hess
     detg = metric.det()
-    # tr(adj H) = sum_j adj_jj H_jj + 2 Re(adj_10 H_01); H_jj is real
-    diag = [adj[..., j, j].real / detg for j in range(torus.n)]
-    if torus.n == 2:
-        off_re = 2.0 * adj[..., 1, 0].real / detg
-        off_im = -2.0 * adj[..., 1, 0].imag / detg
+    weights = [c / detg for c in M.adjugate_weights()]
 
     def apply_L(vec):
         P = to_spectrum(vec.reshape(torus.shape))
-        out = sum(c * from_spectrum(torus, s * P) for c, s in zip(diag, sym.hess_diag))
-        if torus.n == 2:
-            out += off_re * from_spectrum(torus, sym.hess_off_re * P)
-            out += off_im * from_spectrum(torus, sym.hess_off_im * P)
+        out = sum(c * from_spectrum(torus, s * P) for c, s in zip(weights, hess))
         out -= out.mean()
         return out.ravel()
 
@@ -124,11 +114,11 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     def diagnostics(p: GridFunction):
         """(c, residual, sup residual, min eigenvalue, form) at p."""
         M = omega_form(p, metric)
-        det_M = det_field(M)
+        det_M = M.det()
         dens = det_M / detg
         c = float(np.mean(det_M) * torus.volume) / mu.mass
         res = dens - c * f
-        return c, res, float(np.abs(res).max()), float(min_eig_field(M).min()), M
+        return c, res, float(np.abs(res).max()), float(M.min_eig().min()), M
 
     c, res, res_norm, _, form = diagnostics(phi)
     residual_history.append(res_norm)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from torusma.errors import PreconditionError, DominationError
-from torusma.geometry import Torus, GridFunction, flat_metric
+from torusma.geometry import Torus, GridFunction, flat_metric, conformal_metric
 from torusma.pluripotential import ma_measure
 from torusma.solver import solve_ma
 from torusma.certify import (
     stability_gamma, check_subsolution, stability_check, hoelder_certificate,
-    mixture_domination_slack, mixture_experiment,
+    mixture_domination_slack, mixture_experiment, check_level_formula,
 )
 from torusma.fixtures import (
     lp_density_fixture, manufactured_cos, singular_density, stability_pair,
@@ -140,6 +140,16 @@ class TestHoelderCertificate:
         other = lp_density_fixture(2.0, 0.3, m)
         with pytest.raises(PreconditionError):
             hoelder_certificate(rep.phi, other, 1.0, m, (1 / 8, 1 / 16))
+
+
+def test_level_formula_checked_at_gamma():
+    # conformal n=1 N=64 at tau = 1: delta^gamma = 0.743 <= 2 K_eff delta = 0.989
+    # at delta = 1/8, while the ladder from 1/16 down keeps b positive
+    m = conformal_metric(Torus(1, 64), 0.2)
+    with pytest.raises(PreconditionError, match="delta 0.125 too large"):
+        check_level_formula(m, 1.0, (1 / 32, 1 / 8, 1 / 16))
+    check_level_formula(m, 1.0, (1 / 16, 1 / 32, 1 / 64))
+    check_level_formula(flat_metric(m.torus), 1.0, (1 / 4, 1 / 8))
 
 
 class TestMixture:

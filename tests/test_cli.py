@@ -175,6 +175,11 @@ class TestIgnoredConfigRejected:
         ("mixture", "[fixture]\nname = holder_subsolution\n"),
         ("regularize", "[fixture]\nname = singular_density\n"),
         ("regularize", "[fixture]\nname = holder_subsolution\n"),
+        ("stability", "[fixture]\namplitude = 0.01\n"),
+        ("mixture", "[fixture]\ns = 0.3\n"),
+        ("regularize", "[fixture]\np = 3.0\n"),
+        ("certificate", "[torus]\nn = 1\nN = 64\n"
+                        "[metric]\nkind = conformal\namplitude = 0.2\n"),
     ])
     def test_exits_one_before_solving(self, tmp_path, capsys, monkeypatch,
                                       command, text):
@@ -203,7 +208,7 @@ class TestIgnoredConfigRejected:
         assert code == 1
         err = capsys.readouterr().err
         assert ("flat metric" in err or "n = 1 only" in err
-                or "builds its own fixture" in err)
+                or "builds its own fixture" in err or "level formula" in err)
 
     @pytest.mark.parametrize("name", ["stability_pair", "mixture_pair"])
     def test_unread_fixture_names_rejected(self, tmp_path, name):

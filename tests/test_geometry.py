@@ -6,12 +6,27 @@ from hypothesis import given, settings, strategies as st
 
 from torusma.errors import PreconditionError
 from torusma.geometry import (
-    Torus, GridFunction, HermitianMetric, flat_metric, conformal_metric,
-    complex_hessian, omega_form,
+    Torus, GridFunction, HermitianForm, HermitianMetric, flat_metric,
+    conformal_metric, complex_hessian, omega_form,
     laplacian, inverse_quarter_laplacian, gradient_sup_norm, integrate,
-    det_field, trace_field, adjugate_field, min_eig_field,
-    mixed_det_field,
 )
+
+
+def as_matrix(form):
+    """The form as a complex (..., n, n) matrix field."""
+    p = form.parts
+    if len(p) == 1:
+        return p[0][..., None, None].astype(complex)
+    b = p[2] + 1j * p[3]
+    return np.stack([np.stack([p[0], b], -1), np.stack([b.conj(), p[1]], -1)], -2)
+
+
+def from_matrix(M):
+    """The HermitianForm of a Hermitian (..., n, n) matrix field."""
+    if M.shape[-1] == 1:
+        return HermitianForm(M[..., 0, 0].real[None])
+    return HermitianForm(np.stack([M[..., 0, 0].real, M[..., 1, 1].real,
+                                   M[..., 0, 1].real, M[..., 0, 1].imag]))
 
 
 def trig_field(torus, coeffs, max_freq=3):
@@ -59,7 +74,7 @@ class TestComplexHessian:
         a = 0.3
         x = t.axis_coord(0)
         f = GridFunction(t, a * np.cos(2 * np.pi * x) * np.ones(t.shape))
-        H = complex_hessian(f)
+        H = as_matrix(complex_hessian(f))
         expected = -a * np.pi**2 * np.cos(2 * np.pi * x) * np.ones(t.shape)
         assert np.allclose(H[..., 0, 0].real, expected, atol=1e-12)
         assert np.abs(H[..., 0, 0].imag).max() < 1e-12
@@ -71,7 +86,7 @@ class TestComplexHessian:
         x1, y2 = t.axis_coord(0), t.axis_coord(3)
         f = GridFunction(t, np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * y2)
                          * np.ones(t.shape))
-        H = complex_hessian(f)
+        H = as_matrix(complex_hessian(f))
         expected = 1j * np.pi**2 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * y2) \
             * np.ones(t.shape)
         assert np.allclose(H[..., 0, 1], expected, atol=1e-12)
@@ -79,7 +94,7 @@ class TestComplexHessian:
     def test_hermitian_symmetry(self):
         t = Torus(2, 16)
         f = trig_field(t, [0.4, -0.2, 0.1, 0.3])
-        H = complex_hessian(f)
+        H = as_matrix(complex_hessian(f))
         assert np.allclose(H, np.conj(np.swapaxes(H, -1, -2)), atol=1e-13)
 
     @given(a=st.floats(-1, 1), b=st.floats(-1, 1))
@@ -88,20 +103,20 @@ class TestComplexHessian:
         t = Torus(1, 32)
         f = trig_field(t, [0.5, -0.3])
         g = trig_field(t, [-0.2, 0.7, 0.1])
-        lhs = complex_hessian(GridFunction(t, a * f.values + b * g.values))
-        rhs = a * complex_hessian(f) + b * complex_hessian(g)
+        lhs = complex_hessian(GridFunction(t, a * f.values + b * g.values)).parts
+        rhs = a * complex_hessian(f).parts + b * complex_hessian(g).parts
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_trace_is_quarter_laplacian(self):
         t = Torus(2, 16)
         f = trig_field(t, [0.3, 0.2, -0.4])
         H = complex_hessian(f)
-        assert np.allclose(trace_field(H).real, 0.25 * laplacian(f), atol=1e-11)
+        assert np.allclose(H.trace(), 0.25 * laplacian(f), atol=1e-11)
 
     def test_constant_has_zero_hessian(self):
         t = Torus(1, 32)
         H = complex_hessian(GridFunction.constant(t, 3.7))
-        assert np.abs(H).max() == 0.0
+        assert np.abs(H.parts).max() == 0.0
 
 
 def random_hermitian_psd(rng, shape, n):
@@ -114,20 +129,23 @@ class TestMatrixFields:
     def test_det_adj_eig_against_numpy(self, n):
         rng = np.random.default_rng(0)
         M = random_hermitian_psd(rng, (50,), n)
-        assert np.allclose(det_field(M), np.linalg.det(M).real, atol=1e-10)
+        form = from_matrix(M)
+        assert np.allclose(form.det(), np.linalg.det(M).real, atol=1e-10)
         eigs = np.linalg.eigvalsh(M)
-        assert np.allclose(min_eig_field(M), eigs[..., 0], atol=1e-10)
-        # adjugate identity M adj(M) = det(M) I
-        prod = M @ adjugate_field(M)
-        eye = np.linalg.det(M).real[..., None, None] * np.eye(n)
-        assert np.allclose(prod, eye, atol=1e-8)
+        assert np.allclose(form.min_eig(), eigs[..., 0], atol=1e-10)
+        # adjugate weights: tr(adj(M) H) = sum_k C_k H_k, adj(M) = det(M) M^-1
+        H = random_hermitian_psd(rng, (50,), n) - random_hermitian_psd(rng, (50,), n)
+        adj = np.linalg.det(M)[..., None, None] * np.linalg.inv(M)
+        want = np.trace(adj @ H, axis1=-2, axis2=-1).real
+        got = sum(c * h for c, h in zip(form.adjugate_weights(), from_matrix(H).parts))
+        assert np.allclose(got, want, atol=1e-8)
 
     def test_mixed_det_polarization(self):
         # 2 mixed(A, B) = det(A + B) - det A - det B for 2x2
         rng = np.random.default_rng(1)
         A = random_hermitian_psd(rng, (40,), 2)
         B = random_hermitian_psd(rng, (40,), 2)
-        lhs = 2.0 * mixed_det_field(A, B)
+        lhs = 2.0 * from_matrix(A).mixed_det(from_matrix(B))
         rhs = np.linalg.det(A + B).real - np.linalg.det(A).real \
             - np.linalg.det(B).real
         assert np.allclose(lhs, rhs, atol=1e-8)
@@ -215,5 +233,8 @@ def test_omega_form_is_factor_identity_plus_hessian(n, N, kind):
     t = Torus(n, N)
     m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.3)
     f = GridFunction(t, 0.01 * np.random.default_rng(n).standard_normal(t.shape))
-    g = np.broadcast_to(m.factor, t.shape)[..., None, None] * np.eye(n)
-    assert np.array_equal(omega_form(f, m), g + complex_hessian(f))
+    M = omega_form(f, m)
+    assert M.parts.dtype == np.float64 and M.parts.shape == (n * n,) + t.shape
+    g = np.zeros(M.parts.shape)
+    g[:n] = m.factor
+    assert np.array_equal(M.parts, g + complex_hessian(f).parts)

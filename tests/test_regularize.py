@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from torusma.errors import PreconditionError
 from torusma.geometry import (
     Torus, GridFunction, flat_metric, conformal_metric, inverse_quarter_laplacian,
-    min_eig_field, omega_form,
+    omega_form,
 )
 from torusma.pluripotential import ma_measure, psh_defect, psh_tolerance, is_omega_psh
 from torusma.regularize import (
@@ -121,6 +121,15 @@ class TestPshRepair:
         assert psh_defect(g, m) >= -psh_tolerance(m)
 
 
+def as_matrix(form):
+    """The form as a complex (..., n, n) matrix field."""
+    p = form.parts
+    if len(p) == 1:
+        return p[0][..., None, None].astype(complex)
+    b = p[2] + 1j * p[3]
+    return np.stack([np.stack([p[0], b], -1), np.stack([b.conj(), p[1]], -1)], -2)
+
+
 def ref_clamp_eigs(M, floor):
     """Clamped matrix field: the smallest eigenvalue of each M raised to
     `floor` by a rank-one correction along its eigenvector."""
@@ -156,16 +165,16 @@ def ref_psh_repair(f, metric, rounds=5):
     current = f
     for _ in range(rounds):
         M = omega_form(current, metric)
-        defect = float(min_eig_field(M).min())
+        defect = float(M.min_eig().min())
         if defect >= -tol:
             return current
-        clamped = ref_clamp_eigs(M, 0.0)
+        clamped = ref_clamp_eigs(as_matrix(M), 0.0)
         target_trace = sum(clamped[..., j, j].real - metric.factor
                            for j in range(f.torus.n))
         mean = float(current.values.mean())
         current = GridFunction(
             f.torus, inverse_quarter_laplacian(f.torus, target_trace) + mean)
-    defect = float(min_eig_field(omega_form(current, metric)).min())
+    defect = float(omega_form(current, metric).min_eig().min())
     if defect >= -tol:
         return current
     lam = metric.min_eig()
