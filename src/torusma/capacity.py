@@ -71,7 +71,7 @@ def _seed_candidates(E: SublevelSet, metric: HermitianMetric):
             yield psh_repair(GridFunction(torus, vals), metric)
 
 
-def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int = 40,
+def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int,
                       extra_candidates=()) -> CapacityEstimate:
     """Projected-ascent maximization of the masked Monge-Ampere mass.
 

@@ -79,18 +79,20 @@ class StabilityCheck:
     ledger: list = field(default_factory=list)
 
 
-def _log_points(upper: float, count: int = 5, decades: float = 2.0):
-    return [upper * 10.0 ** (-decades * k / (count - 1)) for k in range(count)]
+def _log_points(upper: float):
+    """Five points log-spaced over the two decades below `upper`."""
+    return [upper * 10.0 ** (-2.0 * k / 4) for k in range(5)]
 
 
 def stability_check(psi: GridFunction, phi: GridFunction, mu: MeasureField,
-                    tau: float, metric: HermitianMetric, C_tau: float = 1.0,
-                    eps_grid=(0.1, 0.2, 0.3), budget: int = 25) -> StabilityCheck:
+                    tau: float, metric: HermitianMetric,
+                    budget: int) -> StabilityCheck:
     """Evaluate sup(psi - phi) <= C ||(psi - phi)_+||^gamma and the capacity
-    growth ledger on a grid of (eps, s, t) in the admissible ranges.
+    growth ledger on a grid of (eps, s, t) in the admissible ranges, with
+    eps in (0.1, 0.2, 0.3) and hbar(s) = s^(1/tau).
 
     Capacity lower bounds weaken only the left side of each ledger row, so a
-    PASS is conservative. `C_tau` feeds hbar(s) = (s / C_tau)^(1/tau).
+    PASS is conservative.
     """
     n = metric.torus.n
     tol = psh_tolerance(metric)
@@ -119,13 +121,13 @@ def stability_check(psi: GridFunction, phi: GridFunction, mu: MeasureField,
     # capacity-growth ledger rows: t^n cap(U(eps,s)) <= C mu(U(eps,s+t))
     B = metric.B
     rows_raw = []
-    for eps in eps_grid:
+    for eps in (0.1, 0.2, 0.3):
         eps_B = eps**n / 3.0 if B == 0.0 else min(eps**n, eps**3 / (16.0 * B)) / 3.0
         t_max = 4.0 / 3.0 * (1.0 - eps) * 3.0 * eps_B
         for s in _log_points(eps_B):
             E_s = sublevel(phi, psi, eps, s)
             cap_s = estimate_capacity(E_s, metric, budget=budget).lower
-            hbar = (s / C_tau) ** (1.0 / tau)
+            hbar = s ** (1.0 / tau)
             for t in _log_points(min(t_max, eps_B)):
                 E_st = sublevel(phi, psi, eps, s + t)
                 mass_st = mu.mass_on(E_st.mask, metric)

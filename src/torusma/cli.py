@@ -62,6 +62,11 @@ _SCHEMA = {
     "sweep": {"command": (str, "solve"), "N": (_ints, None), "tau": (_floats, None)},
 }
 
+# the [fixture] keys each named fixture reads
+_FIXTURE_READS = {"manufactured_cos": ("name", "amplitude"),
+                  "singular_density": ("name", "s", "p"),
+                  "holder_subsolution": ("name",)}
+
 
 def load_config(path=None, overrides=()):
     """Parse the INI config into a flat {section: {key: value}} dict.
@@ -186,7 +191,9 @@ def _build_measure(cfg, metric):
 
 
 def run_solve(cfg, out, dump_stages, rng):
-    if cfg["fixture"]["name"] == "holder_subsolution":
+    name = cfg["fixture"]["name"]
+    _require_default_fixture(cfg, f"solve with {name}", _FIXTURE_READS[name])
+    if name == "holder_subsolution":
         _require_flat(cfg, "holder_subsolution")
         if cfg["torus"]["n"] != 1:
             raise ConfigError("holder_subsolution is defined for [torus] n = 1 only")
@@ -216,6 +223,10 @@ def run_solve(cfg, out, dump_stages, rng):
 
 
 def run_capacity(cfg, out, dump_stages, rng):
+    name = cfg["fixture"]["name"]
+    # the reference sets always come from manufactured_cos at [fixture] amplitude
+    _require_default_fixture(cfg, f"capacity with {name}",
+                             _FIXTURE_READS[name] + ("amplitude",))
     metric = _metric_for(cfg)
     mu, _ = _build_measure(cfg, metric)
     torus = metric.torus
@@ -314,6 +325,8 @@ _CERT_HEADER = ["delta", "b", "gap", "t0_min", "kappa_hat", "modulus",
 
 
 def run_certificate(cfg, out, dump_stages, rng):
+    name = cfg["fixture"]["name"]
+    _require_default_fixture(cfg, f"certificate with {name}", _FIXTURE_READS[name])
     metric = _metric_for(cfg)
     _rate_ladder(cfg, metric.torus)
     check_level_formula(metric, cfg["certificate"]["tau"],

@@ -17,7 +17,6 @@ from .solver import ContinuationSchedule, decompose_subsolution
 __all__ = [
     "lp_density_fixture",
     "manufactured_cos",
-    "singular_density",
     "holder_subsolution",
     "stability_pair",
     "random_psh",
@@ -49,10 +48,10 @@ def manufactured_cos(n: int, N: int, amplitude: float = 0.05):
 
 
 def lp_density_fixture(p: float, singularity_exponent: float,
-                       metric: HermitianMetric, center=None,
-                       subsamples: int = 8) -> MeasureField:
-    """Density dist(z, z0)^(-s), cell-averaged at the singular point and
-    normalized to unit mass; requires s p < 2n so the density is in L^p."""
+                       metric: HermitianMetric) -> MeasureField:
+    """Density dist(z, 0)^(-s), cell-averaged over 8^(2n) subsamples at the
+    singular point and normalized to unit mass; requires s p < 2n so the
+    density is in L^p."""
     torus = metric.torus
     n = torus.n
     s = singularity_exponent
@@ -62,19 +61,17 @@ def lp_density_fixture(p: float, singularity_exponent: float,
         raise PreconditionError("singularity exponent must be nonnegative")
     if s * p >= 2 * n:
         raise PreconditionError(f"s*p = {s*p} >= 2n = {2*n}: density not in L^p")
-    if center is None:
-        center = (0.0,) * torus.ndim_real
     if s == 0.0:
         dens = np.ones(torus.shape)
     else:
-        dist = torus.periodic_distance(center)
+        dist = torus.periodic_distance((0.0,) * torus.ndim_real)
         with np.errstate(divide="ignore"):
             dens = np.where(dist > 0.0, dist, 1.0) ** (-s)
         # cell-average at lattice points coinciding with the singularity
         sing = dist == 0.0
         if sing.any():
             h = torus.spacing
-            offs = (np.arange(subsamples) + 0.5) / subsamples - 0.5
+            offs = (np.arange(8) + 0.5) / 8 - 0.5
             grids = np.meshgrid(*([offs * h] * torus.ndim_real), indexing="ij")
             r = np.sqrt(sum(g**2 for g in grids))
             dens[sing] = float(np.mean(r**-s))
@@ -82,17 +79,7 @@ def lp_density_fixture(p: float, singularity_exponent: float,
     return mu.scaled(1.0 / mu.mass, metric)
 
 
-def singular_density(n: int = 1, N: int = 64, s: float = 0.5, p: float = 2.0):
-    """Unit-mass L^p density with a dist^(-s) point singularity at the origin.
-
-    Returns (mu, metric); requires s*p < 2n.
-    """
-    torus = Torus(n, N)
-    metric = flat_metric(torus)
-    return lp_density_fixture(p, s, metric, center=None), metric
-
-
-def holder_subsolution(N: int = 256, delta_range=(3, 8)):
+def holder_subsolution(N: int, delta_range=(3, 8)):
     """Continuation fixture: a Hoelder (not C^2) subsolution u from repairing
     0.05 |sin(pi x)|^(1/2), datum mu = h * omega_u^n with smooth h >= 0.
 
@@ -120,7 +107,7 @@ def holder_subsolution(N: int = 256, delta_range=(3, 8)):
                                 delta_list=deltas), metric
 
 
-def stability_pair(n: int = 1, N: int = 64, amplitude: float = 1e-2):
+def stability_pair(n: int, N: int, amplitude: float):
     """Perturbation fixture for the sup-vs-L^1 stability estimate.
 
     phi is the cosine fixture; psi subtracts a * (1 + cos(2 pi x_1)) and
@@ -137,30 +124,30 @@ def stability_pair(n: int = 1, N: int = 64, amplitude: float = 1e-2):
     return psi, phi, mu, metric
 
 
-def random_psh(torus: Torus, metric: HermitianMetric, rng: np.random.Generator,
-               amplitude: float = 0.02, max_freq: int = 2) -> GridFunction:
-    """Seeded random low-frequency trigonometric field, repaired into the
-    omega-psh cone and sup-normalized."""
+def random_psh(torus: Torus, metric: HermitianMetric,
+               rng: np.random.Generator) -> GridFunction:
+    """Seeded random trigonometric field of frequencies 1 and 2 on each real
+    axis, amplitude 0.02 / k^2, repaired into the omega-psh cone and
+    sup-normalized."""
     vals = np.zeros(torus.shape)
     for axis in range(torus.ndim_real):
         x = torus.axis_coord(axis)
-        for k in range(1, max_freq + 1):
+        for k in (1, 2):
             a, b = rng.uniform(-1.0, 1.0, size=2)
-            vals = vals + (amplitude / k ** 2) * (
+            vals = vals + (0.02 / k ** 2) * (
                 a * np.cos(2.0 * np.pi * k * x) + b * np.sin(2.0 * np.pi * k * x)
             ) * np.ones(torus.shape)
     f = psh_repair(GridFunction(torus, vals), metric)
     return f.sup_normalized()
 
 
-def mixture_pair(n: int, N: int, rng: np.random.Generator,
-                 amplitude: float = 0.02):
+def mixture_pair(n: int, N: int, rng: np.random.Generator):
     """Two random omega-psh potentials and positive weights for the
     convexity-domination experiment.  Returns (phi1, phi2, c1, c2, metric)."""
     torus = Torus(n, N)
     metric = flat_metric(torus)
-    phi1 = random_psh(torus, metric, rng, amplitude=amplitude)
-    phi2 = random_psh(torus, metric, rng, amplitude=amplitude)
+    phi1 = random_psh(torus, metric, rng)
+    phi2 = random_psh(torus, metric, rng)
     c1, c2 = rng.uniform(0.5, 2.0, size=2)
     return phi1, phi2, float(c1), float(c2), metric
 

@@ -122,10 +122,9 @@ def sublevel(phi: GridFunction, psi: GridFunction, eps: float, s: float) -> Subl
     return SublevelSet(mask=mask, eps=eps, s=s, S_eps=S_eps)
 
 
-def _offsets_for_radius(ndim: int, m: int, rng: np.random.Generator,
-                        max_random: int = 200) -> np.ndarray:
+def _offsets_for_radius(ndim: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Integer lattice offsets with Euclidean norm <= m: all axis shifts plus
-    a seeded random sample of combined offsets."""
+    a seeded random sample of up to 200 combined offsets."""
     offsets = []
     for a in range(ndim):
         for s in range(1, m + 1):
@@ -134,7 +133,7 @@ def _offsets_for_radius(ndim: int, m: int, rng: np.random.Generator,
             offsets.append(tuple(off))
     if ndim > 1 and m >= 1:
         seen = set(offsets)
-        for _ in range(max_random):
+        for _ in range(200):
             cand = tuple(int(v) for v in rng.integers(-m, m + 1, size=ndim))
             if all(v == 0 for v in cand):
                 continue
@@ -147,27 +146,23 @@ def _offsets_for_radius(ndim: int, m: int, rng: np.random.Generator,
     return np.array(offsets, dtype=int)
 
 
-def hoelder_modulus(f: GridFunction, radii=None) -> tuple:
+def hoelder_modulus(f: GridFunction) -> tuple:
     """Estimate a Hoelder exponent by dyadic oscillation regression.
 
-    osc_r(f) = max over sampled lattice pairs at distance <= r of |f(p) - f(q)|;
+    osc_r(f) = max over sampled lattice pairs at distance <= r of |f(p) - f(q)|
+    for the dyadic radii r = 2/N, 4/N, ... up to 1/4;
     returns (alpha_hat, C) from a least-squares fit of log osc_r against log r.
     Constant functions report (1.0, 0.0).
     """
     torus = f.torus
     N = torus.N
-    if radii is None:
-        radii = []
-        r = 2.0 / N
-        while r <= 0.25 + 1e-12:
-            radii.append(r)
-            r *= 2.0
     vals = f.values
     if vals.max() - vals.min() == 0.0:
         return 1.0, 0.0
     rng = np.random.default_rng(0)
     log_r, log_osc = [], []
-    for r in radii:
+    r = 2.0 / N
+    while r <= 0.25 + 1e-12:
         m = max(1, int(np.floor(r * N)))
         osc = 0.0
         for off in _offsets_for_radius(torus.ndim_real, m, rng):
@@ -176,6 +171,7 @@ def hoelder_modulus(f: GridFunction, radii=None) -> tuple:
         if osc > 0.0:
             log_r.append(np.log(r))
             log_osc.append(np.log(osc))
+        r *= 2.0
     if len(log_r) < 2:
         return 1.0, 0.0
     slope, intercept = np.polyfit(log_r, log_osc, 1)

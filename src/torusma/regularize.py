@@ -134,12 +134,14 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
     """
     tol = psh_tolerance(metric)
     current = f
-    for _ in range(rounds):
+    for k in range(rounds + 1):
         M = omega_form(current, metric)
         lam = M.min_eig()
         defect = float(lam.min())
         if defect >= -tol:
             return current
+        if k == rounds:
+            break
         # sum the clamped diagonal before subtracting g: at n = 1 this is
         # max(M_00, 0) - factor bit for bit
         target_trace = (M.trace() + np.maximum(-lam, 0.0)
@@ -147,9 +149,6 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
         mean = float(current.values.mean())
         rebuilt = inverse_quarter_laplacian(f.torus, target_trace) + mean
         current = GridFunction(f.torus, rebuilt)
-    defect = float(omega_form(current, metric).min_eig().min())
-    if defect >= -tol:
-        return current
     lam = metric.min_eig()
     theta = lam / (lam - defect + tol)
     return GridFunction(f.torus, theta * current.values)

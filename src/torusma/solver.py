@@ -90,8 +90,8 @@ def _newton_step(apply_L, residual: np.ndarray, torus: Torus) -> tuple:
 
 
 def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
-             max_iter: int = 50, warm_start: GridFunction = None) -> SolveReport:
-    """Damped Newton iteration with spectral preconditioning.
+             max_iter: int = 50) -> SolveReport:
+    """Damped Newton iteration with spectral preconditioning, from phi = 0.
 
     The constant c is updated every iteration as the mass ratio
     (total Monge-Ampere mass) / mu(X); on the flat Kaehler torus the numerator
@@ -105,8 +105,7 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         raise PreconditionError("measure density must be bounded on the lattice")
     detg = metric.det()
 
-    phi = warm_start if warm_start is not None else GridFunction.constant(torus, 0.0)
-    phi = phi.sup_normalized()
+    phi = GridFunction.constant(torus, 0.0)
 
     residual_history: list = []
     c_trace: list = []
@@ -153,11 +152,6 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
                     break
             step *= 0.5
         if not pd_seen:
-            if warm_start is not None:
-                # retry once from a cold start before declaring divergence
-                cold = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
-                return replace(cold, krylov_unconverged=cold.krylov_unconverged
-                               + unconverged)
             raise DivergenceError(
                 "no positive-definite iterate after 30 step halvings"
             )
@@ -204,8 +198,8 @@ def decompose_subsolution(mu: MeasureField, u: GridFunction,
 
 def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
                        tol: float = 1e-9, max_iter: int = 50) -> SolveReport:
-    """Mollified continuation: for each delta_j solve with mu_j = C0 h omega_{u_j}^n,
-    warm-starting from the previous stage.
+    """Mollified continuation: for each delta_j solve from phi = 0 with
+    mu_j = C0 h omega_{u_j}^n.
 
     The returned report is the final stage; its c_trace holds the per-stage c_j
     and cauchy_diffs the sup-norm gaps between consecutive stage solutions (the
@@ -214,29 +208,14 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
     """
     if not schedule.delta_list:
         raise PreconditionError("schedule has no mollification radii")
-    c_trace: list = []
-    cauchy: list = []
-    prev_phi = None
-    report = None
-    unconverged = 0
+    reports = []
     for delta in schedule.delta_list:
         u_j = psh_repair(mollify(schedule.u, delta), metric)
         ma_uj = ma_measure(u_j, metric)
         dens_j = schedule.C0 * schedule.h.values * ma_uj.density.values
         mu_j = MeasureField.from_density(GridFunction(metric.torus, dens_j), metric)
-        report = solve_ma(mu_j, metric, tol=tol, max_iter=max_iter, warm_start=prev_phi)
-        c_trace.append(report.c)
-        unconverged += report.krylov_unconverged
-        if prev_phi is not None:
-            cauchy.append(float(np.abs(report.phi.values - prev_phi.values).max()))
-        prev_phi = report.phi
-    return SolveReport(
-        phi=report.phi,
-        c=report.c,
-        residual_history=report.residual_history,
-        c_trace=c_trace,
-        iterations=report.iterations,
-        converged=report.converged,
-        cauchy_diffs=cauchy,
-        krylov_unconverged=unconverged,
-    )
+        reports.append(solve_ma(mu_j, metric, tol=tol, max_iter=max_iter))
+    cauchy = [float(np.abs(b.phi.values - a.phi.values).max())
+              for a, b in zip(reports, reports[1:])]
+    return replace(reports[-1], c_trace=[r.c for r in reports], cauchy_diffs=cauchy,
+                   krylov_unconverged=sum(r.krylov_unconverged for r in reports))

@@ -26,7 +26,7 @@ from torusma.certify import (
     mixture_domination_slack, mixture_experiment,
 )
 from torusma.fixtures import (
-    manufactured_cos, singular_density, holder_subsolution, stability_pair,
+    manufactured_cos, lp_density_fixture, holder_subsolution, stability_pair,
     random_psh, mixture_pair,
 )
 from torusma.cli import main as cli_main
@@ -198,7 +198,8 @@ def test_criterion_06_stability_per_amplitude(stability_grid):
 
 def test_criterion_07_hoelder_certificate():
     t0 = time.monotonic()
-    mu, m = singular_density(1, 64, s=0.5, p=2.0)
+    m = flat_metric(Torus(1, 64))
+    mu = lp_density_fixture(2.0, 0.5, m)
     rep = solve_ma(mu, m, tol=1e-10)
     cert = hoelder_certificate(rep.phi, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
     dt = time.monotonic() - t0
@@ -215,7 +216,8 @@ def test_criterion_07_hoelder_certificate():
 # --- 8: volume-capacity fits ----------------------------------------------------
 
 def test_criterion_08_volume_capacity_fits():
-    mu, m = singular_density(1, 32, s=0.5, p=2.0)
+    m = flat_metric(Torus(1, 32))
+    mu = lp_density_fixture(2.0, 0.5, m)
     x = m.torus.axis_coord(0)
     phi = GridFunction(m.torus, 0.05 * np.cos(2 * np.pi * x)
                        * np.ones(m.torus.shape)).sup_normalized()

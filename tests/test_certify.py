@@ -14,8 +14,7 @@ from torusma.certify import (
     mixture_domination_slack, mixture_experiment, check_level_formula,
 )
 from torusma.fixtures import (
-    lp_density_fixture, manufactured_cos, singular_density, stability_pair,
-    mixture_pair,
+    lp_density_fixture, manufactured_cos, stability_pair, mixture_pair,
 )
 
 
@@ -98,7 +97,8 @@ class TestStabilityCheck:
 class TestHoelderCertificate:
     @pytest.fixture(scope="module")
     def cert_l2(self):
-        mu, m = singular_density(1, 64, s=0.5, p=2.0)
+        m = flat_metric(Torus(1, 64))
+        mu = lp_density_fixture(2.0, 0.5, m)
         rep = solve_ma(mu, m, tol=1e-10)
         cert = hoelder_certificate(rep.phi, mu, 1.0, m,
                                    (1 / 8, 1 / 16, 1 / 32))

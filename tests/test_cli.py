@@ -178,6 +178,10 @@ class TestIgnoredConfigRejected:
         ("stability", "[fixture]\namplitude = 0.01\n"),
         ("mixture", "[fixture]\ns = 0.3\n"),
         ("regularize", "[fixture]\np = 3.0\n"),
+        ("solve", "[fixture]\nname = singular_density\namplitude = 0.01\n"),
+        ("solve", "[fixture]\nname = holder_subsolution\np = 3.0\n"),
+        ("certificate", "[fixture]\ns = 0.3\n"),
+        ("capacity", "[fixture]\np = 3.0\n"),
         ("certificate", "[torus]\nn = 1\nN = 64\n"
                         "[metric]\nkind = conformal\namplitude = 0.2\n"),
     ])

@@ -1,0 +1,34 @@
+"""tools/check_knobs.py: every keyword default in torusma is set by some call."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_knobs.py"
+_spec = importlib.util.spec_from_file_location("check_knobs", TOOL)
+check_knobs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_knobs)
+
+
+def test_every_default_is_set_by_a_call():
+    assert check_knobs.never_set() == []
+
+
+def test_reports_defaults_no_call_sets(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "class K:\n    def m(self, y=0, z=1):\n        pass\n")
+    callers = tmp_path / "callers"
+    callers.mkdir()
+    (callers / "use.py").write_text(
+        "from pkg.mod import f as run\n"
+        "import pkg.mod\n"
+        "run(0, 5)\n"
+        "pkg.mod.f(0, d=4)\n"
+        "K().m(7)\n"
+        "g(**{})\n")
+    # b is set through the alias, d through the attribute call, x by
+    # **kwargs and y positionally after self; c and z never are
+    assert check_knobs.never_set(pkg, (pkg, callers)) == ["mod.f: c", "mod.m: z"]

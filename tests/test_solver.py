@@ -11,7 +11,9 @@ from torusma.pluripotential import MeasureField, ma_measure
 from torusma.solver import (
     ContinuationSchedule, solve_ma, decompose_subsolution, continuation_solve,
 )
-from torusma.fixtures import manufactured_cos, holder_subsolution
+from torusma.fixtures import (
+    holder_subsolution, lp_density_fixture, manufactured_cos,
+)
 
 
 class TestSolveMA:
@@ -73,8 +75,8 @@ class TestSolveMA:
         assert rep.residual_history[-1] < rep.residual_history[0]
 
     def test_singular_density_converges(self):
-        from torusma.fixtures import singular_density
-        mu, m = singular_density(1, 64, s=0.5, p=2.0)
+        m = flat_metric(Torus(1, 64))
+        mu = lp_density_fixture(2.0, 0.5, m)
         rep = solve_ma(mu, m, tol=1e-10)
         assert rep.converged
         model = ma_measure(rep.phi, m).scaled(1.0 / rep.c, m)
@@ -142,6 +144,18 @@ class TestContinuation:
         diffs = rep.cauchy_diffs
         assert len(diffs) >= 2
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
+
+    def test_final_stage_solved_from_zero(self):
+        # the last stage is a fresh solve of its own datum mu_j
+        from torusma.regularize import mollify, psh_repair
+        sched, m = holder_subsolution(N=64, delta_range=(3, 6))
+        rep = continuation_solve(sched, m, tol=1e-9, max_iter=50)
+        u_j = psh_repair(mollify(sched.u, sched.delta_list[-1]), m)
+        dens = sched.C0 * sched.h.values * ma_measure(u_j, m).density.values
+        mu_j = MeasureField.from_density(GridFunction(m.torus, dens), m)
+        fresh = solve_ma(mu_j, m, tol=1e-9, max_iter=50)
+        assert np.array_equal(rep.phi.values, fresh.phi.values)
+        assert rep.residual_history == fresh.residual_history
 
     def test_under_resolved_schedule_rejected(self):
         sched, m = holder_subsolution(N=64, delta_range=(3, 6))
