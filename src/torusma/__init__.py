@@ -48,6 +48,7 @@ from .capacity import (
 from .regularize import (
     MollifierKernel,
     KLTransform,
+    Mollifications,
     kernel_eta,
     kernel_second_moment,
     build_kernel,

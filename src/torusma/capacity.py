@@ -22,7 +22,7 @@ from .geometry import (
     to_spectrum,
 )
 from .pluripotential import SublevelSet, psh_tolerance
-from .regularize import mollify, psh_repair
+from .regularize import Mollifications, psh_repair
 
 _BOUND_SLACK = 1e-9
 
@@ -61,13 +61,12 @@ def _seed_candidates(E: SublevelSet, metric: HermitianMetric):
     """Zero function plus scaled relative-extremal heuristics (smoothed indicators)."""
     torus = metric.torus
     yield GridFunction.constant(torus, 0.0)
-    mask_f = GridFunction(torus, E.mask.astype(float))
+    smoothed = Mollifications(GridFunction(torus, E.mask.astype(float)))
     for radius in (4.0 * torus.spacing, 8.0 * torus.spacing):
         if radius > 0.25:
             continue
-        smooth = mollify(mask_f, radius)
         for scale in (0.5, 1.0):
-            vals = np.clip(scale * (1.0 - smooth.values), 0.0, 1.0)
+            vals = np.clip(scale * (1.0 - smoothed(radius).values), 0.0, 1.0)
             yield psh_repair(GridFunction(torus, vals), metric)
 
 

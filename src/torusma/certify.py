@@ -10,7 +10,7 @@ import numpy as np
 
 from .capacity import estimate_capacity
 from .errors import DominationError, PreconditionError
-from .geometry import GridFunction, HermitianMetric, integrate, to_spectrum
+from .geometry import GridFunction, HermitianMetric, integrate
 from .pluripotential import (
     MeasureField,
     is_omega_psh,
@@ -19,10 +19,10 @@ from .pluripotential import (
     sublevel,
 )
 from .regularize import (
+    Mollifications,
     kernel_second_moment,
     kiselman_legendre,
     l1_rate,
-    mollify,
     rate_deltas,
 )
 from .solver import SolveReport, solve_ma
@@ -208,6 +208,28 @@ class HoelderCertificate:
     trivial: bool = False
 
 
+def _certificate_row(family: Mollifications, d: float, b: float, alpha: float,
+                     K_eff: float, C4: float, scale: float) -> CertificateRow:
+    """One delta of the Hoelder chain; its fields are freed on return. The
+    modulus radius kappa_hat d = t0_min lies on the t-grid, so it is a lookup."""
+    phi = family.phi.values
+    T = kiselman_legendre(family, d, b, K_eff)
+    upper = family(d).values + K_eff * d + K_eff * d * d
+    sandwich_ok = bool(np.all(T.value.values >= phi - scale)
+                       and np.all(T.value.values <= upper + scale))
+    Phi_d = (1.0 - d**alpha) * T.value.values
+    diff1_ok = bool(Phi_d.max() <= C4 * d**alpha + scale)
+    diff2_rhs = C4 * d**alpha + (1.0 - d**alpha) * (upper - phi)
+    diff2_ok = bool(np.all(Phi_d - phi <= diff2_rhs + scale))
+    gap = float((Phi_d - phi).max())
+    t0_min = float(T.t_opt.values.min())
+    modulus = float((family(t0_min).values - phi).max())
+    return CertificateRow(
+        delta=d, b=float(b), gap=gap, t0_min=t0_min, kappa_hat=float(t0_min / d),
+        modulus=modulus, sandwich_ok=sandwich_ok, diff2_ok=diff2_ok and diff1_ok,
+    )
+
+
 def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
                         metric: HermitianMetric, delta_list) -> HoelderCertificate:
     """Run the full Hoelder chain on a solution of (omega + dd^c phi)^n = c mu.
@@ -231,6 +253,7 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
         raise PreconditionError(
             f"phi does not solve omega_phi^n = c mu: sup mismatch {mismatch:.3e}"
         )
+    del model
 
     phi = phi.sup_normalized()
     gamma = stability_gamma(n, tau)
@@ -243,8 +266,8 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
             rows=[], passed=True, trivial=True,
         )
 
-    phi_hat = to_spectrum(phi.values)  # shared by every mollification below
-    alpha1, _ = l1_rate(phi, mu, ladder, metric, phi_hat)
+    family = Mollifications(phi)  # every rho_t phi below, each t computed once
+    alpha1, _ = l1_rate(family, mu, ladder, metric)
     alpha = min(gamma, alpha1)
     if alpha <= 0.0:
         raise PreconditionError(f"nonpositive fitted exponent alpha1 = {alpha1}")
@@ -255,48 +278,20 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
     scale = CHAIN_SLACK * (1.0 + span)
     delta0 = deltas[0]
 
-    rows = []
-    all_ok = True
-    gaps, moduli = [], []
-    for d in deltas:
-        b = _kl_level(d, alpha, K_eff, A)
-        T = kiselman_legendre(phi, d, b, K_eff, phi_hat)
-        rho_d = T.rho_delta.values
-        upper = rho_d + K_eff * d + K_eff * d * d
-        sandwich_ok = bool(
-            np.all(T.value.values >= phi.values - scale)
-            and np.all(T.value.values <= upper + scale)
-        )
-        Phi_d = (1.0 - d**alpha) * T.value.values
-        diff1_ok = bool(Phi_d.max() <= C4 * d**alpha + scale)
-        diff2_rhs = C4 * d**alpha + (1.0 - d**alpha) * (upper - phi.values)
-        diff2_ok = bool(np.all(Phi_d - phi.values <= diff2_rhs + scale))
-        gap = float((Phi_d - phi.values).max())
-        t0_min = float(T.t_opt.values.min())
-        kappa_hat = t0_min / d
-        r = max(kappa_hat * d, 2.0 * torus.spacing)
-        modulus = float((mollify(phi, r, phi_hat).values - phi.values).max())
-        rows.append(CertificateRow(
-            delta=d, b=float(b), gap=gap, t0_min=t0_min, kappa_hat=float(kappa_hat),
-            modulus=modulus, sandwich_ok=sandwich_ok, diff2_ok=diff2_ok and diff1_ok,
-        ))
-        all_ok = all_ok and sandwich_ok and diff1_ok and diff2_ok
-        gaps.append((d, gap))
-        moduli.append((d, modulus))
+    rows = [_certificate_row(family, d, _kl_level(d, alpha, K_eff, A),
+                             alpha, K_eff, C4, scale)
+            for d in deltas]
 
     exp_pow = alpha * alpha1
-    C6 = max((max(g, 0.0) / d**exp_pow for d, g in gaps), default=0.0)
-    C7 = max((max(mo, 0.0) / d**exp_pow for d, mo in moduli), default=0.0)
+    C6 = max((max(r.gap, 0.0) / r.delta**exp_pow for r in rows), default=0.0)
+    C7 = max((max(r.modulus, 0.0) / r.delta**exp_pow for r in rows), default=0.0)
     kappa = 1.0 if A == 0.0 else math.exp(-2.0 * A * C6 / (1.0 - delta0**alpha))
 
-    pos = [(math.log(d), math.log(mo)) for d, mo in moduli if mo > 0.0]
-    if len(pos) >= 2:
-        slope, _ = np.polyfit([p[0] for p in pos], [p[1] for p in pos], 1)
-        measured = float(slope)
-    else:
-        measured = 1.0
+    pos = [(math.log(r.delta), math.log(r.modulus)) for r in rows if r.modulus > 0.0]
+    measured = float(np.polyfit(*zip(*pos), 1)[0]) if len(pos) >= 2 else 1.0
 
     finite = all(np.isfinite([C4, C6, C7, kappa, alpha1]))
+    all_ok = all(r.sandwich_ok and r.diff2_ok for r in rows)
     return HoelderCertificate(
         alpha=float(alpha), alpha1=float(alpha1), gamma=float(gamma), tau=float(tau),
         kappa=float(kappa), delta0=float(delta0), C4=C4, C6=float(C6), C7=float(C7),
@@ -315,18 +310,25 @@ class MixtureResult:
     domination_slack: float
 
 
-def mixture_domination_slack(phi1: GridFunction, phi2: GridFunction,
-                             c1: float, c2: float,
-                             metric: HermitianMetric) -> float:
-    """Pointwise slack of mu := (c1 omega_{phi1}^n + c2 omega_{phi2}^n)/2
-    <= 2^(n-1) (c1 + c2) (omega + dd^c (phi1+phi2)/2)^n; negative means violated."""
+def _mixture(phi1: GridFunction, phi2: GridFunction, c1: float, c2: float,
+             metric: HermitianMetric) -> tuple:
+    """(density of mu := (c1 omega_{phi1}^n + c2 omega_{phi2}^n)/2, pointwise
+    slack of mu <= 2^(n-1) (c1 + c2) (omega + dd^c (phi1+phi2)/2)^n)."""
     n = metric.torus.n
     d1 = ma_measure(phi1, metric).density.values
     d2 = ma_measure(phi2, metric).density.values
     mixed = 0.5 * (c1 * d1 + c2 * d2)
     avg = GridFunction(metric.torus, 0.5 * (phi1.values + phi2.values))
     dom = 2.0 ** (n - 1) * (c1 + c2) * ma_measure(avg, metric).density.values
-    return float((dom - mixed).min())
+    return mixed, float((dom - mixed).min())
+
+
+def mixture_domination_slack(phi1: GridFunction, phi2: GridFunction,
+                             c1: float, c2: float,
+                             metric: HermitianMetric) -> float:
+    """Pointwise slack of mu := (c1 omega_{phi1}^n + c2 omega_{phi2}^n)/2
+    <= 2^(n-1) (c1 + c2) (omega + dd^c (phi1+phi2)/2)^n; negative means violated."""
+    return _mixture(phi1, phi2, c1, c2, metric)[1]
 
 
 def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: float,
@@ -337,17 +339,12 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
     solve for it, and certify the solution's Hoelder chain."""
     if c1 <= 0.0 or c2 <= 0.0:
         raise PreconditionError("mixture weights must be positive")
-    slack = mixture_domination_slack(phi1, phi2, c1, c2, metric)
+    mixed, slack = _mixture(phi1, phi2, c1, c2, metric)
     if slack < -1e-10:
-        worst = slack
         raise DominationError(
-            f"mixture domination violated by {worst:.3e} (discretization artifact)"
+            f"mixture domination violated by {slack:.3e} (discretization artifact)"
         )
-    d1 = ma_measure(phi1, metric).density.values
-    d2 = ma_measure(phi2, metric).density.values
-    mu = MeasureField.from_density(
-        GridFunction(metric.torus, 0.5 * (c1 * d1 + c2 * d2)), metric
-    )
+    mu = MeasureField.from_density(GridFunction(metric.torus, mixed), metric)
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
     cert = hoelder_certificate(report.phi, mu, tau, metric, delta_list)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)

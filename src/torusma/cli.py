@@ -19,7 +19,7 @@ from .errors import TorusMAError, ConfigError, PreconditionError
 from .geometry import Torus, GridFunction, flat_metric, conformal_metric
 from .pluripotential import ma_measure, sublevel
 from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
-from .regularize import (kernel_eta, build_kernel, l1_rate, mollify,
+from .regularize import (Mollifications, kernel_eta, build_kernel, l1_rate,
                          rate_deltas, discrete_mass_convergence)
 from .solver import solve_ma, continuation_solve
 from .certify import (check_level_formula, stability_check, hoelder_certificate,
@@ -228,11 +228,12 @@ def run_capacity(cfg, out, dump_stages, rng):
     _require_default_fixture(cfg, f"capacity with {name}",
                              _FIXTURE_READS[name] + ("amplitude",))
     metric = _metric_for(cfg)
-    mu, _ = _build_measure(cfg, metric)
+    mu, ref = _build_measure(cfg, metric)
     torus = metric.torus
-    # eight nested sublevel sets of the cosine potential
-    ref, _, _ = fixtures.manufactured_cos(torus.n, torus.N,
-                                          cfg["fixture"]["amplitude"])
+    # eight nested sublevel sets of the cosine potential (built once if named)
+    if ref is None:
+        ref, _, _ = fixtures.manufactured_cos(torus.n, torus.N,
+                                              cfg["fixture"]["amplitude"])
     zero = GridFunction.constant(torus, 0.0)
     osc = float(ref.values.max() - ref.values.min())
     rows = []
@@ -276,7 +277,8 @@ def run_regularize(cfg, out, dump_stages, rng):
     errs = discrete_mass_convergence(n, 0.125, N_list)
     phi, mu, _ = fixtures.manufactured_cos(torus.n, torus.N,
                                            cfg["fixture"]["amplitude"])
-    rate, rate_C = l1_rate(phi, mu, deltas, metric)
+    family = Mollifications(phi)  # shared by the rate fit and the dumps
+    rate, rate_C = l1_rate(family, mu, deltas, metric)
     rows = [("eta", n, eta), ("continuum_mass", 0.125, kernel.continuum_mass)]
     rows += [("discrete_mass_err", N, e) for N, e in zip(N_list, errs)]
     rows += [("l1_rate", 0.0, rate), ("l1_rate_C", 0.0, rate_C)]
@@ -285,7 +287,7 @@ def run_regularize(cfg, out, dump_stages, rng):
     if dump_stages:
         for d in deltas:
             write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"),
-                       mollify(phi, d))
+                       family(d))
     # the Riemann-sum mass error must decay at the grid rate; the exact
     # quadrature normalization check lives in the test-suite
     ok = all(b <= a for a, b in zip(errs, errs[1:])) and np.isfinite(rate)
@@ -341,9 +343,9 @@ def run_certificate(cfg, out, dump_stages, rng):
     write_grid(os.path.join(out, "phi.cmag"), rep.phi)
     write_grid(os.path.join(out, "mu_density.cmag"), mu.density)
     if dump_stages:
+        family = Mollifications(rep.phi)
         for d in cfg["certificate"]["delta_list"]:
-            write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"),
-                       mollify(rep.phi, d))
+            write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"), family(d))
     ok = cert.passed and rep.converged
     line = _summary("certificate", ok, alpha=cert.alpha, alpha1=cert.alpha1,
                     gamma=cert.gamma, kappa=cert.kappa, C4=cert.C4, C6=cert.C6,

@@ -106,16 +106,26 @@ def _kernel(torus: Torus, delta: float) -> MollifierKernel:
     return MollifierKernel(torus, delta, spectrum, continuum_mass)
 
 
-def mollify(phi: GridFunction, delta: float, spectrum: np.ndarray = None) -> GridFunction:
-    """rho_delta phi: periodic convolution with the discrete unit-mass kernel.
+class Mollifications:
+    """The family t -> rho_t phi: phi is transformed once, and each radius is
+    convolved at most once and kept until the family is dropped."""
 
-    `spectrum` is phi's `to_spectrum` when the caller already has it.
-    """
-    torus = phi.torus
-    kernel = build_kernel(torus, delta)
-    if spectrum is None:
-        spectrum = to_spectrum(phi.values)
-    return GridFunction(torus, from_spectrum(torus, spectrum * kernel.spectrum))
+    def __init__(self, phi: GridFunction):
+        self.phi = phi
+        self._spectrum = to_spectrum(phi.values)
+        self._fields = {}
+
+    def __call__(self, t: float) -> GridFunction:
+        if t not in self._fields:
+            torus = self.phi.torus
+            spectrum = self._spectrum * build_kernel(torus, t).spectrum
+            self._fields[t] = GridFunction(torus, from_spectrum(torus, spectrum))
+        return self._fields[t]
+
+
+def mollify(phi: GridFunction, delta: float) -> GridFunction:
+    """rho_delta phi: periodic convolution with the discrete unit-mass kernel."""
+    return Mollifications(phi)(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -168,44 +178,35 @@ class KLTransform:
     value: GridFunction
     t_opt: GridFunction
     t_grid: tuple
-    rho_delta: GridFunction  # rho_delta phi, the mollification at t = delta
 
 
-def kiselman_legendre(phi: GridFunction, delta: float, b: float, K: float,
-                      spectrum: np.ndarray = None) -> KLTransform:
-    """Infimum over a geometric t-grid {delta 2^-k}; the -b log(t/delta) term
-    blows up as t -> 0, so truncating the grid at two lattice spacings is safe
-    once rho_t phi is bounded. `spectrum` is phi's `to_spectrum` if known."""
+def kiselman_legendre(family: Mollifications, delta: float, b: float,
+                      K: float) -> KLTransform:
+    """Infimum over a geometric t-grid {delta 2^-k}, read from the family
+    rho_t phi; the -b log(t/delta) term blows up as t -> 0, so truncating the
+    grid at two lattice spacings is safe once rho_t phi is bounded."""
     if b <= 0.0:
         raise PreconditionError(f"level b must be positive, got {b}")
-    torus = phi.torus
+    torus = family.phi.torus
     if delta < 2.0 * torus.spacing:
         raise PreconditionError("delta must be at least two lattice spacings")
     t_min = 2.0 * torus.spacing
     k_max = max(0, int(math.floor(math.log2(delta / t_min))))
     t_grid = tuple(delta * 2.0**-k for k in range(k_max + 1))
-    if spectrum is None:
-        spectrum = to_spectrum(phi.values)
-    best = None
-    best_t = None
-    rho_delta = None
+    # the running infimum is kept in place; the first t fills every point
+    best = np.full(torus.shape, np.inf)
+    best_t = np.full(torus.shape, delta)
+    take = np.empty(torus.shape, dtype=bool)
     for t in t_grid:
-        rho_t = mollify(phi, t, spectrum)
-        cand = rho_t.values + K * t * t + K * t - b * math.log(t / delta)
-        if best is None:
-            rho_delta = rho_t
-            best = cand
-            best_t = np.full(torus.shape, t)
-        else:
-            take = cand < best
-            best = np.where(take, cand, best)
-            best_t = np.where(take, t, best_t)
+        cand = family(t).values + K * t * t + K * t - b * math.log(t / delta)
+        np.less(cand, best, out=take)
+        np.copyto(best, cand, where=take)
+        np.copyto(best_t, t, where=take)
     return KLTransform(
         b=float(b), delta=float(delta), K=float(K),
         value=GridFunction(torus, best),
         t_opt=GridFunction(torus, best_t),
         t_grid=t_grid,
-        rho_delta=rho_delta,
     )
 
 
@@ -257,23 +258,21 @@ def rate_deltas(delta_list, torus: Torus) -> list:
     return deltas
 
 
-def l1_rate(phi: GridFunction, mu: MeasureField, delta_list,
-            metric: HermitianMetric, spectrum: np.ndarray = None) -> tuple:
-    """Regression of log ||rho_delta phi - phi||_{L1(d mu)} against log delta.
+def l1_rate(family: Mollifications, mu: MeasureField, delta_list,
+            metric: HermitianMetric) -> tuple:
+    """Regression of log ||rho_delta phi - phi||_{L1(d mu)} against log delta,
+    with rho_delta phi read from the family of phi.
 
-    Returns (alpha1_hat, C). Constant phi reports (1.0, 0.0). `spectrum` is
-    phi's `to_spectrum` when the caller already has it.
+    Returns (alpha1_hat, C). Constant phi reports (1.0, 0.0).
     """
     if len(delta_list) < 4:
         raise PreconditionError("need at least 4 delta values")
     span = max(delta_list) / min(delta_list)
     if span < 8.0 - 1e-9:
         raise PreconditionError("delta_list must span roughly a decade (factor >= 8)")
-    if spectrum is None:
-        spectrum = to_spectrum(phi.values)
     logs = []
     for d in delta_list:
-        diff = np.abs(mollify(phi, d, spectrum).values - phi.values)
+        diff = np.abs(family(d).values - family.phi.values)
         l1 = integrate(diff * mu.density.values, metric)
         logs.append((math.log(d), l1))
     if all(l1 < 1e-14 for _, l1 in logs):

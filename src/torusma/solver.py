@@ -20,7 +20,7 @@ from .geometry import (
     to_spectrum,
 )
 from .pluripotential import MeasureField, ma_measure, psh_defect, psh_tolerance
-from .regularize import mollify, psh_repair
+from .regularize import Mollifications, psh_repair
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,9 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
     if not schedule.delta_list:
         raise PreconditionError("schedule has no mollification radii")
     reports = []
+    u_family = Mollifications(schedule.u)
     for delta in schedule.delta_list:
-        u_j = psh_repair(mollify(schedule.u, delta), metric)
+        u_j = psh_repair(u_family(delta), metric)
         ma_uj = ma_measure(u_j, metric)
         dens_j = schedule.C0 * schedule.h.values * ma_uj.density.values
         mu_j = MeasureField.from_density(GridFunction(metric.torus, dens_j), metric)

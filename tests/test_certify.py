@@ -141,6 +141,34 @@ class TestHoelderCertificate:
         with pytest.raises(PreconditionError):
             hoelder_certificate(rep.phi, other, 1.0, m, (1 / 8, 1 / 16))
 
+    def test_one_inverse_transform_per_radius(self, inverse_transforms):
+        # N=128, deltas 1/8, 1/16, 1/32: the rate ladder adds 1/4 and the
+        # Kiselman-Legendre t-grids reach 2/N = 1/64, so 5 distinct radii;
+        # the precondition's n=1 Hessian makes one more inverse transform
+        phi, mu, m = manufactured_cos(1, 128)
+        inverse_transforms.clear()
+        cert = hoelder_certificate(phi, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
+        assert cert.passed and not cert.trivial
+        assert len(inverse_transforms) == 5 + 1
+
+
+@pytest.mark.parametrize("b", [1e-5, 0.05])
+def test_modulus_radius_is_kl_minimizer(b):
+    # small levels move the KL minimizer below delta (kappa_hat < 1); the
+    # modulus is rho_r phi - phi at r = max(kappa_hat delta, 2/N) = t0_min
+    from torusma.certify import _certificate_row
+    from torusma.regularize import Mollifications, mollify
+    t = Torus(1, 64)
+    phi = GridFunction(t, 0.05 * np.abs(np.sin(np.pi * t.axis_coord(0))) ** 0.5
+                       + 0.01 * np.cos(2 * np.pi * t.axis_coord(1)) - 0.1)
+    rows = [_certificate_row(Mollifications(phi), d, b, 0.2, 0.3, 0.1, 1e-6)
+            for d in (0.25, 0.1, 0.0625)]
+    for row in rows:
+        r = max(row.kappa_hat * row.delta, 2.0 * t.spacing)
+        assert r == row.t0_min
+        assert row.modulus == float((mollify(phi, r).values - phi.values).max())
+    assert min(row.kappa_hat for row in rows) < 1.0
+
 
 def test_level_formula_checked_at_gamma():
     # conformal n=1 N=64 at tau = 1: delta^gamma = 0.743 <= 2 K_eff delta = 0.989
@@ -166,6 +194,31 @@ class TestMixture:
         assert res.domination_slack >= -1e-10
         assert res.report.converged
         assert res.certificate.passed
+
+    def test_densities_built_once_before_the_solve(self, monkeypatch):
+        # omega_{phi1}^n, omega_{phi2}^n and the average's: three Hessians
+        import torusma.certify
+        import torusma.geometry
+        rng = np.random.default_rng(7)
+        phi1, phi2, c1, c2, m = mixture_pair(1, 64, rng)
+        calls = []
+        hessian = torusma.geometry.complex_hessian
+
+        def counted(f):
+            calls.append(1)
+            return hessian(f)
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
+        monkeypatch.setattr(torusma.certify, "solve_ma", stop)
+        with pytest.raises(Stop):
+            mixture_experiment(phi1, phi2, c1, c2, m)
+        assert len(calls) == 3
 
     def test_nonpositive_weight_rejected(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
 """Mollification kernel, psh repair, Legendre-type transform, rate estimation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from torusma.geometry import (
 from torusma.pluripotential import ma_measure, psh_defect, psh_tolerance, is_omega_psh
 from torusma.regularize import (
     kernel_profile_raw, kernel_eta, kernel_second_moment, build_kernel,
-    mollify, psh_repair, kiselman_legendre, hessian_lower_bound_check,
+    Mollifications, mollify, psh_repair, kiselman_legendre, hessian_lower_bound_check,
     l1_rate, rate_deltas, discrete_mass_convergence,
 )
 
@@ -91,6 +93,28 @@ class TestMollify:
         f = GridFunction(t, 0.02 * np.cos(2 * np.pi * x) * np.ones(t.shape))
         assert is_omega_psh(f, m)
         assert is_omega_psh(mollify(f, 0.0625), m)
+
+
+class TestMollifications:
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_family_equals_mollify(self, n, N):
+        t = Torus(n, N)
+        f = GridFunction(t, np.random.default_rng(n).standard_normal(t.shape))
+        family = Mollifications(f)
+        for delta in (0.25, 2 * t.spacing, 0.125):
+            assert np.array_equal(family(delta).values, mollify(f, delta).values)
+
+    def test_repeated_radius_costs_no_transform(self, inverse_transforms):
+        t = Torus(1, 64)
+        x = t.axis_coord(0)
+        family = Mollifications(GridFunction(t, np.cos(2 * np.pi * x)
+                                             * np.ones(t.shape)))
+        first = family(0.125)
+        inverse_transforms.clear()
+        assert family(1 / 8) is first
+        assert inverse_transforms == []
+        family(1 / 16)
+        assert len(inverse_transforms) == 1
 
 
 class TestPshRepair:
@@ -218,32 +242,52 @@ class TestKiselmanLegendre:
     def test_upper_bounded_by_t_equals_delta(self, phi64):
         phi, m = phi64
         delta, b, K = 0.125, 0.01, 0.5
-        T = kiselman_legendre(phi, delta, b, K)
+        T = kiselman_legendre(Mollifications(phi), delta, b, K)
         upper = mollify(phi, delta).values + K * delta**2 + K * delta
         assert np.all(T.value.values <= upper + 1e-12)
 
     def test_t_opt_within_grid(self, phi64):
         phi, m = phi64
-        T = kiselman_legendre(phi, 0.125, 0.01, 0.5)
+        T = kiselman_legendre(Mollifications(phi), 0.125, 0.01, 0.5)
         assert set(np.unique(T.t_opt.values)) <= set(T.t_grid)
         assert max(T.t_grid) == 0.125
         assert min(T.t_grid) >= 2 * phi.torus.spacing
 
+    @pytest.mark.parametrize("b, K", [(0.003, 0.05), (1e-4, 0.0), (1.0, 0.5)])
+    def test_matches_pointwise_minimum_over_grid(self, phi64, b, K):
+        # reference: one mollify per t and a pointwise np.where minimum; the
+        # transform must agree bit for bit (at b = 0.003 every t wins somewhere)
+        phi, m = phi64
+        phi = phi + GridFunction(phi.torus, 0.01 * np.abs(
+            np.sin(np.pi * phi.torus.axis_coord(1))) ** 0.5 * np.ones(phi.torus.shape))
+        delta = 0.125
+        T = kiselman_legendre(Mollifications(phi), delta, b, K)
+        best = best_t = None
+        for t in T.t_grid:
+            cand = mollify(phi, t).values + K * t * t + K * t - b * math.log(t / delta)
+            if best is None:
+                best, best_t = cand, np.full(phi.torus.shape, t)
+            else:
+                best_t = np.where(cand < best, t, best_t)
+                best = np.where(cand < best, cand, best)
+        assert np.array_equal(T.value.values, best)
+        assert np.array_equal(T.t_opt.values, best_t)
+
     def test_level_must_be_positive(self, phi64):
         phi, m = phi64
         with pytest.raises(PreconditionError):
-            kiselman_legendre(phi, 0.125, 0.0, 0.5)
+            kiselman_legendre(Mollifications(phi), 0.125, 0.0, 0.5)
 
     def test_under_resolved_delta_rejected(self, phi64):
         phi, m = phi64
         with pytest.raises(PreconditionError):
-            kiselman_legendre(phi, 0.01, 0.01, 0.5)
+            kiselman_legendre(Mollifications(phi), 0.01, 0.01, 0.5)
 
     def test_hessian_lower_bound_flat(self, phi64):
         # flat case: Phi stays omega-psh up to the diagnostic slack
         phi, m = phi64
         sigma = kernel_second_moment(1)
-        T = kiselman_legendre(phi, 0.125, 0.01, sigma)
+        T = kiselman_legendre(Mollifications(phi), 0.125, 0.01, sigma)
         assert hessian_lower_bound_check(T, m, 0.0) >= -1e-3
 
 
@@ -254,7 +298,7 @@ class TestL1Rate:
         x = t.axis_coord(0)
         phi = GridFunction(t, 0.05 * np.cos(2 * np.pi * x) * np.ones(t.shape))
         mu = ma_measure(phi, m)
-        rate, C = l1_rate(phi, mu, (1 / 4, 1 / 8, 1 / 16, 1 / 32), m)
+        rate, C = l1_rate(Mollifications(phi), mu, (1 / 4, 1 / 8, 1 / 16, 1 / 32), m)
         assert rate == pytest.approx(2.0, abs=0.1)
         assert C > 0.0
 
@@ -268,7 +312,7 @@ class TestL1Rate:
                            * np.ones(t.shape))
         u = psh_repair(raw, m, rounds=8)
         mu = ma_measure(u, m)
-        rate, _ = l1_rate(u, mu, (1 / 4, 1 / 8, 1 / 16, 1 / 32), m)
+        rate, _ = l1_rate(Mollifications(u), mu, (1 / 4, 1 / 8, 1 / 16, 1 / 32), m)
         assert rate == pytest.approx(1.2344584974855304, abs=1e-9)
 
     def test_constant_reports_unit_rate(self):
@@ -276,7 +320,7 @@ class TestL1Rate:
         m = flat_metric(t)
         phi = GridFunction.constant(t, 0.0)
         mu = ma_measure(phi, m)
-        assert l1_rate(phi, mu, (1 / 4, 1 / 8, 1 / 16, 1 / 32), m) == (1.0, 0.0)
+        assert l1_rate(Mollifications(phi), mu, (1 / 4, 1 / 8, 1 / 16, 1 / 32), m) == (1.0, 0.0)
 
     def test_needs_enough_deltas(self):
         t = Torus(1, 64)
@@ -284,9 +328,9 @@ class TestL1Rate:
         phi = GridFunction.constant(t, 0.0)
         mu = ma_measure(phi, m)
         with pytest.raises(PreconditionError):
-            l1_rate(phi, mu, (1 / 4, 1 / 8), m)
+            l1_rate(Mollifications(phi), mu, (1 / 4, 1 / 8), m)
         with pytest.raises(PreconditionError):
-            l1_rate(phi, mu, (1 / 4, 1 / 5, 1 / 6, 1 / 7), m)
+            l1_rate(Mollifications(phi), mu, (1 / 4, 1 / 5, 1 / 6, 1 / 7), m)
 
 
 class TestRateDeltas:

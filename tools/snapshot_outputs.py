@@ -15,7 +15,8 @@ so snapshots of two checkouts compare with
 The matrix: every command at n=1 N=64 and at n=2 N=16 on the flat metric;
 the same on the conformal metric (amplitude 0.2) for the commands that accept
 it; every command with the fixtures singular_density and holder_subsolution
-at n=1 N=64; mixture at tau = 0.5; and a 2x2 stability sweep
+at n=1 N=64; mixture at tau = 0.5; certificate at n=1 N=256, where the
+Kiselman-Legendre t-grids of the rows overlap; and a 2x2 stability sweep
 (N = 32, 64 x tau = 0.5, 1.0). Progress and wall times go to the terminal
 only, so the snapshot itself is deterministic.
 """
@@ -56,6 +57,8 @@ def matrix():
                          {"fixture": {"name": fixture}}))
     runs.append(("mixture-n1-N64-tau0.5", "mixture",
                  {"certificate": {"tau": 0.5}}))
+    runs.append(("certificate-n1-N256-flat", "certificate",
+                 {"torus": {"n": 1, "N": 256}}))
     runs.append(("sweep-stability", "sweep",
                  {"sweep": {"command": "stability", "N": "32,64",
                             "tau": "0.5,1.0"}}))
