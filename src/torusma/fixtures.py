@@ -9,8 +9,10 @@ source of truth for the inputs they exercise.
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import Torus, GridFunction, HermitianMetric, flat_metric
-from .pluripotential import MeasureField, ma_measure, is_omega_psh
+from .geometry import Torus, GridFunction, HermitianMetric, flat_metric, omega_form
+from .pluripotential import (
+    MeasureField, _measure_of_form, is_omega_psh, ma_measure, psh_tolerance,
+)
 from .regularize import psh_repair
 from .solver import ContinuationSchedule, decompose_subsolution
 
@@ -42,9 +44,10 @@ def manufactured_cos(n: int, N: int, amplitude: float = 0.05):
     torus = Torus(n, N)
     metric = flat_metric(torus)
     phi = GridFunction(torus, _cos_profile(torus, amplitude)).sup_normalized()
-    if not is_omega_psh(phi, metric):
+    M = omega_form(phi, metric)  # read by the psh check and the measure
+    if M.min_eig().min() < -psh_tolerance(metric):
         raise PreconditionError(f"amplitude {amplitude} too large for psh fixture")
-    return phi, ma_measure(phi, metric), metric
+    return phi, _measure_of_form(M, metric), metric
 
 
 def lp_density_fixture(p: float, singularity_exponent: float,

@@ -158,6 +158,11 @@ class HermitianMetric:
         return bool(np.allclose(self.factor, 1.0, atol=1e-15)) \
             and self.K == self.A == self.B == 0.0
 
+    @property
+    def is_kahler(self) -> bool:
+        """d omega = 0: the flat metric, or any conformal factor at n = 1."""
+        return self.is_flat or self.torus.n == 1
+
     def det(self) -> float | np.ndarray:
         return self.factor ** self.torus.n
 

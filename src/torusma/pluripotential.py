@@ -9,6 +9,7 @@ import numpy as np
 from .errors import NotOmegaPshError, PreconditionError
 from .geometry import (
     GridFunction,
+    HermitianForm,
     HermitianMetric,
     integrate,
     omega_form,
@@ -74,6 +75,13 @@ def is_omega_psh(f: GridFunction, metric: HermitianMetric) -> bool:
     return psh_defect(f, metric) >= -psh_tolerance(metric)
 
 
+def _measure_of_form(M: HermitianForm, metric: HermitianMetric) -> MeasureField:
+    """det M / det g, clamped at 0, as a measure: the Monge-Ampere measure
+    of the potential whose form omega + dd^c f is M."""
+    density = np.maximum(M.det() / metric.det(), 0.0)
+    return MeasureField.from_density(GridFunction(metric.torus, density), metric)
+
+
 def ma_measure(f: GridFunction, metric: HermitianMetric) -> MeasureField:
     """Monge-Ampere measure (omega + dd^c f)^n as a density w.r.t. det(g) dV."""
     tol = psh_tolerance(metric)
@@ -84,9 +92,7 @@ def ma_measure(f: GridFunction, metric: HermitianMetric) -> MeasureField:
             f"psh defect {defect:.3e} below -100*tol = {-100*tol:.3e}; "
             "not a valid Monge-Ampere input"
         )
-    density = M.det() / metric.det()
-    density = np.maximum(density, 0.0)
-    return MeasureField.from_density(GridFunction(f.torus, density), metric)
+    return _measure_of_form(M, metric)
 
 
 def mixed_form_mass(f: GridFunction, u: GridFunction, p: int,

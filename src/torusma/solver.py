@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
+from scipy.sparse.linalg import LinearOperator, cg, lgmres
 
 from .errors import DivergenceError, DominationError, PreconditionError
 from .geometry import (
     GridFunction,
     HermitianForm,
     HermitianMetric,
-    Torus,
     from_spectrum,
     inverse_quarter_laplacian,
     omega_form,
@@ -48,15 +47,16 @@ class ContinuationSchedule:
 
 
 def _linearization(M: HermitianForm, metric: HermitianMetric):
-    """psi -> tr(adj(M) H(psi)) / det g minus its mean, with M = g + H(phi) the
-    form of the current iterate, as a map on flattened lattice arrays.
+    """psi -> tr(adj(M) H(psi)) minus its mean, with M = g + H(phi) the form of
+    the current iterate, as a map on flattened lattice arrays.
 
-    The map keeps only the adjugate weights it reads, not M.
+    This is det g times the linearized density; on a Kaehler metric the
+    cofactor field of M is divergence-free, so the map is self-adjoint and
+    negative semi-definite. It keeps only the adjugate weights, not M.
     """
     torus = metric.torus
     hess = spectral_symbols(torus).hess
-    detg = metric.det()
-    weights = [c / detg for c in M.adjugate_weights()]
+    weights = M.adjugate_weights()
 
     def apply_L(vec):
         P = to_spectrum(vec.reshape(torus.shape))
@@ -67,24 +67,55 @@ def _linearization(M: HermitianForm, metric: HermitianMetric):
     return apply_L
 
 
-def _newton_step(apply_L, residual: np.ndarray, torus: Torus) -> tuple:
-    """Solve apply_L(psi) = -residual on the zero-mean subspace, preconditioned
-    by the inverse flat quarter-Laplacian; apply_L is a `_linearization`.
+# inner tolerances: Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17, 1996),
+# eta_0 = _ETA_MAX, then eta_k = _EW_GAMMA (|r_k| / |r_k-1|)^2, kept above
+# _EW_GAMMA eta_k-1^2 when that exceeds _EW_SAFEGUARD, and clipped to
+# [_ETA_MIN, _ETA_MAX]
+_ETA_MAX = 0.5
+_ETA_MIN = 1e-6
+_EW_GAMMA = 0.9
+_EW_SAFEGUARD = 0.1
+_KRYLOV_MAXITER = 50  # CG iterations, or lgmres restart cycles, per Newton step
 
-    Returns (psi, converged) with `converged` the inner Krylov solve's flag.
+
+def _forcing(eta: float, norm: float, prev_norm: float) -> float:
+    """The next inner tolerance from the previous one and the ratio of the
+    current to the previous Newton right-hand-side norm."""
+    new = _EW_GAMMA * (norm / prev_norm) ** 2
+    floor = _EW_GAMMA * eta ** 2
+    if floor > _EW_SAFEGUARD:
+        new = max(new, floor)
+    return min(max(new, _ETA_MIN), _ETA_MAX)
+
+
+def _newton_step(apply_L, rhs: np.ndarray, metric: HermitianMetric,
+                 rtol: float) -> tuple:
+    """Solve -apply_L(psi) = rhs to relative residual rtol, with rhs the
+    mean-zero det g * residual and apply_L a `_linearization`.
+
+    CG on a Kaehler metric, where -apply_L is symmetric positive definite on
+    mean-zero fields, lgmres otherwise; both are preconditioned by the
+    inverse flat quarter-Laplacian, negated. Returns (psi, converged) with
+    `converged` the inner Krylov solve's flag.
     """
+    torus = metric.torus
     shape = torus.shape
     size = torus.npoints
 
+    def apply_A(vec):
+        out = apply_L(vec)
+        return np.negative(out, out=out)
+
     def apply_prec(vec):
-        r = vec.reshape(shape)
-        return inverse_quarter_laplacian(torus, r).ravel()
+        out = inverse_quarter_laplacian(torus, vec.reshape(shape)).ravel()
+        return np.negative(out, out=out)
 
     # an explicit dtype spares the probe matvec LinearOperator makes without one
-    L = LinearOperator((size, size), matvec=apply_L, dtype=float)
+    A = LinearOperator((size, size), matvec=apply_A, dtype=float)
     Mprec = LinearOperator((size, size), matvec=apply_prec, dtype=float)
-    rhs = (-(residual - residual.mean())).ravel()
-    sol, info = lgmres(L, rhs, M=Mprec, rtol=1e-6, atol=0.0, maxiter=50)
+    krylov = cg if metric.is_kahler else lgmres
+    sol, info = krylov(A, rhs.ravel(), M=Mprec, rtol=rtol, atol=0.0,
+                       maxiter=_KRYLOV_MAXITER)
     psi = sol.reshape(shape)
     return psi - psi.mean(), info == 0
 
@@ -133,9 +164,14 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
 
     while not converged and iterations < max_iter:
         iterations += 1
+        rhs = res * detg
+        rhs -= rhs.mean()
+        norm = float(np.linalg.norm(rhs))
+        eta = _ETA_MAX if iterations == 1 else _forcing(eta, norm, prev_norm)
+        prev_norm = norm
         apply_L = _linearization(form, metric)
-        form = None  # not held while lgmres runs; the line search builds the next
-        psi, inner_ok = _newton_step(apply_L, res, torus)
+        form = None  # not held in the Krylov solve; the line search builds the next
+        psi, inner_ok = _newton_step(apply_L, rhs, metric, eta)
         unconverged += not inner_ok
         step = 1.0
         accepted = False

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusma.errors import NotOmegaPshError, PreconditionError
+from torusma.fixtures import manufactured_cos
 from torusma.geometry import Torus, GridFunction, flat_metric
 from torusma.pluripotential import (
     MeasureField, psh_tolerance, psh_defect, is_omega_psh, ma_measure,
@@ -20,6 +21,34 @@ def flat64():
 def cos_fn(torus, a, axis=0):
     x = torus.axis_coord(axis)
     return GridFunction(torus, a * np.cos(2 * np.pi * x) * np.ones(torus.shape))
+
+
+class TestManufacturedCos:
+    def test_one_form_for_check_and_measure(self, monkeypatch):
+        # the psh check and the density read one omega + dd^c phi*
+        import torusma.geometry
+        calls = []
+        hessian = torusma.geometry.complex_hessian
+
+        def counted(f):
+            calls.append(1)
+            return hessian(f)
+
+        monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
+        manufactured_cos(2, 8)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 8)])
+    def test_measure_is_ma_measure(self, n, N):
+        phi, mu, m = manufactured_cos(n, N)
+        ref = ma_measure(phi, m)
+        assert np.array_equal(mu.density.values, ref.density.values)
+        assert mu.mass == ref.mass
+
+    def test_non_psh_amplitude_rejected(self):
+        # 1 - amplitude pi^2 < 0 at the top of the cosine
+        with pytest.raises(PreconditionError, match="too large for psh fixture"):
+            manufactured_cos(1, 64, 0.2)
 
 
 class TestPshCone:

@@ -5,8 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import torusma.solver as solver
 from torusma.errors import DominationError, PreconditionError
-from torusma.geometry import Torus, GridFunction, flat_metric, integrate
+from torusma.geometry import (
+    Torus, GridFunction, conformal_metric, flat_metric, integrate, omega_form,
+)
 from torusma.pluripotential import MeasureField, ma_measure
 from torusma.solver import (
     ContinuationSchedule, solve_ma, decompose_subsolution, continuation_solve,
@@ -165,19 +168,51 @@ class TestContinuation:
             continuation_solve(bad, m)
 
 
+def conformal_case(n, N):
+    """manufactured_cos's density as the datum on the conformal metric
+    (amplitude 0.2): (mu, metric)."""
+    m = conformal_metric(Torus(n, N), 0.2)
+    _, mu, _ = manufactured_cos(n, N)
+    return MeasureField.from_density(mu.density, m), m
+
+
+def metric_case(kind, n, N):
+    """manufactured_cos's phi* and a metric of the given kind."""
+    phi, _, flat = manufactured_cos(n, N)
+    return phi, flat if kind == "flat" else conformal_metric(flat.torus, 0.2)
+
+
+def flag_inner_solves(monkeypatch, used, unused):
+    """Make the Krylov function `used` report info=1 after solving, and
+    `unused` fail if the step calls it."""
+    krylov = getattr(solver, used)
+
+    def flagged(*args, **kwargs):
+        x, _ = krylov(*args, **kwargs)
+        return x, 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"the Newton step called {unused}")
+
+    monkeypatch.setattr(solver, used, flagged)
+    monkeypatch.setattr(solver, unused, forbidden)
+
+
 class TestInnerSolveFlag:
     def test_unconverged_inner_solves_counted(self, monkeypatch):
-        import torusma.solver as solver
-        lgmres = solver.lgmres
-
-        def flagged(*args, **kwargs):
-            x, _ = lgmres(*args, **kwargs)
-            return x, 1
-
-        monkeypatch.setattr(solver, "lgmres", flagged)
+        # the flat metric is Kaehler, so the step runs CG
+        flag_inner_solves(monkeypatch, "cg", "lgmres")
         _, mu, m = manufactured_cos(1, 64)
         rep = solve_ma(mu, m, tol=1e-12)
         # the flag is reported; Newton acceptance is unchanged
+        assert rep.converged and rep.iterations >= 1
+        assert rep.krylov_unconverged == rep.iterations
+
+    def test_unconverged_lgmres_solves_counted(self, monkeypatch):
+        # conformal n=2 is not Kaehler, so the step runs lgmres
+        flag_inner_solves(monkeypatch, "lgmres", "cg")
+        mu, m = conformal_case(2, 8)
+        rep = solve_ma(mu, m, tol=1e-12)
         assert rep.converged and rep.iterations >= 1
         assert rep.krylov_unconverged == rep.iterations
 
@@ -186,3 +221,79 @@ class TestInnerSolveFlag:
         rep = solve_ma(mu, m, tol=1e-12)
         assert rep.iterations >= 1
         assert rep.krylov_unconverged == 0
+
+
+def asymmetry(kind, n, N):
+    """|<Lx, y> - <x, Ly>| / (|Lx| |y|) for the linearization at phi* and
+    seeded random x, y."""
+    phi, m = metric_case(kind, n, N)
+    apply_L = solver._linearization(omega_form(phi, m), m)
+    x, y = np.random.default_rng(0).standard_normal((2, m.torus.npoints))
+    Lx = apply_L(x)
+    return abs(Lx @ y - x @ apply_L(y)) / (np.linalg.norm(Lx) * np.linalg.norm(y))
+
+
+class TestInnerSolve:
+    @pytest.mark.parametrize("kind,n,N", [
+        ("flat", 1, 32), ("flat", 2, 8), ("conformal", 1, 32),
+    ])
+    def test_kaehler_linearization_is_symmetric(self, kind, n, N):
+        # det g * L is tr(adj(M) H(psi)) with a divergence-free cofactor field
+        assert metric_case(kind, n, N)[1].is_kahler
+        assert asymmetry(kind, n, N) <= 1e-12
+
+    def test_conformal_n2_linearization_is_not_symmetric(self):
+        # the torsion of the conformal n=2 metric breaks the symmetry, so its
+        # step keeps lgmres
+        assert not metric_case("conformal", 2, 8)[1].is_kahler
+        assert asymmetry("conformal", 2, 8) > 1e-6
+
+    def test_matvecs_on_reference_solve(self, monkeypatch):
+        # solve-n2's reference input: 61 matvecs with lgmres at rtol 1e-6
+        matvecs = []
+        linearization = solver._linearization
+
+        def counted(M, metric):
+            apply_L = linearization(M, metric)
+
+            def apply(vec):
+                matvecs.append(1)
+                return apply_L(vec)
+
+            return apply
+
+        monkeypatch.setattr(solver, "_linearization", counted)
+        _, mu, m = manufactured_cos(2, 16, 0.05)
+        rep = solve_ma(mu, m, tol=1e-10)
+        assert rep.converged and rep.krylov_unconverged == 0
+        assert len(matvecs) <= 30
+
+    def test_forcing_terms_in_bounds(self, monkeypatch):
+        rtols = []
+        cg = solver.cg
+
+        def recording(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cg", recording)
+        _, mu, m = manufactured_cos(2, 16, 0.07)
+        rep = solve_ma(mu, m, tol=1e-10)
+        assert rep.converged and len(rtols) == rep.iterations >= 2
+        assert rtols[0] == 0.5
+        assert all(1e-6 <= r <= 0.5 for r in rtols)
+
+    def test_forcing_rule(self):
+        # Eisenstat-Walker choice 2 with its safeguard, clipped to [1e-6, 0.5]
+        assert solver._forcing(0.3, 1.0, 10.0) == pytest.approx(0.9 * 0.01)
+        # 0.9 * 0.5^2 > 0.1, so the previous term bounds the next from below
+        assert solver._forcing(0.5, 1.0, 10.0) == pytest.approx(0.9 * 0.25)
+        assert solver._forcing(0.5, 1.0, 1.0) == 0.5
+        assert solver._forcing(0.01, 1e-9, 1.0) == 1e-6
+
+    def test_conformal_n1_solves_in_one_step(self):
+        # at n=1 det g * L is exactly Lap/4, which the preconditioner inverts
+        mu, m = conformal_case(1, 64)
+        rep = solve_ma(mu, m, tol=1e-10)
+        assert rep.converged
+        assert rep.iterations == 1

@@ -115,7 +115,6 @@ def ref_newton_matvec(phi, metric, psi):
         for k in range(n):
             h = np.fft.ifftn(ref_multiplier(torus, j, k) * P)
             out += (adj[..., k, j] * h).real
-    out = out / np.linalg.det(ref_metric(metric)).real
     return out - out.mean()
 
 

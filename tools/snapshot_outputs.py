@@ -2,15 +2,20 @@
 """Run a fixed matrix of torusma configurations and keep everything they write.
 
     python3 tools/snapshot_outputs.py OUTDIR
+    python3 tools/snapshot_outputs.py --compare OUTDIR_A OUTDIR_B
 
 Each configuration runs in-process through `torusma.cli.main --dump-stages`
 and gets its own directory OUTDIR/<name>/ holding the config it ran
 (config.ini), the CSVs and CMAG grids the command wrote (out/), and
 summary.txt with the exit code, the summary line and any error line.
 The package is imported from the src/ of the checkout this script lives in,
-so snapshots of two checkouts compare with
-
-    diff -r OUTDIR_A OUTDIR_B
+so snapshots of two checkouts compare with `diff -r OUTDIR_A OUTDIR_B`, or
+with `--compare`, which prints per configuration whether the exit codes
+match, "identical" when every file is byte-equal, and otherwise the largest
+relative difference of each differing numeric CSV column, CMAG grid and
+summary value: max |a - b| over the larger sup norm of the two, over the
+rows both sides have. It exits 1 when an exit code differs or a file exists
+on one side only.
 
 The matrix: every command at n=1 N=64 and at n=2 N=16 on the flat metric;
 the same on the conformal metric (amplitude 0.2) for the commands that accept
@@ -23,15 +28,19 @@ only, so the snapshot itself is deterministic.
 
 import argparse
 import contextlib
+import csv
 import io
 import os
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from torusma.cli import main as cli_main  # noqa: E402
+from torusma.gridio import read_grid  # noqa: E402
 
 COMMANDS = ("solve", "capacity", "regularize", "stability", "certificate",
             "mixture")
@@ -87,10 +96,126 @@ def snapshot(name, command, sections, outdir):
     return code
 
 
+def rel_diff(a, b):
+    """max |a - b| over the larger sup norm of a and b (0 when both vanish)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    diff = np.abs(a - b).max(initial=0.0)
+    return float(diff / scale) if scale > 0.0 else float(diff)
+
+
+def numbers(values):
+    """The values as floats, or None when one is not a number."""
+    try:
+        return [float(v) for v in values]
+    except ValueError:
+        return None
+
+
+def compare_columns(names, cols_a, cols_b):
+    """'name rel' for each numeric column that differs, 'name differs' for
+    each other column that does."""
+    notes = []
+    for name, a, b in zip(names, cols_a, cols_b):
+        m = min(len(a), len(b))
+        fa, fb = numbers(a[:m]), numbers(b[:m])
+        if fa is None or fb is None:
+            if a[:m] != b[:m]:
+                notes.append(f"{name} differs")
+        elif fa != fb:
+            notes.append(f"{name} {rel_diff(fa, fb):.2e}")
+    return notes
+
+
+def compare_csv(path_a, path_b):
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        (head, *rows_a), (head_b, *rows_b) = csv.reader(fa), csv.reader(fb)
+    if head != head_b:
+        return ["header differs"]
+    notes = [] if len(rows_a) == len(rows_b) else [
+        f"rows {len(rows_a)} -> {len(rows_b)}"]
+
+    def columns(rows):
+        return [[row[i] for row in rows] for i in range(len(head))]
+
+    return notes + compare_columns(head, columns(rows_a), columns(rows_b))
+
+
+def summary_values(path):
+    """(exit code, {key: value} of the summary line's key=value tokens)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    values = dict(tok.split("=", 1) for line in lines[1:]
+                  for tok in line.split() if "=" in tok)
+    return lines[0], values
+
+
+def compare_file(rel, path_a, path_b):
+    """A note on how the two versions of one output file differ."""
+    if rel.endswith(".csv"):
+        notes = compare_csv(path_a, path_b)
+    elif rel.endswith(".cmag"):
+        ga, gb = read_grid(path_a), read_grid(path_b)
+        if ga.torus != gb.torus:
+            notes = ["lattice differs"]
+        else:
+            notes = [f"{rel_diff(ga.values, gb.values):.2e}"]
+    elif rel == "summary.txt":
+        (_, va), (_, vb) = summary_values(path_a), summary_values(path_b)
+        keys = sorted(set(va) | set(vb))
+        notes = compare_columns(keys, [[va.get(k, "")] for k in keys],
+                                [[vb.get(k, "")] for k in keys])
+    else:
+        notes = []
+    return ", ".join(notes) or "differs"
+
+
+def files_under(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, fs in os.walk(root) for f in fs)
+
+
+def compare(dir_a, dir_b):
+    """Print the comparison of two snapshots; returns the exit status."""
+    status = 0
+    for name in sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b))):
+        run_a, run_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        if not (os.path.isdir(run_a) and os.path.isdir(run_b)):
+            print(f"{name}: only in {dir_a if os.path.isdir(run_a) else dir_b}")
+            status = 1
+            continue
+        exit_a = summary_values(os.path.join(run_a, "summary.txt"))[0]
+        exit_b = summary_values(os.path.join(run_b, "summary.txt"))[0]
+        match = "=" if exit_a == exit_b else "!="
+        status |= exit_a != exit_b
+        notes = []
+        for rel in sorted(set(files_under(run_a)) | set(files_under(run_b))):
+            path_a, path_b = os.path.join(run_a, rel), os.path.join(run_b, rel)
+            if not (os.path.exists(path_a) and os.path.exists(path_b)):
+                side = dir_a if os.path.exists(path_a) else dir_b
+                notes.append(f"  {rel}: only in {side}")
+                status = 1
+                continue
+            with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+                if fa.read() == fb.read():
+                    continue
+            notes.append(f"  {rel}: {compare_file(rel, path_a, path_b)}")
+        print(f"{name}: {exit_a} {match} {exit_b}"
+              + ("" if notes else ", identical"))
+        for note in notes:
+            print(note)
+    return status
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", help="directory for the snapshot")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("outdir", nargs="?", help="directory for the snapshot")
+    group.add_argument("--compare", nargs=2, metavar=("OUTDIR_A", "OUTDIR_B"),
+                       help="compare two snapshots instead of running one")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     for name, command, sections in matrix():
         start = time.perf_counter()
         code = snapshot(name, command, sections, args.outdir)
