@@ -231,8 +231,12 @@ def _certificate_row(family: Mollifications, d: float, b: float, alpha: float,
 
 
 def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
-                        metric: HermitianMetric, delta_list) -> HoelderCertificate:
+                        metric: HermitianMetric, delta_list,
+                        model: MeasureField | None = None) -> HoelderCertificate:
     """Run the full Hoelder chain on a solution of (omega + dd^c phi)^n = c mu.
+
+    `model` is (omega + dd^c phi)^n when the caller already has it, as a
+    solve's report does; otherwise it is computed here.
 
     The monotonicity level uses K_eff = metric.K + sigma_n (kernel second
     moment): the omega term contributes sigma_n t^2 to the Kiselman-Legendre
@@ -246,7 +250,8 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
     ladder = rate_deltas(deltas, torus)
 
     # precondition: phi solves the equation for mu up to the constant
-    model = ma_measure(phi, metric)
+    if model is None:
+        model = ma_measure(phi, metric)
     c = model.mass / mu.mass
     mismatch = float(np.abs(model.density.values - c * mu.density.values).max())
     if mismatch > 1e-6 * max(1.0, c * float(mu.density.values.max())):
@@ -346,5 +351,5 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
         )
     mu = MeasureField.from_density(GridFunction(metric.torus, mixed), metric)
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
-    cert = hoelder_certificate(report.phi, mu, tau, metric, delta_list)
+    cert = hoelder_certificate(report.phi, mu, tau, metric, delta_list, report.ma)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)

@@ -210,9 +210,7 @@ def run_solve(cfg, out, dump_stages, rng):
     if mu is not None:
         write_grid(os.path.join(out, "mu_density.cmag"), mu.density)
     if dump_stages:
-        res = ma_measure(rep.phi, metric).density.values
-        write_grid(os.path.join(out, "ma_density.cmag"),
-                   GridFunction(metric.torus, res))
+        write_grid(os.path.join(out, "ma_density.cmag"), rep.ma.density)
     write_csv(os.path.join(out, "solve.csv"),
               ["iteration", "residual", "c"],
               [(i, r, rep.c) for i, r in enumerate(rep.residual_history)])
@@ -337,7 +335,7 @@ def run_certificate(cfg, out, dump_stages, rng):
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
     cert = hoelder_certificate(rep.phi, mu, cfg["certificate"]["tau"], metric,
-                               cfg["certificate"]["delta_list"])
+                               cfg["certificate"]["delta_list"], rep.ma)
     write_csv(os.path.join(out, "certificate.csv"), _CERT_HEADER,
               _cert_rows(cert))
     write_grid(os.path.join(out, "phi.cmag"), rep.phi)

@@ -101,7 +101,9 @@ class GridFunction:
         return GridFunction(self.torus, self.values + const)
 
     def sup_normalized(self) -> "GridFunction":
-        return GridFunction(self.torus, self.values - self.values.max())
+        """f - sup f; f itself when its sup is already 0, since it is immutable."""
+        top = self.values.max()
+        return self if top == 0.0 else GridFunction(self.torus, self.values - top)
 
     def __add__(self, other):
         if isinstance(other, GridFunction):
@@ -298,10 +300,9 @@ def from_spectrum(torus: Torus, spectrum: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(spectrum, s=torus.shape)
 
 
-def complex_hessian(f: GridFunction) -> HermitianForm:
-    """Form of mixed second derivatives f_{z_j zbar_k}."""
-    torus = f.torus
-    F = to_spectrum(f.values)
+def hessian_of_spectrum(torus: Torus, F: np.ndarray) -> HermitianForm:
+    """Form of mixed second derivatives of the field whose half spectrum is F:
+    one inverse transform per part, none forward."""
     hess = spectral_symbols(torus).hess
     parts = np.empty((len(hess),) + torus.shape)
     for part, s in zip(parts, hess):
@@ -309,9 +310,18 @@ def complex_hessian(f: GridFunction) -> HermitianForm:
     return HermitianForm(parts)
 
 
-def omega_form(f: GridFunction, metric: HermitianMetric) -> HermitianForm:
-    """omega + dd^c f, that is g + H(f) with g = factor * I."""
-    M = complex_hessian(f)
+def complex_hessian(f: GridFunction) -> HermitianForm:
+    """Form of mixed second derivatives f_{z_j zbar_k}."""
+    return hessian_of_spectrum(f.torus, to_spectrum(f.values))
+
+
+def omega_form(f: GridFunction | np.ndarray, metric: HermitianMetric) -> HermitianForm:
+    """omega + dd^c f, that is g + H(f) with g = factor * I; f is a lattice
+    function or the rfftn half spectrum of one."""
+    if isinstance(f, GridFunction):
+        M = complex_hessian(f)
+    else:
+        M = hessian_of_spectrum(metric.torus, f)
     M.parts[:metric.torus.n] += metric.factor
     return M
 

@@ -21,8 +21,8 @@ from .geometry import (
     Torus,
     from_spectrum,
     integrate,
-    inverse_quarter_laplacian,
     omega_form,
+    spectral_symbols,
     to_spectrum,
 )
 from .pluripotential import MeasureField, psh_tolerance
@@ -138,30 +138,35 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
     Each round raises the smallest eigenvalue of M = g + H(f) to 0 wherever it
     is negative, which adds max(-lambda_min, 0) to the trace of M, and rebuilds
     f spectrally from the trace of that clamped Hessian part,
-    tr M + max(-lambda_min, 0) - n factor. Not a true metric projection:
-    callers must re-verify feasibility. A contraction toward the zero function
-    is used as a last resort (it always lands in the cone since g is positive).
+    tr M + max(-lambda_min, 0) - n factor, keeping the mean of f. The rounds
+    carry the half spectrum of the iterate, so each costs one inverse
+    transform per form part and one forward transform; lattice values are
+    synthesized only for the result. Not a true metric projection: callers
+    must re-verify feasibility. A contraction toward the zero function is
+    used as a last resort (it always lands in the cone since g is positive).
     """
     tol = psh_tolerance(metric)
-    current = f
+    torus = f.torus
+    inv_quarter_lap = spectral_symbols(torus).inv_quarter_lap
+    F = to_spectrum(f.values)
+    origin = (0,) * torus.ndim_real
+    mean_mode = F[origin]  # the sum of f, kept by every round
     for k in range(rounds + 1):
-        M = omega_form(current, metric)
+        M = omega_form(F, metric)
         lam = M.min_eig()
         defect = float(lam.min())
         if defect >= -tol:
-            return current
+            return f if k == 0 else GridFunction(torus, from_spectrum(torus, F))
         if k == rounds:
             break
         # sum the clamped diagonal before subtracting g: at n = 1 this is
         # max(M_00, 0) - factor bit for bit
-        target_trace = (M.trace() + np.maximum(-lam, 0.0)
-                        - f.torus.n * metric.factor)
-        mean = float(current.values.mean())
-        rebuilt = inverse_quarter_laplacian(f.torus, target_trace) + mean
-        current = GridFunction(f.torus, rebuilt)
+        target_trace = M.trace() + np.maximum(-lam, 0.0) - torus.n * metric.factor
+        F = inv_quarter_lap * to_spectrum(target_trace)
+        F[origin] = mean_mode
     lam = metric.min_eig()
     theta = lam / (lam - defect + tol)
-    return GridFunction(f.torus, theta * current.values)
+    return GridFunction(torus, theta * from_spectrum(torus, F))
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,23 @@ from .geometry import (
     spectral_symbols,
     to_spectrum,
 )
-from .pluripotential import MeasureField, ma_measure, psh_defect, psh_tolerance
+from .pluripotential import (
+    MeasureField,
+    _measure_of_form,
+    ma_measure,
+    psh_defect,
+    psh_tolerance,
+)
 from .regularize import Mollifications, psh_repair
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution (sup-normalized), constant c, and convergence diagnostics."""
+    """Solution (sup-normalized), its Monge-Ampere measure, constant c, and
+    convergence diagnostics."""
 
     phi: GridFunction
+    ma: MeasureField  # (omega + dd^c phi)^n, read from the form the solve built
     c: float
     residual_history: list
     c_trace: list
@@ -178,12 +186,11 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         pd_seen = False
         for _ in range(30):
             trial = GridFunction(torus, phi.values + step * psi).sup_normalized()
-            # the trial's form; used only once the trial is accepted
-            c_t, res_t, norm_t, mineig_t, form = diagnostics(trial)
+            c_t, res_t, norm_t, mineig_t, form_t = diagnostics(trial)
             if mineig_t > pd_floor:
                 pd_seen = True
                 if norm_t < res_norm:
-                    phi, c, res, res_norm = trial, c_t, res_t, norm_t
+                    phi, c, res, res_norm, form = trial, c_t, res_t, norm_t, form_t
                     accepted = True
                     break
             step *= 0.5
@@ -197,8 +204,11 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         c_trace.append(c)
         converged = res_norm <= tol
 
+    if form is None:  # a stalled line search dropped the form of phi
+        form = omega_form(phi, metric)
     return SolveReport(
         phi=phi.sup_normalized(),
+        ma=_measure_of_form(form, metric),
         c=c,
         residual_history=residual_history,
         c_trace=c_trace,

@@ -4,15 +4,26 @@ import pytest
 import scipy.fft
 
 
-@pytest.fixture
-def inverse_transforms(monkeypatch):
-    """List that gains one entry per scipy.fft.irfftn call during the test."""
+def _counted(monkeypatch, name):
+    """List that gains one entry per call of scipy.fft.<name> during the test."""
     calls = []
-    irfftn = scipy.fft.irfftn
+    transform = getattr(scipy.fft, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return irfftn(*args, **kwargs)
+        return transform(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "irfftn", counted)
+    monkeypatch.setattr(scipy.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def inverse_transforms(monkeypatch):
+    """List that gains one entry per scipy.fft.irfftn call during the test."""
+    return _counted(monkeypatch, "irfftn")
+
+
+@pytest.fixture
+def forward_transforms(monkeypatch):
+    """List that gains one entry per scipy.fft.rfftn call during the test."""
+    return _counted(monkeypatch, "rfftn")

@@ -140,6 +140,24 @@ class TestHoelderCertificate:
         other = lp_density_fixture(2.0, 0.3, m)
         with pytest.raises(PreconditionError):
             hoelder_certificate(rep.phi, other, 1.0, m, (1 / 8, 1 / 16))
+        with pytest.raises(PreconditionError):
+            hoelder_certificate(rep.phi, other, 1.0, m, (1 / 8, 1 / 16), rep.ma)
+
+    def test_solve_measure_spares_the_precondition(self, cert_l2, monkeypatch):
+        import torusma.geometry
+        cert, rep, mu, m = cert_l2
+        calls = []
+        hessian = torusma.geometry.complex_hessian
+
+        def counted(f):
+            calls.append(1)
+            return hessian(f)
+
+        monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
+        again = hoelder_certificate(rep.phi, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32),
+                                    rep.ma)
+        assert calls == []
+        assert again == cert
 
     def test_one_inverse_transform_per_radius(self, inverse_transforms):
         # N=128, deltas 1/8, 1/16, 1/32: the rate ladder adds 1/4 and the

@@ -9,6 +9,7 @@ from torusma.geometry import (
     Torus, GridFunction, HermitianForm, HermitianMetric, flat_metric,
     conformal_metric, complex_hessian, omega_form,
     laplacian, inverse_quarter_laplacian, gradient_sup_norm, integrate,
+    to_spectrum,
 )
 
 
@@ -238,3 +239,12 @@ def test_omega_form_is_factor_identity_plus_hessian(n, N, kind):
     g = np.zeros(M.parts.shape)
     g[:n] = m.factor
     assert np.array_equal(M.parts, g + complex_hessian(f).parts)
+    assert np.array_equal(omega_form(to_spectrum(f.values), m).parts, M.parts)
+
+
+def test_sup_normalized_keeps_a_normalized_function():
+    t = Torus(1, 32)
+    f = GridFunction(t, np.random.default_rng(0).standard_normal(t.shape))
+    g = f.sup_normalized()
+    assert np.array_equal(g.values, f.values - f.values.max())
+    assert g.sup_normalized() is g

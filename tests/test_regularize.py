@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from torusma.errors import PreconditionError
 from torusma.geometry import (
     Torus, GridFunction, flat_metric, conformal_metric, inverse_quarter_laplacian,
-    omega_form,
+    omega_form, spectral_symbols, to_spectrum, from_spectrum,
 )
 from torusma.pluripotential import ma_measure, psh_defect, psh_tolerance, is_omega_psh
 from torusma.regularize import (
@@ -125,6 +125,7 @@ class TestPshRepair:
         f = GridFunction(t, 0.02 * np.cos(2 * np.pi * x) * np.ones(t.shape))
         g = psh_repair(f, m)
         assert np.abs(g.values - f.values).max() < 1e-9
+        assert g is f
 
     def test_repairs_cusp_into_cone(self):
         t = Torus(1, 128)
@@ -184,26 +185,63 @@ def ref_clamp_eigs(M, floor):
 
 
 def ref_psh_repair(f, metric, rounds=5):
-    """psh repair that rebuilds f from the trace of the whole clamped field."""
+    """psh repair that rebuilds f from the trace of the whole clamped field,
+    carrying the half spectrum of the iterate as `psh_repair` does."""
     tol = psh_tolerance(metric)
-    current = f
+    torus = f.torus
+    inv_quarter_lap = spectral_symbols(torus).inv_quarter_lap
+    F = to_spectrum(f.values)
+    origin = (0,) * torus.ndim_real
+    mean_mode = F[origin]
     for _ in range(rounds):
-        M = omega_form(current, metric)
-        defect = float(M.min_eig().min())
-        if defect >= -tol:
-            return current
+        M = omega_form(F, metric)
+        if float(M.min_eig().min()) >= -tol:
+            break
         clamped = ref_clamp_eigs(as_matrix(M), 0.0)
         target_trace = sum(clamped[..., j, j].real - metric.factor
-                           for j in range(f.torus.n))
-        mean = float(current.values.mean())
-        current = GridFunction(
-            f.torus, inverse_quarter_laplacian(f.torus, target_trace) + mean)
-    defect = float(omega_form(current, metric).min_eig().min())
+                           for j in range(torus.n))
+        F = inv_quarter_lap * to_spectrum(target_trace)
+        F[origin] = mean_mode
+    current = GridFunction(torus, from_spectrum(torus, F))
+    defect = float(omega_form(F, metric).min_eig().min())
     if defect >= -tol:
         return current
     lam = metric.min_eig()
     theta = lam / (lam - defect + tol)
+    return GridFunction(torus, theta * current.values)
+
+
+def lattice_psh_repair(f, metric, rounds=5):
+    """The psh repair that rebuilds the lattice values of every iterate: one
+    Hessian and one Poisson solve per round, the mean of the iterate added."""
+    tol = psh_tolerance(metric)
+    current = f
+    for k in range(rounds + 1):
+        M = omega_form(current, metric)
+        lam = M.min_eig()
+        defect = float(lam.min())
+        if defect >= -tol:
+            return current
+        if k == rounds:
+            break
+        # sum the clamped diagonal before subtracting g: at n = 1 this is
+        # max(M_00, 0) - factor bit for bit
+        target_trace = (M.trace() + np.maximum(-lam, 0.0)
+                        - f.torus.n * metric.factor)
+        mean = float(current.values.mean())
+        rebuilt = inverse_quarter_laplacian(f.torus, target_trace) + mean
+        current = GridFunction(f.torus, rebuilt)
+    lam = metric.min_eig()
+    theta = lam / (lam - defect + tol)
     return GridFunction(f.torus, theta * current.values)
+
+
+def cusp_with_noise(t):
+    """A function outside the cone that the repair needs every round for."""
+    x = t.axis_coord(0)
+    rng = np.random.default_rng(t.n * 1000 + t.N)
+    return GridFunction(t, 0.05 * np.abs(np.sin(np.pi * x)) ** 0.5 * np.ones(t.shape)
+                        + 0.003 * rng.standard_normal(t.shape))
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 8), (2, 16)])
@@ -215,11 +253,8 @@ def test_trace_repair_matches_clamped_field(n, N, kind, rounds):
     bit for bit at n = 1, to rounding at n = 2."""
     t = Torus(n, N)
     m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
-    x = t.axis_coord(0)
-    rng = np.random.default_rng(n * 1000 + N)
-    vals = (0.05 * np.abs(np.sin(np.pi * x)) ** 0.5 * np.ones(t.shape)
-            + 0.003 * rng.standard_normal(t.shape))
-    f = GridFunction(t, vals)
+    f = cusp_with_noise(t)
+    vals = f.values
     assert not is_omega_psh(f, m)
     got = psh_repair(f, m, rounds=rounds).values
     want = ref_psh_repair(f, m, rounds=rounds).values
@@ -228,6 +263,49 @@ def test_trace_repair_matches_clamped_field(n, N, kind, rounds):
         assert np.array_equal(got, want)
     else:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 8), (2, 16)])
+@pytest.mark.parametrize("kind", ["flat", "conformal"])
+@pytest.mark.parametrize("rounds", [1, 5, 8])
+def test_spectral_repair_matches_lattice_repair(n, N, kind, rounds,
+                                                inverse_transforms,
+                                                forward_transforms):
+    """Carrying the half spectrum instead of lattice values changes the
+    repair only by rounding, with fewer transforms."""
+    t = Torus(n, N)
+    m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
+    f = cusp_with_noise(t)
+    inverse_transforms.clear()
+    forward_transforms.clear()
+    got = psh_repair(f, m, rounds=rounds).values
+    spectral_work = (len(inverse_transforms), len(forward_transforms))
+    inverse_transforms.clear()
+    forward_transforms.clear()
+    want = lattice_psh_repair(f, m, rounds=rounds).values
+    lattice_work = (len(inverse_transforms), len(forward_transforms))
+    assert not np.array_equal(want, f.values)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert spectral_work[0] <= lattice_work[0]
+    assert spectral_work[1] < lattice_work[1]
+
+
+class TestPshRepairTransforms:
+    """f is transformed forward once; each round costs one inverse transform
+    per form part and one forward transform, the last check one inverse per
+    part, and the result one inverse transform."""
+
+    def test_one_dim_five_rounds(self, inverse_transforms, forward_transforms):
+        t = Torus(1, 64)
+        psh_repair(cusp_with_noise(t), flat_metric(t), rounds=5)
+        assert len(inverse_transforms) == 7
+        assert len(forward_transforms) == 6
+
+    def test_two_dim_five_rounds(self, inverse_transforms, forward_transforms):
+        t = Torus(2, 8)
+        psh_repair(cusp_with_noise(t), flat_metric(t))
+        assert len(inverse_transforms) == 4 * 6 + 1
+        assert len(forward_transforms) == 6
 
 
 class TestKiselmanLegendre:

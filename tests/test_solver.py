@@ -52,6 +52,22 @@ class TestSolveMA:
         assert len(seen) > rep.iterations
         assert len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("n, N, kind, tol", [
+        (1, 64, "flat", 1e-10), (2, 8, "flat", 1e-10), (2, 8, "conformal", 1e-10),
+        (1, 64, "flat", 0.0)])
+    def test_report_measure_is_ma_measure(self, n, N, kind, tol):
+        # read from the form of the last accepted iterate; tol 0 ends in a
+        # stalled line search, whose last trial form is not phi's
+        phi_star, mu, m = manufactured_cos(n, N)
+        if kind == "conformal":
+            m = conformal_metric(m.torus, 0.2)
+            mu = ma_measure(phi_star, m)
+        rep = solve_ma(mu, m, tol=tol)
+        assert rep.converged == (tol > 0.0)
+        ref = ma_measure(rep.phi, m)
+        assert np.array_equal(rep.ma.density.values, ref.density.values)
+        assert rep.ma.mass == ref.mass
+
     def test_uniform_datum_gives_constant(self):
         m = flat_metric(Torus(1, 64))
         mu = MeasureField.from_density(
