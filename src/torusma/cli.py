@@ -370,7 +370,7 @@ def run_mixture(cfg, out, dump_stages, rng):
     ok = (res.domination_slack >= -1e-10 and res.certificate.passed
           and res.report.converged)
     line = _summary("mixture", ok, slack=res.domination_slack, c=res.report.c,
-                    alpha=res.certificate.alpha)
+                    alpha=res.certificate.alpha, converged=res.report.converged)
     return (0 if ok else 2), line
 
 

@@ -168,6 +168,13 @@ class HermitianMetric:
     def det(self) -> float | np.ndarray:
         return self.factor ** self.torus.n
 
+    def form(self) -> "HermitianForm":
+        """g as a form field: omega + dd^c 0, built without a transform."""
+        n = self.torus.n
+        parts = np.zeros((n * n,) + self.torus.shape)
+        parts[:n] = self.factor
+        return HermitianForm(parts)
+
     def min_eig(self) -> float:
         return float(np.min(self.factor))
 
@@ -253,6 +260,7 @@ class SpectralSymbols:
     hess: tuple                  # symbols of the HermitianForm parts of the Hessian
     quarter_lap: np.ndarray      # symbol of Lap / 4
     inv_quarter_lap: np.ndarray  # its inverse, 0 on the constant mode
+    parseval: np.ndarray         # last-axis weights: sum(u v) = sum(parseval Re(conj(U) V))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -284,9 +292,14 @@ def spectral_symbols(torus: Torus) -> SpectralSymbols:
         hess.append(_frozen(0.25 * (xi[1] * xi[2] - xi[0] * xi[3])))
     with np.errstate(divide="ignore"):
         inv = np.where(quarter_lap != 0.0, 1.0 / quarter_lap, 0.0)
+    # the half spectrum holds each mode of the full one once, its conjugate
+    # partner implied, except on the self-conjugate first and Nyquist columns
+    parseval = np.full(N // 2 + 1, 2.0 / torus.npoints)
+    parseval[[0, -1]] = 1.0 / torus.npoints
     return SpectralSymbols(
         xi=tuple(xi), hess=tuple(hess),
         quarter_lap=_frozen(quarter_lap), inv_quarter_lap=_frozen(inv),
+        parseval=_frozen(parseval),
     )
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import PreconditionError
 from .geometry import (
@@ -40,35 +39,38 @@ def kernel_profile_raw(t):
 
 _SPHERE_FACTOR = {1: 2.0 * np.pi, 2: 2.0 * np.pi**2}  # area of S^{2n-1}
 
+# E_1(1) = -gamma - sum_{j>=1} (-1)^j / (j j!) (Abramowitz-Stegun 5.1.11)
+_E1_AT_ONE = -np.euler_gamma - math.fsum(
+    (-1) ** j / (j * math.factorial(j)) for j in range(1, 25))
 
-@lru_cache(maxsize=None)
+
+def _radial_moment(k: int) -> float:
+    """I_k = integral over [0, 1] of r^(2k+1) rho_raw(r^2) dr, in closed form.
+
+    With u = r^2 and v = 1/(1-u), I_k = (1/2) integral over [1, oo) of
+    (1 - 1/v)^k e^(-v) dv, so I_0 = e^-1/2, I_1 = (e^-1 - E_1(1))/2 and
+    I_2 = (2 e^-1 - 3 E_1(1))/2, using E_2(1) = e^-1 - E_1(1).
+    """
+    e = math.exp(-1.0)
+    return (0.5 * e, 0.5 * (e - _E1_AT_ONE), 0.5 * (2.0 * e - 3.0 * _E1_AT_ONE))[k]
+
+
 def kernel_eta(n: int) -> float:
-    """Normalization constant: integral of rho(||z||^2) over C^n equals 1."""
+    """Normalization constant: integral of rho(||z||^2) over C^n equals 1,
+    that is eta_n = 1 / (|S^(2n-1)| I_(n-1)); eta_1 = e / pi."""
     if n not in (1, 2):
         raise PreconditionError("dimension must be 1 or 2")
-
-    def radial(r):
-        return float(kernel_profile_raw(np.array([r * r]))[0]) * r ** (2 * n - 1)
-
-    val, _ = quad(radial, 0.0, 1.0, limit=200)
-    return 1.0 / (_SPHERE_FACTOR[n] * val)
+    return 1.0 / (_SPHERE_FACTOR[n] * _radial_moment(n - 1))
 
 
-@lru_cache(maxsize=None)
 def kernel_second_moment(n: int) -> float:
-    """sigma_n = integral of ||z||^2 rho(||z||^2) over C^n.
+    """sigma_n = integral of ||z||^2 rho(||z||^2) over C^n = eta_n |S^(2n-1)| I_n.
 
     This is the exact monotonicity constant for the flat torus: for omega-psh
     phi, t -> rho_t phi + sigma_n t^2 is nondecreasing (phi(z+zeta) + ||zeta||^2
     is psh in zeta), even though the Chern curvature vanishes.
     """
-    eta = kernel_eta(n)
-
-    def radial(r):
-        return float(kernel_profile_raw(np.array([r * r]))[0]) * r ** (2 * n + 1)
-
-    val, _ = quad(radial, 0.0, 1.0, limit=200)
-    return eta * _SPHERE_FACTOR[n] * val
+    return kernel_eta(n) * _SPHERE_FACTOR[n] * _radial_moment(n)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg, lgmres
 
 from .errors import DivergenceError, DominationError, PreconditionError
 from .geometry import (
@@ -54,23 +53,33 @@ class ContinuationSchedule:
     delta_list: tuple
 
 
-def _linearization(M: HermitianForm, metric: HermitianMetric):
-    """psi -> tr(adj(M) H(psi)) minus its mean, with M = g + H(phi) the form of
-    the current iterate, as a map on flattened lattice arrays.
+def _linearization(M: HermitianForm, metric: HermitianMetric, w):
+    """Psi -> tr(adj(M) H(psi)) - mean(.) w, with M = g + H(phi) the form of
+    the current iterate: a map from the half spectrum Psi of psi to a lattice
+    field.
 
-    This is det g times the linearized density; on a Kaehler metric the
-    cofactor field of M is divergence-free, so the map is self-adjoint and
-    negative semi-definite. It keeps only the adjugate weights, not M.
+    tr(adj(M) H(psi)) is det g times the linearized density; on a Kaehler
+    metric the cofactor field of M is divergence-free, so it is self-adjoint
+    and negative semi-definite. With w = f det g / mean(f det g) the oblique
+    projection is det g times the exact Jacobian of det M / det g - c f, whose
+    constant c = mean(det M) / mean(f det g) depends on phi; w = 1 projects
+    onto mean zero. It keeps only the adjugate weights, not M.
     """
     torus = metric.torus
     hess = spectral_symbols(torus).hess
     weights = M.adjugate_weights()
 
-    def apply_L(vec):
-        P = to_spectrum(vec.reshape(torus.shape))
-        out = sum(c * from_spectrum(torus, s * P) for c, s in zip(weights, hess))
-        out -= out.mean()
-        return out.ravel()
+    def apply_L(P):
+        out = None
+        for c, s in zip(weights, hess):
+            term = from_spectrum(torus, s * P)
+            term *= c
+            if out is None:
+                out = term
+            else:
+                out += term
+        out -= out.mean() * w
+        return out
 
     return apply_L
 
@@ -96,23 +105,67 @@ def _forcing(eta: float, norm: float, prev_norm: float) -> float:
     return min(max(new, _ETA_MIN), _ETA_MAX)
 
 
-def _newton_step(apply_L, rhs: np.ndarray, metric: HermitianMetric,
-                 rtol: float) -> tuple:
-    """Solve -apply_L(psi) = rhs to relative residual rtol, with rhs the
-    mean-zero det g * residual and apply_L a `_linearization`.
+def _inner(A: np.ndarray, B: np.ndarray, parseval: np.ndarray) -> float:
+    """Lattice sum of a b from the half spectra A, B of two real fields."""
+    cols = np.einsum("ij,ij->j", A.view(float).reshape(-1, 2 * A.shape[-1]),
+                     B.view(float).reshape(-1, 2 * B.shape[-1]))
+    return float(cols.reshape(-1, 2).sum(axis=1) @ parseval)
 
-    CG on a Kaehler metric, where -apply_L is symmetric positive definite on
-    mean-zero fields, lgmres otherwise; both are preconditioned by the
-    inverse flat quarter-Laplacian, negated. Returns (psi, converged) with
-    `converged` the inner Krylov solve's flag.
+
+def _pcg(apply_L, rhs: np.ndarray, torus, rtol: float) -> tuple:
+    """Preconditioned CG on -apply_L(psi) = rhs, for a Kaehler metric, where
+    -apply_L is symmetric positive definite on mean-zero fields; apply_L is a
+    `_linearization`.
+
+    The preconditioner is the inverse flat quarter-Laplacian, negated, a
+    multiplier on the half spectrum, so the iterate, residual and direction
+    are carried as half spectra and inner products are taken by Parseval:
+    each iteration costs one `apply_L` and one forward transform. The
+    iteration is scipy's `cg` with atol = 0: it stops when the lattice
+    residual norm drops below rtol |rhs|, and returns (Psi, info) with info 0
+    on convergence and the iteration count otherwise.
     """
-    torus = metric.torus
+    sym = spectral_symbols(torus)
+    R = to_spectrum(rhs)
+    X = np.zeros_like(R)
+    atol = rtol * np.sqrt(_inner(R, R, sym.parseval))
+    if atol == 0.0:
+        return X, 0
+    Z = np.empty_like(R)  # preconditioned residual, then workspace for the updates
+    P = None
+    for _ in range(_KRYLOV_MAXITER):
+        if np.sqrt(_inner(R, R, sym.parseval)) < atol:
+            return X, 0
+        np.multiply(R, sym.inv_quarter_lap, out=Z)
+        np.negative(Z, out=Z)
+        rho = _inner(R, Z, sym.parseval)
+        if P is None:
+            P = Z.copy()
+        else:
+            P *= rho / rho_prev
+            P += Z
+        Q = to_spectrum(apply_L(P))
+        np.negative(Q, out=Q)
+        alpha = rho / _inner(P, Q, sym.parseval)
+        X += np.multiply(P, alpha, out=Z)
+        R -= np.multiply(Q, alpha, out=Z)
+        rho_prev = rho
+    return X, _KRYLOV_MAXITER
+
+
+def _lgmres(apply_L, rhs: np.ndarray, torus, rtol: float) -> tuple:
+    """scipy's lgmres on -apply_L(psi) = rhs on lattice vectors, for the
+    conformal n=2 metric, whose torsion breaks the symmetry CG needs; the
+    preconditioner is the inverse flat quarter-Laplacian, negated. Returns
+    (Psi, info), Psi the half spectrum of the mean-zero solution."""
+    from scipy.sparse.linalg import LinearOperator, lgmres
+
     shape = torus.shape
     size = torus.npoints
 
     def apply_A(vec):
-        out = apply_L(vec)
-        return np.negative(out, out=out)
+        out = apply_L(to_spectrum(vec.reshape(shape)))
+        return np.negative(out, out=out).ravel()
 
     def apply_prec(vec):
         out = inverse_quarter_laplacian(torus, vec.reshape(shape)).ravel()
@@ -121,18 +174,23 @@ def _newton_step(apply_L, rhs: np.ndarray, metric: HermitianMetric,
     # an explicit dtype spares the probe matvec LinearOperator makes without one
     A = LinearOperator((size, size), matvec=apply_A, dtype=float)
     Mprec = LinearOperator((size, size), matvec=apply_prec, dtype=float)
-    krylov = cg if metric.is_kahler else lgmres
-    sol, info = krylov(A, rhs.ravel(), M=Mprec, rtol=rtol, atol=0.0,
+    psi, info = lgmres(A, rhs.ravel(), M=Mprec, rtol=rtol, atol=0.0,
                        maxiter=_KRYLOV_MAXITER)
-    psi = sol.reshape(shape)
-    return psi - psi.mean(), info == 0
+    Psi = to_spectrum(psi.reshape(shape))
+    Psi[(0,) * torus.ndim_real] = 0.0
+    return Psi, info
 
 
 def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
              max_iter: int = 50) -> SolveReport:
     """Damped Newton iteration with spectral preconditioning, from phi = 0.
 
-    The constant c is updated every iteration as the mass ratio
+    The iterate is carried as the half spectrum P of phi, so the forms of the
+    line-search trials P + s Psi cost no forward transform; c and the residual
+    do not depend on constants, so phi is synthesized on the lattice and
+    sup-normalized once, on return, and the reported measure is read from
+    that lattice phi. The residuals reported are those of the spectral
+    iterate. The constant c is updated every iteration as the mass ratio
     (total Monge-Ampere mass) / mu(X); on the flat Kaehler torus the numerator
     is conserved, so c stays fixed at vol / mu(X).
     """
@@ -143,72 +201,65 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     if not np.all(np.isfinite(f)):
         raise PreconditionError("measure density must be bounded on the lattice")
     detg = metric.det()
-
-    phi = GridFunction.constant(torus, 0.0)
+    # f det g / mean(f det g): the direction in which c(phi) moves the residual
+    w = f * detg * (torus.volume / mu.mass)
 
     residual_history: list = []
     c_trace: list = []
 
-    def diagnostics(p: GridFunction):
-        """(c, residual, sup residual, min eigenvalue, form) at p."""
-        M = omega_form(p, metric)
+    def diagnostics(M: HermitianForm):
+        """(c, residual, sup residual, min eigenvalue) of the form M."""
         det_M = M.det()
         dens = det_M / detg
         c = float(np.mean(det_M) * torus.volume) / mu.mass
         res = dens - c * f
-        return c, res, float(np.abs(res).max()), float(M.min_eig().min()), M
+        return c, res, float(np.abs(res).max()), float(M.min_eig().min())
 
-    c, res, res_norm, _, form = diagnostics(phi)
+    form = metric.form()  # of phi = 0
+    P = np.zeros(spectral_symbols(torus).quarter_lap.shape, dtype=complex)
+    c, res, res_norm, _ = diagnostics(form)
     residual_history.append(res_norm)
     c_trace.append(c)
     converged = res_norm <= tol
     iterations = 0
-    unconverged = 0
+    unconverged = 0  # Newton steps whose inner Krylov solve did not converge
+    # each step solves -apply_L(psi) = rhs, rhs the mean-zero det g * residual
+    krylov = _pcg if metric.is_kahler else _lgmres
 
-    # degenerate data pushes the solution onto the boundary of the
-    # positive-definite cone, so the line search accepts iterates down to the
-    # psh tolerance rather than demanding strict positivity
-    pd_floor = -psh_tolerance(metric)
-
+    # a name is dropped as soon as its field is dead: the solve's peak memory
+    # is a count of live lattice fields
     while not converged and iterations < max_iter:
         iterations += 1
-        rhs = res * detg
+        rhs = res  # not read again: scaled in place
+        rhs *= detg
         rhs -= rhs.mean()
         norm = float(np.linalg.norm(rhs))
         eta = _ETA_MAX if iterations == 1 else _forcing(eta, norm, prev_norm)
         prev_norm = norm
-        apply_L = _linearization(form, metric)
-        form = None  # not held in the Krylov solve; the line search builds the next
-        psi, inner_ok = _newton_step(apply_L, rhs, metric, eta)
-        unconverged += not inner_ok
-        step = 1.0
-        accepted = False
-        pd_seen = False
-        for _ in range(30):
-            trial = GridFunction(torus, phi.values + step * psi).sup_normalized()
-            c_t, res_t, norm_t, mineig_t, form_t = diagnostics(trial)
-            if mineig_t > pd_floor:
-                pd_seen = True
-                if norm_t < res_norm:
-                    phi, c, res, res_norm, form = trial, c_t, res_t, norm_t, form_t
-                    accepted = True
-                    break
-            step *= 0.5
-        if not pd_seen:
-            raise DivergenceError(
-                "no positive-definite iterate after 30 step halvings"
-            )
-        if not accepted:
+        apply_L = _linearization(form, metric, w)
+        form = res = None  # not held in the Krylov solve
+        Psi, info = krylov(apply_L, rhs, torus, rtol=eta)
+        rhs = apply_L = None
+        if not np.all(np.isfinite(Psi)):
+            raise PreconditionError("Newton step is not finite")
+        unconverged += info != 0
+        accepted = _line_search(P, Psi, res_norm, diagnostics, metric)
+        Psi = None
+        if accepted is None:
             break  # stalled line search; report current state
+        P, form, c, res, res_norm = accepted
+        accepted = None
         residual_history.append(res_norm)
         c_trace.append(c)
         converged = res_norm <= tol
 
-    if form is None:  # a stalled line search dropped the form of phi
-        form = omega_form(phi, metric)
+    form = res = None  # only P is read from here on
+    phi = from_spectrum(torus, P)
+    phi -= phi.max()
+    phi = GridFunction(torus, phi)
     return SolveReport(
-        phi=phi.sup_normalized(),
-        ma=_measure_of_form(form, metric),
+        phi=phi,
+        ma=_measure_of_form(omega_form(phi, metric), metric),
         c=c,
         residual_history=residual_history,
         c_trace=c_trace,
@@ -216,6 +267,38 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         converged=bool(converged),
         krylov_unconverged=unconverged,
     )
+
+
+def _line_search(P: np.ndarray, Psi: np.ndarray, res_norm: float, diagnostics,
+                 metric: HermitianMetric):
+    """Backtracking on the half spectra P + s Psi, s = 1, 1/2, ..., 2^-29.
+
+    Returns (trial, form, c, residual, sup residual) of the first trial whose
+    form is positive definite down to the psh tolerance and whose sup
+    residual is below res_norm, or None when no positive-definite trial
+    lowers it (a stalled search); raises DivergenceError when no trial is
+    positive definite.
+    """
+    # degenerate data pushes the solution onto the boundary of the
+    # positive-definite cone, so the line search accepts iterates down to the
+    # psh tolerance rather than demanding strict positivity
+    pd_floor = -psh_tolerance(metric)
+    step = 1.0
+    pd_seen = False
+    for _ in range(30):
+        trial = np.multiply(Psi, step)
+        trial += P
+        form = omega_form(trial, metric)
+        c, res, norm, min_eig = diagnostics(form)
+        if min_eig > pd_floor:
+            pd_seen = True
+            if norm < res_norm:
+                return trial, form, c, res, norm
+        trial = form = res = None
+        step *= 0.5
+    if not pd_seen:
+        raise DivergenceError("no positive-definite iterate after 30 step halvings")
+    return None
 
 
 def decompose_subsolution(mu: MeasureField, u: GridFunction,

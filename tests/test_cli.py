@@ -235,6 +235,29 @@ class TestMixtureCommand:
         assert float(summary["alpha"]) == 0.1
 
 
+class TestLatticeRoundOffFloor:
+    """n=1 N=1024 runs that stalled at 1.55e-10 against the default tol 1e-10
+    while the solve carried phi on the lattice, whose round-off the Hessian
+    symbol amplifies by up to (pi N)^2; each now converges and passes."""
+
+    def test_mixture_seed_13(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[torus]\nN = 1024\n")
+        assert main(["mixture", "--config", str(ini), "--seed", "13",
+                     "--out", str(tmp_path / "o")]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("mixture PASS") and "converged=true" in line.split()
+
+    def test_singular_density_certificate(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[torus]\nN = 1024\n[fixture]\nname = singular_density\n")
+        out = tmp_path / "o"
+        assert main(["certificate", "--config", str(ini), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("certificate PASS")
+        rows = read_csv(out / "certificate.csv")
+        assert rows and all(r["sandwich_ok"] == r["diff2_ok"] == "true" for r in rows)
+
+
 class TestStabilityCommand:
     def test_passes_and_writes_ledger(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"

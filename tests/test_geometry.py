@@ -240,6 +240,9 @@ def test_omega_form_is_factor_identity_plus_hessian(n, N, kind):
     g[:n] = m.factor
     assert np.array_equal(M.parts, g + complex_hessian(f).parts)
     assert np.array_equal(omega_form(to_spectrum(f.values), m).parts, M.parts)
+    # the form of f = 0 is g, built without a transform
+    zero = GridFunction.constant(t, 0.0)
+    assert np.array_equal(m.form().parts, omega_form(zero, m).parts)
 
 
 def test_sup_normalized_keeps_a_normalized_function():

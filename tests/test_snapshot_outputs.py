@@ -39,3 +39,28 @@ def test_compare_reports_exit_codes_and_moves(tmp_path, capsys):
         f"  out/solve.csv: rows {len(rows) - 1} -> {len(rows) - 2}",
         "  summary.txt: differs",
     ]
+
+
+def test_summary_value_relative_to_its_csv_column(tmp_path, capsys):
+    # solve's summary residual is the last entry of solve.csv's residual
+    # column, so its move is taken relative to that column's sup
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        snapshot_outputs.snapshot("solve", "solve", {"torus": {"n": 1, "N": 64}},
+                                  str(d))
+    capsys.readouterr()
+    summary = (b / "solve" / "summary.txt").read_text()
+    residual = summary.split("residual=")[1].split()[0]
+    moved = 2.0 * float(residual) + 1e-14
+    (b / "solve" / "summary.txt").write_text(
+        summary.replace(f"residual={residual}", f"residual={moved!r}"))
+    column = [float(r.split(",")[1]) for r in
+              (a / "solve" / "out" / "solve.csv").read_text().splitlines()[1:]]
+    expected = abs(moved - float(residual)) / max(map(abs, column))
+
+    assert snapshot_outputs.compare(str(a), str(b)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "solve: exit 0 = exit 0",
+        f"  summary.txt: residual {expected:.2e}",
+    ]
+    assert expected < 1e-13

@@ -9,6 +9,7 @@ import torusma.solver as solver
 from torusma.errors import DominationError, PreconditionError
 from torusma.geometry import (
     Torus, GridFunction, conformal_metric, flat_metric, integrate, omega_form,
+    to_spectrum,
 )
 from torusma.pluripotential import MeasureField, ma_measure
 from torusma.solver import (
@@ -38,15 +39,15 @@ class TestSolveMA:
         # instead of transforming the accepted iterate again
         import torusma.geometry
 
-        seen = []  # one digest per array transformed
-        hessian = torusma.geometry.complex_hessian
+        seen = []  # one digest per spectrum a form is built from
+        hessian = torusma.geometry.hessian_of_spectrum
 
-        def hashing_hessian(f):
-            seen.append(hashlib.sha256(f.values.tobytes()).hexdigest())
-            return hessian(f)
+        def hashing_hessian(torus, F):
+            seen.append(hashlib.sha256(F.tobytes()).hexdigest())
+            return hessian(torus, F)
 
         _, mu, m = manufactured_cos(2, 16)
-        monkeypatch.setattr(torusma.geometry, "complex_hessian", hashing_hessian)
+        monkeypatch.setattr(torusma.geometry, "hessian_of_spectrum", hashing_hessian)
         rep = solve_ma(mu, m, tol=1e-12)
         assert rep.converged and rep.iterations >= 2
         assert len(seen) > rep.iterations
@@ -217,7 +218,7 @@ def flag_inner_solves(monkeypatch, used, unused):
 class TestInnerSolveFlag:
     def test_unconverged_inner_solves_counted(self, monkeypatch):
         # the flat metric is Kaehler, so the step runs CG
-        flag_inner_solves(monkeypatch, "cg", "lgmres")
+        flag_inner_solves(monkeypatch, "_pcg", "_lgmres")
         _, mu, m = manufactured_cos(1, 64)
         rep = solve_ma(mu, m, tol=1e-12)
         # the flag is reported; Newton acceptance is unchanged
@@ -226,7 +227,7 @@ class TestInnerSolveFlag:
 
     def test_unconverged_lgmres_solves_counted(self, monkeypatch):
         # conformal n=2 is not Kaehler, so the step runs lgmres
-        flag_inner_solves(monkeypatch, "lgmres", "cg")
+        flag_inner_solves(monkeypatch, "_lgmres", "_pcg")
         mu, m = conformal_case(2, 8)
         rep = solve_ma(mu, m, tol=1e-12)
         assert rep.converged and rep.iterations >= 1
@@ -243,7 +244,11 @@ def asymmetry(kind, n, N):
     """|<Lx, y> - <x, Ly>| / (|Lx| |y|) for the linearization at phi* and
     seeded random x, y."""
     phi, m = metric_case(kind, n, N)
-    apply_L = solver._linearization(omega_form(phi, m), m)
+    linearization = solver._linearization(omega_form(phi, m), m, 1.0)
+
+    def apply_L(vec):
+        return linearization(to_spectrum(vec.reshape(m.torus.shape))).ravel()
+
     x, y = np.random.default_rng(0).standard_normal((2, m.torus.npoints))
     Lx = apply_L(x)
     return abs(Lx @ y - x @ apply_L(y)) / (np.linalg.norm(Lx) * np.linalg.norm(y))
@@ -269,8 +274,8 @@ class TestInnerSolve:
         matvecs = []
         linearization = solver._linearization
 
-        def counted(M, metric):
-            apply_L = linearization(M, metric)
+        def counted(M, metric, w):
+            apply_L = linearization(M, metric, w)
 
             def apply(vec):
                 matvecs.append(1)
@@ -286,13 +291,13 @@ class TestInnerSolve:
 
     def test_forcing_terms_in_bounds(self, monkeypatch):
         rtols = []
-        cg = solver.cg
+        cg = solver._pcg
 
         def recording(*args, **kwargs):
             rtols.append(kwargs["rtol"])
             return cg(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "cg", recording)
+        monkeypatch.setattr(solver, "_pcg", recording)
         _, mu, m = manufactured_cos(2, 16, 0.07)
         rep = solve_ma(mu, m, tol=1e-10)
         assert rep.converged and len(rtols) == rep.iterations >= 2
@@ -306,6 +311,15 @@ class TestInnerSolve:
         assert solver._forcing(0.5, 1.0, 10.0) == pytest.approx(0.9 * 0.25)
         assert solver._forcing(0.5, 1.0, 1.0) == 0.5
         assert solver._forcing(0.01, 1e-9, 1.0) == 1e-6
+
+    def test_conformal_n2_converges_quadratically(self):
+        # the oblique projection of the linearization carries dc/dphi, so the
+        # Newton step solves with the exact Jacobian
+        phi_star, _, flat = manufactured_cos(2, 16)
+        m = conformal_metric(flat.torus, 0.2)
+        rep = solve_ma(ma_measure(phi_star, m), m, tol=1e-10)
+        assert rep.converged
+        assert rep.iterations <= 5
 
     def test_conformal_n1_solves_in_one_step(self):
         # at n=1 det g * L is exactly Lap/4, which the preconditioner inverts

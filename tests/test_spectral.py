@@ -12,7 +12,7 @@ from torusma.capacity import _ascent_gradient
 from torusma.geometry import (
     Torus, GridFunction, flat_metric, conformal_metric, complex_hessian,
     laplacian, inverse_quarter_laplacian, gradient_sup_norm, omega_form,
-    spectral_symbols,
+    spectral_symbols, to_spectrum,
 )
 from torusma.regularize import build_kernel, kernel_profile_raw, mollify
 from torusma.solver import _linearization
@@ -182,8 +182,8 @@ class TestRealFFTMatchesComplexReference:
 
     def test_newton_matvec(self, n, N, kind):
         _, metric, phi, psi, _ = make_case(n, N, kind)
-        apply_L = _linearization(omega_form(phi, metric), metric)
-        got = apply_L(psi.ravel()).reshape(psi.shape)
+        apply_L = _linearization(omega_form(phi, metric), metric, 1.0)
+        got = apply_L(to_spectrum(psi))
         assert rel_err(got, ref_newton_matvec(phi, metric, psi)) <= REL
 
     def test_ascent_gradient(self, n, N, kind):

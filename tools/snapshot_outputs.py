@@ -14,8 +14,11 @@ with `--compare`, which prints per configuration whether the exit codes
 match, "identical" when every file is byte-equal, and otherwise the largest
 relative difference of each differing numeric CSV column, CMAG grid and
 summary value: max |a - b| over the larger sup norm of the two, over the
-rows both sides have. It exits 1 when an exit code differs or a file exists
-on one side only.
+rows both sides have. A summary value that is also a column of a CSV the
+run wrote (solve's residual and c) is taken relative to that column's sup,
+as the column itself is, so a round-off residual does not read as a large
+move. It exits 1 when an exit code differs or a file exists on one side
+only.
 
 The matrix: every command at n=1 N=64 and at n=2 N=16 on the flat metric;
 the same on the conformal metric (amplitude 0.2) for the commands that accept
@@ -29,6 +32,7 @@ only, so the snapshot itself is deterministic.
 import argparse
 import contextlib
 import csv
+import glob
 import io
 import os
 import sys
@@ -96,10 +100,11 @@ def snapshot(name, command, sections, outdir):
     return code
 
 
-def rel_diff(a, b):
-    """max |a - b| over the larger sup norm of a and b (0 when both vanish)."""
+def rel_diff(a, b, scale=0.0):
+    """max |a - b| over the larger of scale and the sup norms of a and b
+    (0 when all vanish)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    scale = max(scale, np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
     diff = np.abs(a - b).max(initial=0.0)
     return float(diff / scale) if scale > 0.0 else float(diff)
 
@@ -112,9 +117,10 @@ def numbers(values):
         return None
 
 
-def compare_columns(names, cols_a, cols_b):
+def compare_columns(names, cols_a, cols_b, scales):
     """'name rel' for each numeric column that differs, 'name differs' for
-    each other column that does."""
+    each other column that does; `scales` holds a floor of the sup norm by
+    name."""
     notes = []
     for name, a, b in zip(names, cols_a, cols_b):
         m = min(len(a), len(b))
@@ -123,22 +129,36 @@ def compare_columns(names, cols_a, cols_b):
             if a[:m] != b[:m]:
                 notes.append(f"{name} differs")
         elif fa != fb:
-            notes.append(f"{name} {rel_diff(fa, fb):.2e}")
+            notes.append(f"{name} {rel_diff(fa, fb, scales.get(name, 0.0)):.2e}")
     return notes
 
 
+def read_csv_columns(path):
+    """(header, one list of cells per column)."""
+    with open(path, newline="") as fh:
+        head, *rows = csv.reader(fh)
+    return head, [[row[i] for row in rows] for i in range(len(head))]
+
+
 def compare_csv(path_a, path_b):
-    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
-        (head, *rows_a), (head_b, *rows_b) = csv.reader(fa), csv.reader(fb)
+    (head, cols_a), (head_b, cols_b) = read_csv_columns(path_a), read_csv_columns(path_b)
     if head != head_b:
         return ["header differs"]
-    notes = [] if len(rows_a) == len(rows_b) else [
-        f"rows {len(rows_a)} -> {len(rows_b)}"]
+    rows_a, rows_b = len(cols_a[0]), len(cols_b[0])
+    notes = [] if rows_a == rows_b else [f"rows {rows_a} -> {rows_b}"]
+    return notes + compare_columns(head, cols_a, cols_b, {})
 
-    def columns(rows):
-        return [[row[i] for row in rows] for i in range(len(head))]
 
-    return notes + compare_columns(head, columns(rows_a), columns(rows_b))
+def column_sups(run_dir):
+    """{name: sup |value|} of the numeric columns of the CSVs in run_dir/out."""
+    sups = {}
+    for path in sorted(glob.glob(os.path.join(run_dir, "out", "*.csv"))):
+        head, cols = read_csv_columns(path)
+        for key, col in zip(head, cols):
+            values = numbers(col)
+            if values:
+                sups[key] = max(sups.get(key, 0.0), max(map(abs, values)))
+    return sups
 
 
 def summary_values(path):
@@ -163,8 +183,11 @@ def compare_file(rel, path_a, path_b):
     elif rel == "summary.txt":
         (_, va), (_, vb) = summary_values(path_a), summary_values(path_b)
         keys = sorted(set(va) | set(vb))
+        sups_a = column_sups(os.path.dirname(path_a))
+        sups_b = column_sups(os.path.dirname(path_b))
+        scales = {k: max(sups_a.get(k, 0.0), sups_b.get(k, 0.0)) for k in keys}
         notes = compare_columns(keys, [[va.get(k, "")] for k in keys],
-                                [[vb.get(k, "")] for k in keys])
+                                [[vb.get(k, "")] for k in keys], scales)
     else:
         notes = []
     return ", ".join(notes) or "differs"
