@@ -24,7 +24,6 @@ from .geometry import (
     conformal_metric,
     complex_hessian,
     omega_form,
-    laplacian,
     integrate,
 )
 from .pluripotential import (
@@ -34,9 +33,7 @@ from .pluripotential import (
     psh_tolerance,
     is_omega_psh,
     ma_measure,
-    mixed_form_mass,
     sublevel,
-    hoelder_modulus,
 )
 from .capacity import (
     CapacityEstimate,
@@ -55,7 +52,6 @@ from .regularize import (
     mollify,
     psh_repair,
     kiselman_legendre,
-    hessian_lower_bound_check,
     l1_rate,
     discrete_mass_convergence,
 )
@@ -71,10 +67,9 @@ from .certify import (
     HoelderCertificate,
     MixtureResult,
     stability_gamma,
-    check_subsolution,
     stability_check,
     hoelder_certificate,
-    mixture_domination_slack,
+    mixture_measure,
     mixture_experiment,
 )
 from .fixtures import lp_density_fixture

@@ -1,5 +1,5 @@
-"""Mechanized inequality chains: stability estimate, Hoelder certificate,
-subsolution and convexity experiments."""
+"""Mechanized inequality chains: stability estimate, Hoelder certificate and
+the convexity (mixture) experiment."""
 
 from __future__ import annotations
 
@@ -37,15 +37,6 @@ def stability_gamma(n: int, tau: float) -> float:
     if tau <= 0.0:
         raise PreconditionError(f"tau must be positive, got {tau}")
     return 1.0 / (1.0 + (n + 2) * (n + 1.0 / tau))
-
-
-def check_subsolution(mu: MeasureField, u: GridFunction, C0: float,
-                      metric: HermitianMetric) -> bool:
-    """Pointwise density comparison mu <= C0 (omega + dd^c u)^n with 1e-10 slack."""
-    if not is_omega_psh(u, metric):
-        raise PreconditionError("u is not omega-psh within tolerance")
-    bound = C0 * ma_measure(u, metric).density.values
-    return bool(np.all(mu.density.values <= bound + 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +306,11 @@ class MixtureResult:
     domination_slack: float
 
 
-def _mixture(phi1: GridFunction, phi2: GridFunction, c1: float, c2: float,
-             metric: HermitianMetric) -> tuple:
+def mixture_measure(phi1: GridFunction, phi2: GridFunction, c1: float, c2: float,
+                    metric: HermitianMetric) -> tuple:
     """(density of mu := (c1 omega_{phi1}^n + c2 omega_{phi2}^n)/2, pointwise
-    slack of mu <= 2^(n-1) (c1 + c2) (omega + dd^c (phi1+phi2)/2)^n)."""
+    slack of mu <= 2^(n-1) (c1 + c2) (omega + dd^c (phi1+phi2)/2)^n); a
+    negative slack means the domination is violated."""
     n = metric.torus.n
     d1 = ma_measure(phi1, metric).density.values
     d2 = ma_measure(phi2, metric).density.values
@@ -326,14 +318,6 @@ def _mixture(phi1: GridFunction, phi2: GridFunction, c1: float, c2: float,
     avg = GridFunction(metric.torus, 0.5 * (phi1.values + phi2.values))
     dom = 2.0 ** (n - 1) * (c1 + c2) * ma_measure(avg, metric).density.values
     return mixed, float((dom - mixed).min())
-
-
-def mixture_domination_slack(phi1: GridFunction, phi2: GridFunction,
-                             c1: float, c2: float,
-                             metric: HermitianMetric) -> float:
-    """Pointwise slack of mu := (c1 omega_{phi1}^n + c2 omega_{phi2}^n)/2
-    <= 2^(n-1) (c1 + c2) (omega + dd^c (phi1+phi2)/2)^n; negative means violated."""
-    return _mixture(phi1, phi2, c1, c2, metric)[1]
 
 
 def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: float,
@@ -344,7 +328,7 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
     solve for it, and certify the solution's Hoelder chain."""
     if c1 <= 0.0 or c2 <= 0.0:
         raise PreconditionError("mixture weights must be positive")
-    mixed, slack = _mixture(phi1, phi2, c1, c2, metric)
+    mixed, slack = mixture_measure(phi1, phi2, c1, c2, metric)
     if slack < -1e-10:
         raise DominationError(
             f"mixture domination violated by {slack:.3e} (discretization artifact)"

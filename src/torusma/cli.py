@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TorusMAError, ConfigError, PreconditionError
 from .geometry import Torus, GridFunction, flat_metric, conformal_metric
-from .pluripotential import ma_measure, sublevel
+from .pluripotential import sublevel
 from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from .regularize import (Mollifications, kernel_eta, build_kernel, l1_rate,
                          rate_deltas, discrete_mass_convergence)
@@ -176,12 +176,8 @@ def _summary(command, ok, **kv):
 def _build_measure(cfg, metric):
     """Fixture measure plus the exact potential when one exists."""
     name = cfg["fixture"]["name"]
-    torus = metric.torus
     if name == "manufactured_cos":
-        phi, mu, _ = fixtures.manufactured_cos(torus.n, torus.N,
-                                               cfg["fixture"]["amplitude"])
-        if not metric.is_flat:
-            mu = ma_measure(phi, metric)
+        phi, mu = fixtures.cos_datum(metric, cfg["fixture"]["amplitude"])
         return mu, phi
     if name == "singular_density":
         mu = fixtures.lp_density_fixture(cfg["fixture"]["p"],

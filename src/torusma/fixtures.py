@@ -9,15 +9,16 @@ source of truth for the inputs they exercise.
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import Torus, GridFunction, HermitianMetric, flat_metric, omega_form
+from .geometry import Torus, GridFunction, HermitianMetric, complex_hessian, flat_metric
 from .pluripotential import (
-    MeasureField, _measure_of_form, is_omega_psh, ma_measure, psh_tolerance,
+    MeasureField, _checked_measure, is_omega_psh, ma_measure, psh_tolerance,
 )
 from .regularize import psh_repair
 from .solver import ContinuationSchedule, decompose_subsolution
 
 __all__ = [
     "lp_density_fixture",
+    "cos_datum",
     "manufactured_cos",
     "holder_subsolution",
     "stability_pair",
@@ -35,19 +36,32 @@ def _cos_profile(torus: Torus, amplitude: float) -> np.ndarray:
     return vals
 
 
-def manufactured_cos(n: int, N: int, amplitude: float = 0.05):
-    """Smooth exact-solution fixture: phi* built from cosines, mu := omega_{phi*}^n.
+def cos_datum(metric: HermitianMetric, amplitude: float):
+    """phi* built from cosines, sup-normalized, and mu := omega_{phi*}^n on
+    `metric`, both read from one complex Hessian of phi*.
 
-    Returns (phi_star, mu, metric) with phi_star sup-normalized, so a solver
-    run against mu has a machine-precision oracle.
+    phi* must be psh for the flat metric; on any metric, mu is built only
+    when omega + dd^c phi* passes ma_measure's psh check.
     """
-    torus = Torus(n, N)
-    metric = flat_metric(torus)
+    torus = metric.torus
     phi = GridFunction(torus, _cos_profile(torus, amplitude)).sup_normalized()
-    M = omega_form(phi, metric)  # read by the psh check and the measure
-    if M.min_eig().min() < -psh_tolerance(metric):
+    M = complex_hessian(phi)
+    # psh for the flat metric: H(phi*) >= -I
+    if M.min_eig().min() + 1.0 < -psh_tolerance(flat_metric(torus)):
         raise PreconditionError(f"amplitude {amplitude} too large for psh fixture")
-    return phi, _measure_of_form(M, metric), metric
+    M.parts[:torus.n] += metric.factor  # omega + dd^c phi*, as omega_form adds g
+    return phi, _checked_measure(M, metric)
+
+
+def manufactured_cos(n: int, N: int, amplitude: float = 0.05):
+    """Smooth exact-solution fixture on the flat metric: `cos_datum`'s phi*
+    and mu.
+
+    Returns (phi_star, mu, metric), so a solver run against mu has a
+    machine-precision oracle.
+    """
+    metric = flat_metric(Torus(n, N))
+    return (*cos_datum(metric, amplitude), metric)
 
 
 def lp_density_fixture(p: float, singularity_exponent: float,

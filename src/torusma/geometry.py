@@ -97,9 +97,6 @@ class GridFunction:
     def constant(cls, torus: Torus, value: float) -> "GridFunction":
         return cls(torus, np.full(torus.shape, float(value)))
 
-    def shifted(self, const: float) -> "GridFunction":
-        return GridFunction(self.torus, self.values + const)
-
     def sup_normalized(self) -> "GridFunction":
         """f - sup f; f itself when its sup is already 0, since it is immutable."""
         top = self.values.max()
@@ -221,19 +218,6 @@ class HermitianForm:
         disc = np.sqrt(np.maximum(half_tr**2 - self.det(), 0.0))
         return half_tr - disc
 
-    def mixed_det(self, other: "HermitianForm") -> np.ndarray:
-        """Polarized mixed determinant D(A, B) with D(A, A) = det A.
-
-        For n=2 this is the density of alpha ^ beta relative to the volume
-        form, normalized so the pure powers reduce to determinants.
-        """
-        if self.n == 1:
-            return 0.5 * (self.parts[0] + other.parts[0])
-        a, d, re, im = self.parts
-        a2, d2, re2, im2 = other.parts
-        off = re * re2 + im * im2
-        return 0.5 * (a * d2 + d * a2 - off - off)
-
     def adjugate_weights(self) -> tuple:
         """Weights C with tr(adj(M) H) = sum_k C_k H_k for every form H,
         in the order of `parts`."""
@@ -337,12 +321,6 @@ def omega_form(f: GridFunction | np.ndarray, metric: HermitianMetric) -> Hermiti
         M = hessian_of_spectrum(metric.torus, f)
     M.parts[:metric.torus.n] += metric.factor
     return M
-
-
-def laplacian(f: GridFunction) -> np.ndarray:
-    """Full real Laplacian (sum over the 2n real axes)."""
-    sym = spectral_symbols(f.torus)
-    return from_spectrum(f.torus, 4.0 * sym.quarter_lap * to_spectrum(f.values))
 
 
 def inverse_quarter_laplacian(torus: Torus, rhs: np.ndarray) -> np.ndarray:

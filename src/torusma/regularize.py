@@ -77,8 +77,6 @@ def kernel_second_moment(n: int) -> float:
 class MollifierKernel:
     """Discretized unit-mass kernel at radius delta on a torus lattice."""
 
-    torus: Torus
-    delta: float
     spectrum: np.ndarray        # real rfftn half spectrum (the kernel is even)
     continuum_mass: float       # Riemann mass with the continuum eta, before renormalization
 
@@ -105,7 +103,7 @@ def _kernel(torus: Torus, delta: float) -> MollifierKernel:
         raise PreconditionError("discrete kernel has no support points")
     spectrum = to_spectrum(raw / total).real.copy()
     spectrum.setflags(write=False)
-    return MollifierKernel(torus, delta, spectrum, continuum_mass)
+    return MollifierKernel(spectrum, continuum_mass)
 
 
 class Mollifications:
@@ -179,9 +177,6 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
 class KLTransform:
     """inf over t in (0, delta] of rho_t phi + K t^2 + K t - b log(t / delta)."""
 
-    b: float
-    delta: float
-    K: float
     value: GridFunction
     t_opt: GridFunction
     t_grid: tuple
@@ -210,23 +205,10 @@ def kiselman_legendre(family: Mollifications, delta: float, b: float,
         np.copyto(best, cand, where=take)
         np.copyto(best_t, t, where=take)
     return KLTransform(
-        b=float(b), delta=float(delta), K=float(K),
         value=GridFunction(torus, best),
         t_opt=GridFunction(torus, best_t),
         t_grid=t_grid,
     )
-
-
-def hessian_lower_bound_check(T: KLTransform, metric: HermitianMetric, A: float) -> float:
-    """Min eigenvalue over the lattice of g + H(Phi) + (A b + 2 K delta) g.
-
-    Phi is an infimum of a family and may be non-smooth, so the spectral
-    Hessian here is a diagnostic; callers should accept >= -1e-3. Since g is
-    a multiple of I, the shift moves every eigenvalue by shift * factor.
-    """
-    shift = A * T.b + 2.0 * T.K * T.delta
-    M = omega_form(T.value, metric)
-    return float(np.min(M.min_eig() + shift * metric.factor))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from torusma.regularize import (
 from torusma.solver import solve_ma, continuation_solve
 from torusma.certify import (
     stability_gamma, stability_check, hoelder_certificate,
-    mixture_domination_slack, mixture_experiment,
+    mixture_measure, mixture_experiment,
 )
 from torusma.fixtures import (
     manufactured_cos, lp_density_fixture, holder_subsolution, stability_pair,
@@ -256,7 +256,7 @@ def test_criterion_09_convexity_domination():
     worst = np.inf
     for n, N in [(1, 64)] * 20 + [(2, 16)] * 20:
         phi1, phi2, c1, c2, m = mixture_pair(n, N, rng)
-        worst = min(worst, mixture_domination_slack(phi1, phi2, c1, c2, m))
+        worst = min(worst, mixture_measure(phi1, phi2, c1, c2, m)[1])
     rng_std = np.random.default_rng(7)
     phi1, phi2, c1, c2, m = mixture_pair(1, 64, rng_std)
     res = mixture_experiment(phi1, phi2, c1, c2, m)

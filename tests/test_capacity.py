@@ -5,7 +5,7 @@ import pytest
 
 from torusma.geometry import Torus, GridFunction, flat_metric
 from torusma.errors import PreconditionError
-from torusma.pluripotential import MeasureField, ma_measure, sublevel
+from torusma.pluripotential import MeasureField, SublevelSet, ma_measure, sublevel
 from torusma.capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from torusma.fixtures import lp_density_fixture
 
@@ -68,9 +68,11 @@ class TestEstimateCapacity:
 
     def test_empty_set_zero_capacity(self, setup32):
         t, m, phi, zero = setup32
-        E = sublevel(phi, zero, 0.3, 1e-12)
-        if E.is_empty:
-            assert estimate_capacity(E, m, budget=3).lower == 0.0
+        E = SublevelSet(mask=np.zeros(t.shape, dtype=bool), eps=0.3, s=1e-12,
+                        S_eps=0.0)
+        cap = estimate_capacity(E, m, budget=3)
+        assert cap.lower == 0.0
+        assert cap.iterations == 0
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,10 @@ import pytest
 from torusma.errors import PreconditionError, DominationError
 from torusma.geometry import Torus, GridFunction, flat_metric, conformal_metric
 from torusma.pluripotential import ma_measure
-from torusma.solver import solve_ma
+from torusma.solver import decompose_subsolution, solve_ma
 from torusma.certify import (
-    stability_gamma, check_subsolution, stability_check, hoelder_certificate,
-    mixture_domination_slack, mixture_experiment, check_level_formula,
+    stability_gamma, stability_check, hoelder_certificate, mixture_measure,
+    mixture_experiment, check_level_formula,
 )
 from torusma.fixtures import (
     lp_density_fixture, manufactured_cos, stability_pair, mixture_pair,
@@ -38,15 +38,15 @@ class TestStabilityGamma:
 
 
 class TestCheckSubsolution:
+    # C0 is the least constant with mu <= C0 (omega + dd^c u)^n
     def test_accepts_true_subsolution(self):
         phi, mu, m = manufactured_cos(1, 64)
-        assert check_subsolution(mu, phi, 1.0, m)
+        assert decompose_subsolution(mu, phi, m).C0 == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_undersized_constant(self):
         phi, mu, m = manufactured_cos(1, 64)
         big = mu.scaled(3.0, m)
-        assert not check_subsolution(big, phi, 1.0, m)
-        assert check_subsolution(big, phi, 3.0, m)
+        assert decompose_subsolution(big, phi, m).C0 == pytest.approx(3.0, rel=1e-12)
 
 
 class TestStabilityCheck:
@@ -84,7 +84,7 @@ class TestStabilityCheck:
 
     def test_positive_psi_rejected(self):
         psi, phi, mu, m = stability_pair(1, 64, 1e-2)
-        bad = psi.shifted(0.5)
+        bad = psi + 0.5
         with pytest.raises(PreconditionError):
             stability_check(bad, phi, mu, 1.0, m, budget=4)
 
@@ -203,7 +203,7 @@ class TestMixture:
         rng = np.random.default_rng(11)
         for n, N in [(1, 64), (1, 64), (2, 16)]:
             phi1, phi2, c1, c2, m = mixture_pair(n, N, rng)
-            assert mixture_domination_slack(phi1, phi2, c1, c2, m) >= -1e-10
+            assert mixture_measure(phi1, phi2, c1, c2, m)[1] >= -1e-10
 
     def test_experiment_end_to_end(self):
         rng = np.random.default_rng(7)

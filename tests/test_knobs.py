@@ -1,4 +1,5 @@
-"""tools/check_knobs.py: every keyword default in torusma is set by some call."""
+"""tools/check_knobs.py: every keyword default in torusma is set by some call,
+and every function of torusma is referenced outside the tests."""
 
 import importlib.util
 from pathlib import Path
@@ -32,3 +33,37 @@ def test_reports_defaults_no_call_sets(tmp_path):
     # b is set through the alias, d through the attribute call, x by
     # **kwargs and y positionally after self; c and z never are
     assert check_knobs.never_set(pkg, (pkg, callers)) == ["mod.f: c", "mod.m: z"]
+
+
+def test_every_function_is_referenced():
+    assert check_knobs.unreferenced() == []
+
+
+def test_reports_functions_nothing_references(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .mod import f, g, h, K\n")
+    (pkg / "mod.py").write_text(
+        "def f():\n    pass\n"
+        "def g():\n    pass\n"
+        "def h():\n    pass\n"
+        "def unused():\n    return unused() or h()\n"
+        "class K:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def m(self):\n        pass\n"
+        "    def n(self):\n        pass\n")
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    (tools / "use.py").write_text(
+        "from pkg.mod import g as run\n"
+        "run()\n"
+        "obj.m()\n"
+        "LAYERS = ('mod.f', 'K')\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text("from pkg.mod import unused\nunused()\nK().n()\n")
+    # g is reached through an alias, m as an attribute call and f by a
+    # string; the recursion of `unused`, __init__.py and tests count for
+    # nothing, and h counts as reached by `unused` although nothing reaches it
+    assert check_knobs.unreferenced(pkg, (tmp_path / "src", tools)) == [
+        "K.n", "mod.unused"]

@@ -1,15 +1,14 @@
-"""Quasi-psh cone membership, Monge-Ampere measures, sublevel sets, moduli."""
+"""Quasi-psh cone membership, Monge-Ampere measures, sublevel sets."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusma.errors import NotOmegaPshError, PreconditionError
-from torusma.fixtures import manufactured_cos
-from torusma.geometry import Torus, GridFunction, flat_metric
+from torusma.fixtures import cos_datum, manufactured_cos
+from torusma.geometry import Torus, GridFunction, conformal_metric, flat_metric
 from torusma.pluripotential import (
-    MeasureField, psh_tolerance, psh_defect, is_omega_psh, ma_measure,
-    mixed_form_mass, sublevel, hoelder_modulus,
+    MeasureField, psh_tolerance, psh_defect, is_omega_psh, ma_measure, sublevel,
 )
 
 
@@ -25,23 +24,34 @@ def cos_fn(torus, a, axis=0):
 
 class TestManufacturedCos:
     def test_one_form_for_check_and_measure(self, monkeypatch):
-        # the psh check and the density read one omega + dd^c phi*
+        # the psh check and the density read one Hessian of phi*, also when
+        # the density is taken on a conformal metric
         import torusma.geometry
         calls = []
-        hessian = torusma.geometry.complex_hessian
+        hessian = torusma.geometry.hessian_of_spectrum
 
-        def counted(f):
+        def counted(torus, F):
             calls.append(1)
-            return hessian(f)
+            return hessian(torus, F)
 
-        monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
+        conformal = conformal_metric(Torus(2, 8), 0.2)
+        monkeypatch.setattr(torusma.geometry, "hessian_of_spectrum", counted)
         manufactured_cos(2, 8)
         assert len(calls) == 1
+        cos_datum(conformal, 0.05)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 8)])
     def test_measure_is_ma_measure(self, n, N):
         phi, mu, m = manufactured_cos(n, N)
         ref = ma_measure(phi, m)
+        assert np.array_equal(mu.density.values, ref.density.values)
+        assert mu.mass == ref.mass
+
+    def test_conformal_measure_is_ma_measure(self):
+        metric = conformal_metric(Torus(2, 8), 0.2)
+        phi, mu = cos_datum(metric, 0.05)
+        ref = ma_measure(phi, metric)
         assert np.array_equal(mu.density.values, ref.density.values)
         assert mu.mass == ref.mass
 
@@ -95,7 +105,7 @@ class TestMAMeasure:
     def test_shift_invariance(self, flat64):
         f = cos_fn(flat64.torus, 0.03)
         d1 = ma_measure(f, flat64).density.values
-        d2 = ma_measure(f.shifted(5.0), flat64).density.values
+        d2 = ma_measure(f + 5.0, flat64).density.values
         assert np.allclose(d1, d2, atol=1e-13)
 
     def test_rejects_strongly_concave_input(self, flat64):
@@ -105,42 +115,6 @@ class TestMAMeasure:
     def test_density_clamped_nonnegative(self, flat64):
         f = cos_fn(flat64.torus, 0.05)
         assert ma_measure(f, flat64).density.values.min() >= 0.0
-
-
-class TestMixedForms:
-    def test_endpoint_exponents_match_ma_masses(self):
-        t = Torus(2, 8)
-        m = flat_metric(t)
-        f = cos_fn(t, 0.02, axis=0)
-        u = cos_fn(t, 0.03, axis=2)
-        assert mixed_form_mass(f, u, 2, m) == pytest.approx(
-            ma_measure(f, m).mass, abs=1e-12)
-        assert mixed_form_mass(f, u, 0, m) == pytest.approx(
-            ma_measure(u, m).mass, abs=1e-12)
-
-    def test_symmetry_of_middle_term(self):
-        t = Torus(2, 8)
-        m = flat_metric(t)
-        f = cos_fn(t, 0.02, axis=0)
-        u = cos_fn(t, 0.03, axis=2)
-        assert mixed_form_mass(f, u, 1, m) == pytest.approx(
-            mixed_form_mass(u, f, 1, m), abs=1e-12)
-
-    def test_total_mass_binomial_expansion(self):
-        # (omega_f + omega_u)^2 mass what det(A+B) integrates to
-        t = Torus(2, 8)
-        m = flat_metric(t)
-        f = cos_fn(t, 0.02, axis=0)
-        u = cos_fn(t, 0.03, axis=2)
-        total = (mixed_form_mass(f, u, 2, m) + 2 * mixed_form_mass(f, u, 1, m)
-                 + mixed_form_mass(f, u, 0, m))
-        # each ma mass is 1 and the cross term integrates det polarization
-        assert total == pytest.approx(4.0, abs=1e-9)
-
-    def test_invalid_exponent(self, flat64):
-        f = cos_fn(flat64.torus, 0.02)
-        with pytest.raises(PreconditionError):
-            mixed_form_mass(f, f, 2, flat64)
 
 
 class TestSublevelSets:
@@ -187,24 +161,3 @@ class TestMeasureField:
         mask = flat64.torus.axis_coord(0) * np.ones(flat64.torus.shape) < 0.5
         assert mu.mass_on(mask, flat64) + mu.mass_on(~mask, flat64) \
             == pytest.approx(mu.mass)
-
-
-class TestHoelderModulus:
-    def test_constant_function(self, flat64):
-        f = GridFunction.constant(flat64.torus, 1.3)
-        expo, C = hoelder_modulus(f)
-        assert expo == 1.0 and C == 0.0
-
-    def test_smooth_function_is_lipschitz(self):
-        t = Torus(1, 128)
-        f = cos_fn(t, 0.1)
-        expo, C = hoelder_modulus(f)
-        assert expo > 0.9
-        assert C > 0.0
-
-    def test_sqrt_cusp_exponent(self):
-        t = Torus(1, 256)
-        x = t.axis_coord(0)
-        f = GridFunction(t, np.abs(np.sin(np.pi * x)) ** 0.5 * np.ones(t.shape))
-        expo, _ = hoelder_modulus(f)
-        assert 0.4 < expo < 0.75

@@ -14,7 +14,7 @@ from torusma.geometry import (
 from torusma.pluripotential import ma_measure, psh_defect, psh_tolerance, is_omega_psh
 from torusma.regularize import (
     kernel_profile_raw, kernel_eta, kernel_second_moment, build_kernel,
-    Mollifications, mollify, psh_repair, kiselman_legendre, hessian_lower_bound_check,
+    Mollifications, mollify, psh_repair, kiselman_legendre,
     l1_rate, rate_deltas, discrete_mass_convergence,
 )
 
@@ -360,13 +360,6 @@ class TestKiselmanLegendre:
         phi, m = phi64
         with pytest.raises(PreconditionError):
             kiselman_legendre(Mollifications(phi), 0.01, 0.01, 0.5)
-
-    def test_hessian_lower_bound_flat(self, phi64):
-        # flat case: Phi stays omega-psh up to the diagnostic slack
-        phi, m = phi64
-        sigma = kernel_second_moment(1)
-        T = kiselman_legendre(Mollifications(phi), 0.125, 0.01, sigma)
-        assert hessian_lower_bound_check(T, m, 0.0) >= -1e-3
 
 
 class TestL1Rate:

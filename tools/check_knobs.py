@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List the keyword defaults of torusma that no call ever sets.
+"""List the keyword defaults of torusma that no call ever sets, and the
+functions of torusma that nothing references.
 
     python3 tools/check_knobs.py
 
@@ -12,52 +13,78 @@ aliases. A call that unpacks `*args` sets every positional parameter, one
 that unpacks `**kwargs` every keyword. Methods skip `self`/`cls` when
 counting positional arguments.
 
+A function (dunders aside) counts as reached when its name is referenced
+under src/, tools/ or bench/, outside its own body and the package's
+`__init__.py`: as an identifier (through `import ... as` aliases), as an
+attribute, or as a string constant that is a dotted name, one reference per
+part. Tests do not count, and the check is not transitive: a function that
+only an unreached one references counts as reached.
+
 Prints one `module.function: parameter` line per default that no call sets
-and exits 1 if there is any; a default no caller changes is a constant.
+and one `unreferenced: module.function` line (`Class.method` for methods)
+per function nothing references, and exits 1 if there is any; a default no
+caller changes is a constant, and a function no command reaches is dead.
 """
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torusma"
 CALLER_DIRS = tuple(ROOT / d for d in ("src", "tests", "tools", "bench"))
+REACH_DIRS = tuple(ROOT / d for d in ("src", "tools", "bench"))
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _functions(tree):
+    """(enclosing class name or None, node) for every def, nested ones too."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((owner, node))
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return found
+
+
+def _aliases(tree):
+    """{asname: imported name} over the `import ... as` clauses of a file."""
+    return {a.asname: a.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names if a.asname}
 
 
 def _defaulted_params(tree, module):
     """(label, function name, [(param, positional index or None)]) per def."""
     found = []
-
-    def visit(body, in_class):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                visit(node.body, True)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                a = node.args
-                positional = a.posonlyargs + a.args
-                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                             for d in node.decorator_list)
-                skip = 1 if in_class and not static else 0
-                first = len(positional) - len(a.defaults)
-                params = [(p.arg, i - skip)
-                          for i, p in enumerate(positional) if i >= first]
-                params += [(p.arg, None)
-                           for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                           if d is not None]
-                if params:
-                    found.append((f"{module}.{node.name}", node.name, params))
-                visit(node.body, False)
-
-    visit(tree.body, False)
+    for owner, node in _functions(tree):
+        a = node.args
+        positional = a.posonlyargs + a.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if owner is not None and not static else 0
+        first = len(positional) - len(a.defaults)
+        params = [(p.arg, i - skip)
+                  for i, p in enumerate(positional) if i >= first]
+        params += [(p.arg, None)
+                   for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None]
+        if params:
+            found.append((f"{module}.{node.name}", node.name, params))
     return found
 
 
 def _calls(tree):
     """(called name, positional count, keyword names or None for **kwargs)."""
-    aliases = {a.asname: a.name for node in ast.walk(tree)
-               if isinstance(node, (ast.Import, ast.ImportFrom))
-               for a in node.names if a.asname}
+    aliases = _aliases(tree)
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -95,11 +122,50 @@ def never_set(package=PACKAGE, caller_dirs=CALLER_DIRS):
     return sorted(unset)
 
 
+def _references(node, aliases):
+    """Counter of the names referenced inside `node`."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[aliases.get(sub.id, sub.id)] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and _DOTTED_NAME.fullmatch(sub.value)):
+            names.update(sub.value.split("."))
+    return names
+
+
+def unreferenced(package=PACKAGE, reach_dirs=REACH_DIRS):
+    """Sorted labels of the package's functions that nothing references."""
+    skip = (package / "__init__.py").resolve()
+    refs = Counter()
+    for root in reach_dirs:
+        for path in sorted(root.rglob("*.py")):
+            if path.resolve() != skip:
+                tree = ast.parse(path.read_text())
+                refs += _references(tree, _aliases(tree))
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = _aliases(tree)
+        for owner, node in _functions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if refs[name] == _references(node, aliases)[name]:
+                dead.append(f"{owner or path.stem}.{name}")
+    return sorted(dead)
+
+
 def main():
     unset = never_set()
+    dead = unreferenced()
     for line in unset:
         print(line)
-    return 1 if unset else 0
+    for label in dead:
+        print(f"unreferenced: {label}")
+    return 1 if unset or dead else 0
 
 
 if __name__ == "__main__":
