@@ -114,7 +114,8 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int,
         consider(cand)
 
     # projected ascent from the best seed; the zero seed is always feasible,
-    # so best_v is set. The gradient changes only when v does.
+    # so best_v is set. The gradient changes only when v does, and at n = 1
+    # not even then: the only adjugate weight is 1.
     v, form = best_v, best_form
     grad = None
     step = 0.1
@@ -131,7 +132,8 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int,
         consider(trial)
         if best_val > before + 1e-15:
             v, form = best_v, best_form
-            grad = None
+            if torus.n == 2:
+                grad = None
             step = min(0.5, step * 1.5)
         else:
             step *= 0.5

@@ -205,16 +205,28 @@ def _certificate_row(family: Mollifications, d: float, b: float, alpha: float,
     modulus radius kappa_hat d = t0_min lies on the t-grid, so it is a lookup."""
     phi = family.phi.values
     T = kiselman_legendre(family, d, b, K_eff)
-    upper = family(d).values + K_eff * d + K_eff * d * d
-    sandwich_ok = bool(np.all(T.value.values >= phi - scale)
-                       and np.all(T.value.values <= upper + scale))
-    Phi_d = (1.0 - d**alpha) * T.value.values
+    value = T.value.values
+    # two work fields and one mask carry every lattice expression below
+    work = np.empty_like(phi)
+    test = np.empty(phi.shape, dtype=bool)
+    upper = np.add(family(d).values, K_eff * d)
+    upper += K_eff * d * d
+    sandwich_ok = bool(
+        np.all(np.greater_equal(value, np.subtract(phi, scale, out=work), out=test))
+        and np.all(np.less_equal(value, np.add(upper, scale, out=work), out=test)))
+    Phi_d = np.multiply(1.0 - d**alpha, value, out=work)
     diff1_ok = bool(Phi_d.max() <= C4 * d**alpha + scale)
-    diff2_rhs = C4 * d**alpha + (1.0 - d**alpha) * (upper - phi)
-    diff2_ok = bool(np.all(Phi_d - phi <= diff2_rhs + scale))
-    gap = float((Phi_d - phi).max())
+    # upper becomes diff2_rhs + scale, with
+    # diff2_rhs = C4 d^alpha + (1 - d^alpha) (upper - phi)
+    np.subtract(upper, phi, out=upper)
+    np.multiply(1.0 - d**alpha, upper, out=upper)
+    np.add(C4 * d**alpha, upper, out=upper)
+    upper += scale
+    gap_field = np.subtract(Phi_d, phi, out=work)
+    diff2_ok = bool(np.all(np.less_equal(gap_field, upper, out=test)))
+    gap = float(gap_field.max())
     t0_min = float(T.t_opt.values.min())
-    modulus = float((family(t0_min).values - phi).max())
+    modulus = float(np.subtract(family(t0_min).values, phi, out=work).max())
     return CertificateRow(
         delta=d, b=float(b), gap=gap, t0_min=t0_min, kappa_hat=float(t0_min / d),
         modulus=modulus, sandwich_ok=sandwich_ok, diff2_ok=diff2_ok and diff1_ok,

@@ -82,14 +82,20 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        """Adopt `values` and freeze it in place when it is a C-contiguous
+        float64 array owning its data; copy anything else (views, lists,
+        other dtypes)."""
+        v = self.values
+        adopt = (isinstance(v, np.ndarray) and v.dtype == np.float64
+                 and v.flags.owndata and v.flags.c_contiguous)
+        if not adopt:
+            v = np.array(v, dtype=float, order="C")
         if v.shape != self.torus.shape:
             raise PreconditionError(
                 f"values shape {v.shape} does not match lattice {self.torus.shape}"
             )
         if not np.all(np.isfinite(v)):
             raise PreconditionError("grid function must be finite everywhere")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -292,9 +298,22 @@ def to_spectrum(values: np.ndarray) -> np.ndarray:
     return scipy.fft.rfftn(values)
 
 
-def from_spectrum(torus: Torus, spectrum: np.ndarray) -> np.ndarray:
-    """Real lattice field of a Hermitian half spectrum (inverse of `to_spectrum`)."""
-    return scipy.fft.irfftn(spectrum, s=torus.shape)
+def from_spectrum(torus: Torus, spectrum: np.ndarray,
+                  symbol: np.ndarray | None = None) -> np.ndarray:
+    """Real lattice field of the Hermitian half spectrum symbol * spectrum
+    (of `spectrum` when `symbol` is None); the inverse of `to_spectrum`.
+
+    The product, or a copy of `spectrum`, is the one work array: the leading
+    axes are inverted in place on it, then the halved last axis, so no
+    spectrum-sized buffer is allocated beside it. That is `irfftn`'s own
+    c2c-then-c2r sequence; only the 1/N factors are applied per stage, and
+    they are powers of two, so the result is bit-identical. Neither argument
+    is written to.
+    """
+    work = spectrum.copy() if symbol is None else symbol * spectrum
+    work = scipy.fft.ifftn(work, axes=tuple(range(torus.ndim_real - 1)),
+                           overwrite_x=True)
+    return scipy.fft.irfft(work, n=torus.N, axis=-1, overwrite_x=True)
 
 
 def hessian_of_spectrum(torus: Torus, F: np.ndarray) -> HermitianForm:
@@ -303,7 +322,7 @@ def hessian_of_spectrum(torus: Torus, F: np.ndarray) -> HermitianForm:
     hess = spectral_symbols(torus).hess
     parts = np.empty((len(hess),) + torus.shape)
     for part, s in zip(parts, hess):
-        part[...] = from_spectrum(torus, s * F)
+        part[...] = from_spectrum(torus, F, s)
     return HermitianForm(parts)
 
 
@@ -326,7 +345,7 @@ def omega_form(f: GridFunction | np.ndarray, metric: HermitianMetric) -> Hermiti
 def inverse_quarter_laplacian(torus: Torus, rhs: np.ndarray) -> np.ndarray:
     """Solve (1/4) Lap u = rhs - mean(rhs) spectrally; zero-mean solution."""
     sym = spectral_symbols(torus)
-    return from_spectrum(torus, sym.inv_quarter_lap * to_spectrum(rhs))
+    return from_spectrum(torus, to_spectrum(rhs), sym.inv_quarter_lap)
 
 
 def gradient_sup_norm(f: GridFunction) -> float:
@@ -336,7 +355,7 @@ def gradient_sup_norm(f: GridFunction) -> float:
     F = to_spectrum(f.values)
     g2 = np.zeros(torus.shape)
     for xi in sym.xi:
-        g2 += from_spectrum(torus, 1j * xi * F) ** 2
+        g2 += from_spectrum(torus, F, 1j * xi) ** 2
     return float(np.sqrt(g2).max())
 
 

@@ -93,15 +93,29 @@ def build_kernel(torus: Torus, delta: float) -> MollifierKernel:
 
 @lru_cache(maxsize=32)
 def _kernel(torus: Torus, delta: float) -> MollifierKernel:
-    d2 = torus.periodic_distance((0.0,) * torus.ndim_real) ** 2
-    raw = kernel_profile_raw(d2 / delta**2)
-    eta = kernel_eta(torus.n)
-    cell = torus.spacing ** torus.ndim_real
-    continuum_mass = float(eta * raw.sum() * cell / delta ** (2 * torus.n))
+    # the profile vanishes beyond delta, so it is evaluated only on the box of
+    # lattice points within delta of the origin along every axis; the squared
+    # distances there are periodic_distance(origin)**2 bit for bit
+    x = np.arange(torus.N) / torus.N
+    d = np.minimum(x, 1.0 - x)
+    box = np.flatnonzero(d <= delta)
+    dim = torus.ndim_real
+    d2 = 0.0
+    for a in range(dim):
+        shape = [1] * dim
+        shape[a] = box.size
+        d2 = d2 + (d[box] ** 2).reshape(shape)
+    raw = np.zeros(torus.shape)
+    raw[np.ix_(*(box,) * dim)] = kernel_profile_raw(np.sqrt(d2) ** 2 / delta**2)
+    # one sum over the zero-padded field, in the order the full field sums
     total = raw.sum()
     if total <= 0.0:
         raise PreconditionError("discrete kernel has no support points")
-    spectrum = to_spectrum(raw / total).real.copy()
+    eta = kernel_eta(torus.n)
+    cell = torus.spacing ** torus.ndim_real
+    continuum_mass = float(eta * total * cell / delta ** (2 * torus.n))
+    raw /= total
+    spectrum = to_spectrum(raw).real.copy()
     spectrum.setflags(write=False)
     return MollifierKernel(spectrum, continuum_mass)
 
@@ -118,8 +132,8 @@ class Mollifications:
     def __call__(self, t: float) -> GridFunction:
         if t not in self._fields:
             torus = self.phi.torus
-            spectrum = self._spectrum * build_kernel(torus, t).spectrum
-            self._fields[t] = GridFunction(torus, from_spectrum(torus, spectrum))
+            field = from_spectrum(torus, self._spectrum, build_kernel(torus, t).spectrum)
+            self._fields[t] = GridFunction(torus, field)
         return self._fields[t]
 
 
@@ -198,9 +212,13 @@ def kiselman_legendre(family: Mollifications, delta: float, b: float,
     # the running infimum is kept in place; the first t fills every point
     best = np.full(torus.shape, np.inf)
     best_t = np.full(torus.shape, delta)
+    cand = np.empty(torus.shape)
     take = np.empty(torus.shape, dtype=bool)
     for t in t_grid:
-        cand = family(t).values + K * t * t + K * t - b * math.log(t / delta)
+        # rho_t phi + K t^2 + K t - b log(t / delta), left to right
+        np.add(family(t).values, K * t * t, out=cand)
+        cand += K * t
+        cand -= b * math.log(t / delta)
         np.less(cand, best, out=take)
         np.copyto(best, cand, where=take)
         np.copyto(best_t, t, where=take)
@@ -260,10 +278,12 @@ def l1_rate(family: Mollifications, mu: MeasureField, delta_list,
     if span < 8.0 - 1e-9:
         raise PreconditionError("delta_list must span roughly a decade (factor >= 8)")
     logs = []
+    diff = np.empty(family.phi.torus.shape)  # |rho_d phi - phi| mu, per d
     for d in delta_list:
-        diff = np.abs(family(d).values - family.phi.values)
-        l1 = integrate(diff * mu.density.values, metric)
-        logs.append((math.log(d), l1))
+        np.subtract(family(d).values, family.phi.values, out=diff)
+        np.abs(diff, out=diff)
+        diff *= mu.density.values
+        logs.append((math.log(d), integrate(diff, metric)))
     if all(l1 < 1e-14 for _, l1 in logs):
         return 1.0, 0.0
     xs = [x for x, l1 in logs if l1 > 0.0]

@@ -72,7 +72,7 @@ def _linearization(M: HermitianForm, metric: HermitianMetric, w):
     def apply_L(P):
         out = None
         for c, s in zip(weights, hess):
-            term = from_spectrum(torus, s * P)
+            term = from_spectrum(torus, P, s)
             term *= c
             if out is None:
                 out = term

@@ -19,8 +19,9 @@ def _counted(monkeypatch, name):
 
 @pytest.fixture
 def inverse_transforms(monkeypatch):
-    """List that gains one entry per scipy.fft.irfftn call during the test."""
-    return _counted(monkeypatch, "irfftn")
+    """List that gains one entry per inverse transform during the test:
+    `geometry.from_spectrum` makes one scipy.fft.irfft call, on the last axis."""
+    return _counted(monkeypatch, "irfft")
 
 
 @pytest.fixture

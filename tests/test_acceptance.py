@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from torusma.geometry import Torus, GridFunction, flat_metric, integrate
-from torusma.pluripotential import MeasureField, ma_measure, sublevel
+from torusma.pluripotential import ma_measure, sublevel
 from torusma.capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from torusma.regularize import (
     kernel_eta, kernel_profile_raw, kernel_second_moment, mollify, psh_repair,

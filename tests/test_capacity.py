@@ -5,7 +5,7 @@ import pytest
 
 from torusma.geometry import Torus, GridFunction, flat_metric
 from torusma.errors import PreconditionError
-from torusma.pluripotential import MeasureField, SublevelSet, ma_measure, sublevel
+from torusma.pluripotential import SublevelSet, ma_measure, sublevel
 from torusma.capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from torusma.fixtures import lp_density_fixture
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusma.errors import PreconditionError, DominationError
+from torusma.errors import PreconditionError
 from torusma.geometry import Torus, GridFunction, flat_metric, conformal_metric
 from torusma.pluripotential import ma_measure
 from torusma.solver import decompose_subsolution, solve_ma

@@ -9,7 +9,7 @@ from torusma.cli import main, load_config
 from torusma.errors import ConfigError
 from torusma.gridio import read_grid
 from torusma.pluripotential import MeasureField, ma_measure
-from torusma.geometry import flat_metric, integrate
+from torusma.geometry import flat_metric
 
 
 def read_csv(path):

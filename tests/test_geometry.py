@@ -243,3 +243,30 @@ def test_sup_normalized_keeps_a_normalized_function():
     g = f.sup_normalized()
     assert np.array_equal(g.values, f.values - f.values.max())
     assert g.sup_normalized() is g
+
+
+def test_grid_function_adopts_an_owned_array():
+    """An owned C-contiguous float64 array is frozen in place, not copied."""
+    t = Torus(1, 8)
+    arr = np.random.default_rng(0).standard_normal(t.shape)
+    f = GridFunction(t, arr)
+    assert f.values is arr
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a[:, ::-1],                              # a view
+    lambda a: np.asfortranarray(a),                    # not C-contiguous
+    lambda a: a.astype(np.float32),                    # converted
+    lambda a: a.tolist(),                              # not an array
+])
+def test_grid_function_copies_what_it_does_not_own(make):
+    t = Torus(1, 8)
+    base = np.random.default_rng(1).standard_normal(t.shape)
+    src = make(base)
+    f = GridFunction(t, src)
+    assert not np.shares_memory(f.values, base)
+    assert f.values.flags.c_contiguous and not f.values.flags.writeable
+    assert np.array_equal(f.values, np.asarray(src, dtype=float))
+    base[0, 0] = 5.0  # the caller's array stays writable

@@ -1,5 +1,6 @@
 """tools/check_knobs.py: every keyword default in torusma is set by some call,
-and every function of torusma is referenced outside the tests."""
+every function of torusma is referenced outside the tests, and no module
+imports a name it never reads."""
 
 import importlib.util
 from pathlib import Path
@@ -67,3 +68,32 @@ def test_reports_functions_nothing_references(tmp_path):
     # nothing, and h counts as reached by `unused` although nothing reaches it
     assert check_knobs.unreferenced(pkg, (tmp_path / "src", tools)) == [
         "K.n", "mod.unused"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert check_knobs.unused_imports() == []
+
+
+def test_reports_imports_nothing_reads(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .mod import f, g\n")
+    (pkg / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import sys\n"
+        "from math import pi, tau as two_pi\n"
+        "from json import *\n"
+        "def f():\n    return np.zeros(1) + pi\n"
+        "def g():\n    import re\n    return os.path.sep\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text(
+        "import pytest\nfrom pkg.mod import f, g\n\ndef test_f():\n    f()\n")
+    # __future__, a star import and __init__.py's re-exports never count;
+    # `import os.path` binds os, read as os.path.sep; an alias counts by the
+    # name it binds; a function-local import counts like any other
+    assert check_knobs.unused_imports((tmp_path / "src", tests), tmp_path) == [
+        "src/pkg/mod.py: re", "src/pkg/mod.py: sys", "src/pkg/mod.py: two_pi",
+        "tests/test_mod.py: g", "tests/test_mod.py: pytest"]

@@ -7,14 +7,15 @@ real transforms are checked against an independent implementation.
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from torusma.capacity import _ascent_gradient
 from torusma.geometry import (
     Torus, GridFunction, flat_metric, conformal_metric, complex_hessian,
     inverse_quarter_laplacian, gradient_sup_norm, omega_form,
-    spectral_symbols, to_spectrum,
+    spectral_symbols, to_spectrum, from_spectrum,
 )
-from torusma.regularize import build_kernel, kernel_profile_raw, mollify
+from torusma.regularize import build_kernel, kernel_eta, kernel_profile_raw, mollify
 from torusma.solver import _linearization
 
 REL = 1e-12
@@ -222,3 +223,52 @@ def test_symbols_cached_per_torus():
     sym = spectral_symbols(Torus(1, 32))
     assert len(sym.hess) == 1
     assert not sym.inv_quarter_lap.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# in-place synthesis and support-box kernels: bit for bit the direct forms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 1024), (2, 8), (2, 16)])
+def test_from_spectrum_bit_equals_irfftn(n, N):
+    """The split inverse (leading axes in place, then the last axis) equals
+    scipy's multi-axis irfftn bit for bit, and writes to neither argument."""
+    torus = Torus(n, N)
+    rng = np.random.default_rng(N + n)
+    F = scipy.fft.rfftn(rng.standard_normal(torus.shape))
+    sym = spectral_symbols(torus)
+    symbols = (sym.hess[0], sym.hess[-1], 1j * sym.xi[0], sym.inv_quarter_lap,
+               build_kernel(torus, 0.25).spectrum)
+    F_before = F.copy()
+    got = from_spectrum(torus, F)
+    assert np.array_equal(got, scipy.fft.irfftn(F, s=torus.shape))
+    assert np.array_equal(F, F_before)
+    for s in symbols:
+        s_before = s.copy()
+        got = from_spectrum(torus, F, s)
+        assert np.array_equal(got, scipy.fft.irfftn(s * F, s=torus.shape))
+        assert np.array_equal(F, F_before) and np.array_equal(s, s_before)
+
+
+def full_lattice_kernel(torus, delta):
+    """The kernel built on every lattice point: (spectrum, continuum mass)."""
+    d2 = torus.periodic_distance((0.0,) * torus.ndim_real) ** 2
+    raw = kernel_profile_raw(d2 / delta**2)
+    mass = float(kernel_eta(torus.n) * raw.sum() * torus.spacing ** torus.ndim_real
+                 / delta ** (2 * torus.n))
+    return scipy.fft.rfftn(raw / raw.sum()).real, mass
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 16)])
+def test_kernel_box_bit_equals_full_lattice(n, N):
+    """Every radius a default certificate builds (the dyadic radii from 1/4
+    down to 2/N: the rate ladder and the Kiselman-Legendre t-grids), and one
+    radius off the lattice, give the full-lattice kernel bit for bit."""
+    torus = Torus(n, N)
+    radii = [0.25 / 2**k for k in range(int(np.log2(N / 8)) + 1)] + [0.2]
+    assert radii[-2] == 2.0 / N
+    for delta in radii:
+        spectrum, mass = full_lattice_kernel(torus, delta)
+        kernel = build_kernel(torus, delta)
+        assert np.array_equal(kernel.spectrum, spectrum), delta
+        assert kernel.continuum_mass == mass, delta

@@ -20,10 +20,17 @@ attribute, or as a string constant that is a dotted name, one reference per
 part. Tests do not count, and the check is not transitive: a function that
 only an unreached one references counts as reached.
 
-Prints one `module.function: parameter` line per default that no call sets
-and one `unreferenced: module.function` line (`Class.method` for methods)
-per function nothing references, and exits 1 if there is any; a default no
-caller changes is a constant, and a function no command reaches is dead.
+A name a module imports counts as unused when no identifier in that module
+names it. Every .py file under src/, tests/ and tools/ is scanned, except
+`from __future__` imports and the package's `__init__.py`, whose imports are
+its public re-exports.
+
+Prints one `module.function: parameter` line per default that no call sets,
+one `unreferenced: module.function` line (`Class.method` for methods) per
+function nothing references and one `unused import: path: name` line per
+import nothing reads, and exits 1 if there is any; a default no caller
+changes is a constant, a function no command reaches is dead, and an import
+nothing reads is noise.
 """
 
 import ast
@@ -36,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torusma"
 CALLER_DIRS = tuple(ROOT / d for d in ("src", "tests", "tools", "bench"))
 REACH_DIRS = tuple(ROOT / d for d in ("src", "tools", "bench"))
+IMPORT_DIRS = tuple(ROOT / d for d in ("src", "tests", "tools"))
 _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
@@ -158,14 +166,42 @@ def unreferenced(package=PACKAGE, reach_dirs=REACH_DIRS):
     return sorted(dead)
 
 
+def _imported(tree):
+    """Names the imports of a module bind, `from __future__` aside."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names if a.name != "*"}
+    return bound
+
+
+def unused_imports(dirs=IMPORT_DIRS, root=ROOT):
+    """Sorted `path: name` labels of imported names their module never reads."""
+    unused = []
+    for base in dirs:
+        for path in sorted(base.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            rel = path.relative_to(root).as_posix()
+            unused += [f"{rel}: {name}" for name in _imported(tree) - read]
+    return sorted(unused)
+
+
 def main():
     unset = never_set()
     dead = unreferenced()
+    unused = unused_imports()
     for line in unset:
         print(line)
     for label in dead:
         print(f"unreferenced: {label}")
-    return 1 if unset or dead else 0
+    for label in unused:
+        print(f"unused import: {label}")
+    return 1 if unset or dead or unused else 0
 
 
 if __name__ == "__main__":
