@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .pluripotential import (
     MeasureField,
-    SublevelSet,
     psh_defect,
     psh_tolerance,
     is_omega_psh,

@@ -21,7 +21,7 @@ from .geometry import (
     spectral_symbols,
     to_spectrum,
 )
-from .pluripotential import SublevelSet, psh_tolerance
+from .pluripotential import psh_tolerance
 from .regularize import Mollifications, psh_repair
 
 _BOUND_SLACK = 1e-9
@@ -43,7 +43,6 @@ class DecayFit:
     C: float
     exponent: float   # alpha_1 for the exponential law, tau for the power law
     residual: float
-    law: str          # "exp" or "power"
 
 
 def _ascent_gradient(mask: np.ndarray, M: HermitianForm,
@@ -57,11 +56,11 @@ def _ascent_gradient(mask: np.ndarray, M: HermitianForm,
     return from_spectrum(torus, G)
 
 
-def _seed_candidates(E: SublevelSet, metric: HermitianMetric):
+def _seed_candidates(mask: np.ndarray, metric: HermitianMetric):
     """Zero function plus scaled relative-extremal heuristics (smoothed indicators)."""
     torus = metric.torus
     yield GridFunction.constant(torus, 0.0)
-    smoothed = Mollifications(GridFunction(torus, E.mask.astype(float)))
+    smoothed = Mollifications(GridFunction(torus, mask.astype(float)))
     for radius in (4.0 * torus.spacing, 8.0 * torus.spacing):
         if radius > 0.25:
             continue
@@ -70,9 +69,10 @@ def _seed_candidates(E: SublevelSet, metric: HermitianMetric):
             yield psh_repair(GridFunction(torus, vals), metric)
 
 
-def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int,
+def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
                       extra_candidates=()) -> CapacityEstimate:
-    """Projected-ascent maximization of the masked Monge-Ampere mass.
+    """Projected-ascent maximization of the Monge-Ampere mass on the set
+    whose boolean lattice mask is `mask`.
 
     Alternates a gradient step with clamping to [0,1] and psh repair; every
     reported value comes from a candidate that passed feasibility
@@ -83,7 +83,6 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int,
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
     torus = metric.torus
-    mask = E.mask
     if not mask.any():
         return CapacityEstimate(0.0, GridFunction.constant(torus, 0.0), 0)
 
@@ -108,7 +107,7 @@ def estimate_capacity(E: SublevelSet, metric: HermitianMetric, budget: int,
             best_val = val
             best_v, best_form = v, M
 
-    for seed in _seed_candidates(E, metric):
+    for seed in _seed_candidates(mask, metric):
         consider(seed)
     for cand in extra_candidates:
         consider(cand)
@@ -177,7 +176,7 @@ def fit_volume_capacity(caps, masses, n: int) -> DecayFit:
     active = masses > 0.0
     C = float(np.max(masses[active] / bound[active]))
     residual = float(np.max(masses - C * bound))
-    return DecayFit(C=C, exponent=_ALPHA1, residual=residual, law="exp")
+    return DecayFit(C=C, exponent=_ALPHA1, residual=residual)
 
 
 def fit_htau(caps, masses, tau: float) -> DecayFit:
@@ -191,4 +190,4 @@ def fit_htau(caps, masses, tau: float) -> DecayFit:
     else:
         C = 0.0
     residual = float(np.max(masses - C * caps ** (1.0 + tau)))
-    return DecayFit(C=C, exponent=float(tau), residual=residual, law="power")
+    return DecayFit(C=C, exponent=float(tau), residual=residual)

@@ -59,14 +59,11 @@ class StabilityRow:
 @dataclass(frozen=True)
 class StabilityCheck:
     gamma: float
-    tau: float
     lhs: float      # sup_X (psi - phi)
-    l1_norm: float  # ||(psi - phi)_+||_{L1(d mu)}
-    C: float        # smallest constant making lhs <= C l1^gamma
+    C: float        # smallest constant making lhs <= C ||(psi - phi)_+||^gamma
     rhs: float
     passed: bool
     growth_C: float        # fitted constant of the capacity-growth rows
-    apriori_C: float       # fitted constant of s <= C cap^(tau/n)
     ledger: list = field(default_factory=list)
 
 
@@ -83,7 +80,9 @@ def stability_check(psi: GridFunction, phi: GridFunction, mu: MeasureField,
     eps in (0.1, 0.2, 0.3) and hbar(s) = s^(1/tau).
 
     Capacity lower bounds weaken only the left side of each ledger row, so a
-    PASS is conservative.
+    PASS is conservative. Sublevel sets recur across (eps, s); the capacity
+    estimate is deterministic in its set, so each distinct set is estimated
+    once.
     """
     n = metric.torus.n
     tol = psh_tolerance(metric)
@@ -111,17 +110,20 @@ def stability_check(psi: GridFunction, phi: GridFunction, mu: MeasureField,
 
     # capacity-growth ledger rows: t^n cap(U(eps,s)) <= C mu(U(eps,s+t))
     B = metric.B
+    caps = {}  # mask bytes -> certified lower bound
     rows_raw = []
     for eps in (0.1, 0.2, 0.3):
         eps_B = eps**n / 3.0 if B == 0.0 else min(eps**n, eps**3 / (16.0 * B)) / 3.0
         t_max = 4.0 / 3.0 * (1.0 - eps) * 3.0 * eps_B
         for s in _log_points(eps_B):
             E_s = sublevel(phi, psi, eps, s)
-            cap_s = estimate_capacity(E_s, metric, budget=budget).lower
+            key = E_s.tobytes()
+            if key not in caps:
+                caps[key] = estimate_capacity(E_s, metric, budget=budget).lower
+            cap_s = caps[key]
             hbar = s ** (1.0 / tau)
             for t in _log_points(min(t_max, eps_B)):
-                E_st = sublevel(phi, psi, eps, s + t)
-                mass_st = mu.mass_on(E_st.mask, metric)
+                mass_st = mu.mass_on(sublevel(phi, psi, eps, s + t), metric)
                 rows_raw.append((eps, s, t, cap_s, mass_st, hbar))
     ratios = [t**n * cap / mass for (_, s, t, cap, mass, _) in rows_raw if mass > 0.0]
     growth_C = max(ratios) if ratios else 0.0
@@ -129,13 +131,10 @@ def stability_check(psi: GridFunction, phi: GridFunction, mu: MeasureField,
     for eps, s, t, cap, mass, hbar in rows_raw:
         slack = growth_C * mass - t**n * cap
         ledger.append(StabilityRow(eps, s, t, cap, mass, hbar, float(slack)))
-    apriori = [s / cap ** (tau / n) for (_, s, _, cap, _, _) in rows_raw if cap > 0.0]
-    apriori_C = max(apriori) if apriori else 0.0
 
     return StabilityCheck(
-        gamma=gamma, tau=tau, lhs=lhs, l1_norm=l1, C=float(C), rhs=float(rhs),
-        passed=bool(passed), growth_C=float(growth_C), apriori_C=float(apriori_C),
-        ledger=ledger,
+        gamma=gamma, lhs=lhs, C=float(C), rhs=float(rhs), passed=bool(passed),
+        growth_C=float(growth_C), ledger=ledger,
     )
 
 
@@ -187,9 +186,7 @@ class HoelderCertificate:
     alpha: float
     alpha1: float
     gamma: float
-    tau: float
     kappa: float               # formula value exp(-2 A C6 / (1 - delta0^alpha))
-    delta0: float
     C4: float
     C6: float
     C7: float
@@ -233,13 +230,15 @@ def _certificate_row(family: Mollifications, d: float, b: float, alpha: float,
     )
 
 
-def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
+def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
                         metric: HermitianMetric, delta_list,
-                        model: MeasureField | None = None) -> HoelderCertificate:
+                        model: MeasureField) -> HoelderCertificate:
     """Run the full Hoelder chain on a solution of (omega + dd^c phi)^n = c mu.
 
-    `model` is (omega + dd^c phi)^n when the caller already has it, as a
-    solve's report does; otherwise it is computed here.
+    `family` is the family rho_t phi of the sup-normalized solution phi
+    (sup phi = 0, as `solve_ma` returns it); every radius below is read from
+    it, so a caller that needs rho_t phi too reads the same fields. `model`
+    is (omega + dd^c phi)^n, as a solve's report carries it.
 
     The monotonicity level uses K_eff = metric.K + sigma_n (kernel second
     moment): the omega term contributes sigma_n t^2 to the Kiselman-Legendre
@@ -253,8 +252,6 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
     ladder = rate_deltas(deltas, torus)
 
     # precondition: phi solves the equation for mu up to the constant
-    if model is None:
-        model = ma_measure(phi, metric)
     c = model.mass / mu.mass
     mismatch = float(np.abs(model.density.values - c * mu.density.values).max())
     if mismatch > 1e-6 * max(1.0, c * float(mu.density.values.max())):
@@ -262,19 +259,19 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
             f"phi does not solve omega_phi^n = c mu: sup mismatch {mismatch:.3e}"
         )
     del model
-
-    phi = phi.sup_normalized()
+    phi = family.phi
+    top = phi.values.max()
+    if top != 0.0:
+        raise PreconditionError(f"phi must be sup-normalized, got sup phi = {top:.3e}")
     gamma = stability_gamma(n, tau)
 
-    span = phi.values.max() - phi.values.min()
+    span = top - phi.values.min()
     if span < 1e-13:
         return HoelderCertificate(
-            alpha=gamma, alpha1=1.0, gamma=gamma, tau=tau, kappa=1.0,
-            delta0=deltas[0], C4=0.0, C6=0.0, C7=0.0, measured_exponent=1.0,
-            rows=[], passed=True, trivial=True,
+            alpha=gamma, alpha1=1.0, gamma=gamma, kappa=1.0, C4=0.0, C6=0.0,
+            C7=0.0, measured_exponent=1.0, rows=[], passed=True, trivial=True,
         )
 
-    family = Mollifications(phi)  # every rho_t phi below, each t computed once
     alpha1, _ = l1_rate(family, mu, ladder, metric)
     alpha = min(gamma, alpha1)
     if alpha <= 0.0:
@@ -301,8 +298,8 @@ def hoelder_certificate(phi: GridFunction, mu: MeasureField, tau: float,
     finite = all(np.isfinite([C4, C6, C7, kappa, alpha1]))
     all_ok = all(r.sandwich_ok and r.diff2_ok for r in rows)
     return HoelderCertificate(
-        alpha=float(alpha), alpha1=float(alpha1), gamma=float(gamma), tau=float(tau),
-        kappa=float(kappa), delta0=float(delta0), C4=C4, C6=float(C6), C7=float(C7),
+        alpha=float(alpha), alpha1=float(alpha1), gamma=float(gamma),
+        kappa=float(kappa), C4=C4, C6=float(C6), C7=float(C7),
         measured_exponent=measured, rows=rows, passed=bool(all_ok and finite),
     )
 
@@ -347,5 +344,6 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
         )
     mu = MeasureField.from_density(GridFunction(metric.torus, mixed), metric)
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
-    cert = hoelder_certificate(report.phi, mu, tau, metric, delta_list, report.ma)
+    cert = hoelder_certificate(Mollifications(report.phi), mu, tau, metric,
+                               delta_list, report.ma)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)

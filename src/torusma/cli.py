@@ -40,14 +40,6 @@ def _ints(text):
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _bool(text):
-    if text.lower() in ("1", "true", "yes"):
-        return True
-    if text.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text}")
-
-
 _SCHEMA = {
     "torus": {"n": (int, 1), "N": (int, 64)},
     "metric": {"kind": (str, "flat"), "amplitude": (float, 0.0)},
@@ -57,7 +49,7 @@ _SCHEMA = {
     "certificate": {"tau": (float, 1.0),
                     "delta_list": (_floats, (1 / 8, 1 / 16, 1 / 32))},
     "stability": {"tau": (float, 1.0), "amplitude": (float, 1e-2),
-                  "corrupt_mu": (_bool, False), "budget": (int, 10)},
+                  "budget": (int, 10)},
     "run": {"seed": (int, 0), "out": (str, "out")},
     "sweep": {"command": (str, "solve"), "N": (_ints, None), "tau": (_floats, None)},
 }
@@ -237,14 +229,14 @@ def run_capacity(cfg, out, dump_stages, rng):
     # keeping the certified lower bounds monotone
     for k in reversed(range(8)):
         s = 1.9 * osc * 2.0 ** (-k)
-        E = sublevel(ref, zero, 0.3, s)
+        mask = sublevel(ref, zero, 0.3, s)
         extra = () if prev is None else (prev.candidate,)
-        cap = estimate_capacity(E, metric, budget=20, extra_candidates=extra)
-        mass = mu.mass_on(E.mask, metric)
+        cap = estimate_capacity(mask, metric, budget=20, extra_candidates=extra)
+        mass = mu.mass_on(mask, metric)
         if prev is not None and cap.lower < prev.lower - 1e-12:
             monotone = False
         prev = cap
-        rows.append((s, E.fraction(), mass, cap.lower))
+        rows.append((s, float(mask.mean()), mass, cap.lower))
     rows.reverse()
     # the fits use exactly the mu_mass and cap_lower columns of capacity.csv
     _, _, masses, caps = zip(*rows)
@@ -296,8 +288,6 @@ def run_stability(cfg, out, dump_stages, rng):
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     psi, phi, mu, metric = fixtures.stability_pair(
         n, N, cfg["stability"]["amplitude"])
-    if cfg["stability"]["corrupt_mu"]:
-        mu = mu.scaled(1.01, metric)
     chk = stability_check(psi, phi, mu, cfg["stability"]["tau"], metric,
                           budget=cfg["stability"]["budget"])
     write_csv(os.path.join(out, "stability.csv"),
@@ -330,16 +320,17 @@ def run_certificate(cfg, out, dump_stages, rng):
     mu, phi_star = _build_measure(cfg, metric)
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
-    cert = hoelder_certificate(rep.phi, mu, cfg["certificate"]["tau"], metric,
+    family = Mollifications(rep.phi)  # the certificate's, and the dumps'
+    cert = hoelder_certificate(family, mu, cfg["certificate"]["tau"], metric,
                                cfg["certificate"]["delta_list"], rep.ma)
+    if dump_stages:
+        for d in cfg["certificate"]["delta_list"]:
+            write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"), family(d))
+    del family
     write_csv(os.path.join(out, "certificate.csv"), _CERT_HEADER,
               _cert_rows(cert))
     write_grid(os.path.join(out, "phi.cmag"), rep.phi)
     write_grid(os.path.join(out, "mu_density.cmag"), mu.density)
-    if dump_stages:
-        family = Mollifications(rep.phi)
-        for d in cfg["certificate"]["delta_list"]:
-            write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"), family(d))
     ok = cert.passed and rep.converged
     line = _summary("certificate", ok, alpha=cert.alpha, alpha1=cert.alpha1,
                     gamma=cert.gamma, kappa=cert.kappa, C4=cert.C4, C6=cert.C6,

@@ -108,21 +108,6 @@ class GridFunction:
         top = self.values.max()
         return self if top == 0.0 else GridFunction(self.torus, self.values - top)
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.torus, self.values + other.values)
-        return GridFunction(self.torus, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.torus, self.values - other.values)
-        return GridFunction(self.torus, self.values - other)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.torus, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class HermitianMetric:
@@ -366,10 +351,15 @@ def gradient_sup_norm(f: GridFunction) -> float:
 def integrate(density, metric: HermitianMetric) -> float:
     """Lattice integral of `density` against the metric volume det g dV.
 
-    Rectangle rule, exact for the torus by periodicity.
+    Rectangle rule, exact for the torus by periodicity. A det g of 1.0 (the
+    flat metric) is not multiplied in: x * 1.0 = x, and the product would be
+    a fresh lattice field.
     """
     values = density.values if isinstance(density, GridFunction) else np.asarray(density)
-    return float(np.mean(values * metric.det()) * metric.torus.volume)
+    det = metric.det()
+    if np.ndim(det) != 0 or det != 1.0:
+        values = values * det
+    return float(np.mean(values) * metric.torus.volume)
 
 
 def conformal_metric(torus: Torus, amplitude: float) -> HermitianMetric:

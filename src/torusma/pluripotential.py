@@ -36,23 +36,11 @@ class MeasureField:
         return cls(density=clamped, mass=integrate(clamped, metric))
 
     def scaled(self, s: float, metric: HermitianMetric) -> "MeasureField":
-        return MeasureField.from_density(self.density * s, metric)
+        density = GridFunction(self.density.torus, self.density.values * s)
+        return MeasureField.from_density(density, metric)
 
     def mass_on(self, mask: np.ndarray, metric: HermitianMetric) -> float:
         return integrate(self.density.values * mask, metric)
-
-
-@dataclass(frozen=True)
-class SublevelSet:
-    """U(eps, s) = {phi < (1-eps) psi + inf_X[phi - (1-eps) psi] + s}."""
-
-    mask: np.ndarray
-    eps: float
-    s: float
-    S_eps: float  # inf_X [phi - (1-eps) psi]
-
-    def fraction(self) -> float:
-        return float(self.mask.mean())
 
 
 def psh_tolerance(metric: HermitianMetric) -> float:
@@ -96,12 +84,13 @@ def _checked_measure(M: HermitianForm, metric: HermitianMetric) -> MeasureField:
     return _measure_of_form(M, metric)
 
 
-def sublevel(phi: GridFunction, psi: GridFunction, eps: float, s: float) -> SublevelSet:
+def sublevel(phi: GridFunction, psi: GridFunction, eps: float, s: float) -> np.ndarray:
+    """Boolean lattice mask of the sublevel set
+    U(eps, s) = {phi < (1-eps) psi + S_eps + s}, S_eps = inf_X [phi - (1-eps) psi]."""
     if not 0.0 < eps < 1.0:
         raise PreconditionError(f"eps must lie in (0,1), got {eps}")
     if s <= 0.0:
         raise PreconditionError(f"s must be positive, got {s}")
     diff = phi.values - (1.0 - eps) * psi.values
     S_eps = float(diff.min())
-    mask = phi.values < (1.0 - eps) * psi.values + S_eps + s
-    return SublevelSet(mask=mask, eps=eps, s=s, S_eps=S_eps)
+    return phi.values < (1.0 - eps) * psi.values + S_eps + s

@@ -17,8 +17,8 @@ from torusma.geometry import Torus, GridFunction, flat_metric, integrate
 from torusma.pluripotential import ma_measure, sublevel
 from torusma.capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from torusma.regularize import (
-    kernel_eta, kernel_profile_raw, kernel_second_moment, mollify, psh_repair,
-    discrete_mass_convergence,
+    Mollifications, kernel_eta, kernel_profile_raw, kernel_second_moment, mollify,
+    psh_repair, discrete_mass_convergence,
 )
 from torusma.solver import solve_ma, continuation_solve
 from torusma.certify import (
@@ -201,7 +201,8 @@ def test_criterion_07_hoelder_certificate():
     m = flat_metric(Torus(1, 64))
     mu = lp_density_fixture(2.0, 0.5, m)
     rep = solve_ma(mu, m, tol=1e-10)
-    cert = hoelder_certificate(rep.phi, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
+    cert = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
+                               (1 / 8, 1 / 16, 1 / 32), rep.ma)
     dt = time.monotonic() - t0
     kh = [r.kappa_hat for r in cert.rows]
     kappa_spread = max(kh) / min(kh)
@@ -233,8 +234,8 @@ def test_criterion_08_volume_capacity_fits():
         extra = () if prev is None else (prev.candidate,)
         cap = estimate_capacity(E, m, budget=10, extra_candidates=extra)
         caps.append(cap.lower)
-        masses.append(mu.mass_on(E.mask, m))
-        if cap.lower < base_mass.mass_on(E.mask, m):
+        masses.append(mu.mass_on(E, m))
+        if cap.lower < base_mass.mass_on(E, m):
             lb_ok = False
         if prev is not None and cap.lower < prev.lower:
             mono_ok = False

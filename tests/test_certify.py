@@ -8,6 +8,7 @@ import pytest
 from torusma.errors import PreconditionError
 from torusma.geometry import Torus, GridFunction, flat_metric, conformal_metric
 from torusma.pluripotential import ma_measure
+from torusma.regularize import Mollifications
 from torusma.solver import decompose_subsolution, solve_ma
 from torusma.certify import (
     stability_gamma, stability_check, hoelder_certificate, mixture_measure,
@@ -70,7 +71,22 @@ class TestStabilityCheck:
 
     def test_fitted_constants_finite(self, chk64):
         assert np.isfinite(chk64.growth_C) and chk64.growth_C > 0.0
-        assert np.isfinite(chk64.apriori_C) and chk64.apriori_C > 0.0
+
+    @pytest.mark.parametrize("n, N, distinct", [(1, 64, 11), (2, 16, 8)])
+    def test_each_distinct_set_estimated_once(self, n, N, distinct, monkeypatch):
+        import torusma.certify
+        masks = []
+        estimate = torusma.certify.estimate_capacity
+
+        def counted(mask, *args, **kwargs):
+            masks.append(mask.tobytes())
+            return estimate(mask, *args, **kwargs)
+
+        monkeypatch.setattr(torusma.certify, "estimate_capacity", counted)
+        psi, phi, mu, m = stability_pair(n, N, 1e-2)
+        chk = stability_check(psi, phi, mu, 1.0, m, budget=1)
+        assert len(chk.ledger) == 75
+        assert len(masks) == len(set(masks)) == distinct
 
     def test_constant_scales_with_amplitude_law(self):
         # C(a) tracks a^(1-gamma): the sup side is linear in a while the
@@ -84,7 +100,7 @@ class TestStabilityCheck:
 
     def test_positive_psi_rejected(self):
         psi, phi, mu, m = stability_pair(1, 64, 1e-2)
-        bad = psi + 0.5
+        bad = GridFunction(psi.torus, psi.values + 0.5)
         with pytest.raises(PreconditionError):
             stability_check(bad, phi, mu, 1.0, m, budget=4)
 
@@ -100,8 +116,8 @@ class TestHoelderCertificate:
         m = flat_metric(Torus(1, 64))
         mu = lp_density_fixture(2.0, 0.5, m)
         rep = solve_ma(mu, m, tol=1e-10)
-        cert = hoelder_certificate(rep.phi, mu, 1.0, m,
-                                   (1 / 8, 1 / 16, 1 / 32))
+        cert = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
+                                   (1 / 8, 1 / 16, 1 / 32), rep.ma)
         return cert, rep, mu, m
 
     def test_certificate_passes(self, cert_l2):
@@ -131,17 +147,25 @@ class TestHoelderCertificate:
     def test_trivial_pass_for_constant(self):
         m = flat_metric(Torus(1, 64))
         phi = GridFunction.constant(m.torus, 0.0)
-        cert = hoelder_certificate(phi, ma_measure(phi, m), 1.0, m,
-                                   (1 / 8, 1 / 16))
+        mu = ma_measure(phi, m)
+        cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
+                                   (1 / 8, 1 / 16), mu)
         assert cert.passed and cert.trivial
 
     def test_mismatched_measure_rejected(self, cert_l2):
         _, rep, mu, m = cert_l2
         other = lp_density_fixture(2.0, 0.3, m)
-        with pytest.raises(PreconditionError):
-            hoelder_certificate(rep.phi, other, 1.0, m, (1 / 8, 1 / 16))
-        with pytest.raises(PreconditionError):
-            hoelder_certificate(rep.phi, other, 1.0, m, (1 / 8, 1 / 16), rep.ma)
+        with pytest.raises(PreconditionError, match="does not solve"):
+            hoelder_certificate(Mollifications(rep.phi), other, 1.0, m,
+                                (1 / 8, 1 / 16), rep.ma)
+
+    def test_unnormalized_phi_rejected(self, cert_l2):
+        # the family of phi - 0.1 has the same measure, but sup 0 is required
+        _, rep, mu, m = cert_l2
+        lowered = GridFunction(m.torus, rep.phi.values - 0.1)
+        with pytest.raises(PreconditionError, match="sup-normalized"):
+            hoelder_certificate(Mollifications(lowered), mu, 1.0, m,
+                                (1 / 8, 1 / 16), rep.ma)
 
     def test_solve_measure_spares_the_precondition(self, cert_l2, monkeypatch):
         import torusma.geometry
@@ -154,18 +178,20 @@ class TestHoelderCertificate:
             return hessian(f)
 
         monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
-        again = hoelder_certificate(rep.phi, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32),
-                                    rep.ma)
+        again = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
+                                    (1 / 8, 1 / 16, 1 / 32), rep.ma)
         assert calls == []
         assert again == cert
 
     def test_one_inverse_transform_per_radius(self, inverse_transforms):
         # N=128, deltas 1/8, 1/16, 1/32: the rate ladder adds 1/4 and the
         # Kiselman-Legendre t-grids reach 2/N = 1/64, so 5 distinct radii;
-        # the precondition's n=1 Hessian makes one more inverse transform
+        # the model measure's n=1 Hessian makes one more inverse transform
         phi, mu, m = manufactured_cos(1, 128)
         inverse_transforms.clear()
-        cert = hoelder_certificate(phi, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
+        model = ma_measure(phi, m)
+        cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
+                                   (1 / 8, 1 / 16, 1 / 32), model)
         assert cert.passed and not cert.trivial
         assert len(inverse_transforms) == 5 + 1
 
@@ -175,7 +201,7 @@ def test_modulus_radius_is_kl_minimizer(b):
     # small levels move the KL minimizer below delta (kappa_hat < 1); the
     # modulus is rho_r phi - phi at r = max(kappa_hat delta, 2/N) = t0_min
     from torusma.certify import _certificate_row
-    from torusma.regularize import Mollifications, mollify
+    from torusma.regularize import mollify
     t = Torus(1, 64)
     phi = GridFunction(t, 0.05 * np.abs(np.sin(np.pi * t.axis_coord(0))) ** 0.5
                        + 0.01 * np.cos(2 * np.pi * t.axis_coord(1)) - 0.1)

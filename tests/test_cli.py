@@ -115,10 +115,17 @@ class TestCapacityCommand:
 
 
 class TestErrorPaths:
-    def test_corrupted_mu_exits_one(self, tmp_path, capsys):
+    def test_corrupted_mu_exits_one(self, tmp_path, capsys, monkeypatch):
+        import torusma.fixtures
+        pair = torusma.fixtures.stability_pair
+
+        def corrupted(*args):
+            psi, phi, mu, metric = pair(*args)
+            return psi, phi, mu.scaled(1.01, metric), metric
+
+        monkeypatch.setattr(torusma.fixtures, "stability_pair", corrupted)
         ini = tmp_path / "c.ini"
-        ini.write_text("[stability]\ncorrupt_mu = true\nbudget = 4\n"
-                       "[torus]\nN = 32\n")
+        ini.write_text("[stability]\nbudget = 4\n[torus]\nN = 32\n")
         code = main(["stability", "--config", str(ini),
                      "--out", str(tmp_path / "o")])
         assert code == 1
@@ -256,6 +263,29 @@ class TestLatticeRoundOffFloor:
         assert capsys.readouterr().out.startswith("certificate PASS")
         rows = read_csv(out / "certificate.csv")
         assert rows and all(r["sandwich_ok"] == r["diff2_ok"] == "true" for r in rows)
+
+
+class TestCertificateCommand:
+    def test_dump_stages_transforms_nothing_more(self, tmp_path, capsys,
+                                                 forward_transforms,
+                                                 inverse_transforms):
+        # the mollified grids are read from the certificate's own family
+        from torusma.regularize import _kernel
+        ini = tmp_path / "c.ini"
+        ini.write_text("[torus]\nN = 256\n")
+        counts = []
+        for flags in ([], ["--dump-stages"]):
+            out = tmp_path / f"o{len(counts)}"
+            _kernel.cache_clear()  # each run builds its kernels
+            forward_transforms.clear()
+            inverse_transforms.clear()
+            assert main(["certificate", "--config", str(ini),
+                         "--out", str(out)] + flags) == 0
+            counts.append((len(forward_transforms), len(inverse_transforms)))
+        assert counts[1] == counts[0]
+        assert sorted(p.name for p in out.glob("mollified_*.cmag")) == [
+            "mollified_0.03125.cmag", "mollified_0.0625.cmag",
+            "mollified_0.125.cmag"]
 
 
 class TestStabilityCommand:

@@ -163,6 +163,27 @@ class TestIntegration:
         m = flat_metric(Torus(2, 8))
         assert integrate(np.ones(m.torus.shape), m) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.2])
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 8)])
+    def test_bit_equal_to_the_det_g_product(self, n, N, amplitude):
+        m = conformal_metric(Torus(n, N), amplitude)
+        values = np.random.default_rng(n).random(m.torus.shape)
+        expected = float(np.mean(values * m.det()))
+        assert integrate(values, m) == expected
+        assert integrate(GridFunction(m.torus, values), m) == expected
+
+    def test_flat_metric_allocates_no_field(self):
+        import tracemalloc
+        m = flat_metric(Torus(1, 256))
+        values = np.random.default_rng(0).random(m.torus.shape)
+        tracemalloc.start()
+        try:
+            integrate(values, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 2
+
     def test_gradient_sup_norm_sine(self):
         t = Torus(1, 128)
         a = 0.07

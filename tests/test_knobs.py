@@ -1,6 +1,6 @@
 """tools/check_knobs.py: every keyword default in torusma is set by some call,
-every function of torusma is referenced outside the tests, and no module
-imports a name it never reads."""
+every function of torusma is referenced outside the tests, every dataclass
+field is read somewhere, and no module imports a name it never reads."""
 
 import importlib.util
 from pathlib import Path
@@ -68,6 +68,32 @@ def test_reports_functions_nothing_references(tmp_path):
     # nothing, and h counts as reached by `unused` although nothing reaches it
     assert check_knobs.unreferenced(pkg, (tmp_path / "src", tools)) == [
         "K.n", "mod.unused"]
+
+
+def test_every_dataclass_field_is_read():
+    assert check_knobs.unread_fields() == []
+
+
+def test_reports_fields_nothing_reads(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n    x: float\n    y: int = 0\n    z: str = ''\n"
+        "    def total(self):\n        return self.x\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n    w: float\n    v: float\n"
+        "class Plain:\n    u: float\n"
+        "def make():\n    a = A(1.0)\n    a.z = 's'\n    return a\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text("def test_b(b):\n    assert b.w\n")
+    # x is read in a method and w by a test; y is never loaded, z is only
+    # stored, v is never touched, and Plain is not a dataclass
+    assert check_knobs.unread_fields(pkg, (tmp_path / "src", tests)) == [
+        "A.y", "A.z", "B.v"]
 
 
 def test_no_module_imports_a_name_it_never_reads():

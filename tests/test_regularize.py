@@ -336,7 +336,7 @@ class TestKiselmanLegendre:
         # reference: one mollify per t and a pointwise np.where minimum; the
         # transform must agree bit for bit (at b = 0.003 every t wins somewhere)
         phi, m = phi64
-        phi = phi + GridFunction(phi.torus, 0.01 * np.abs(
+        phi = GridFunction(phi.torus, phi.values + 0.01 * np.abs(
             np.sin(np.pi * phi.torus.axis_coord(1))) ** 0.5 * np.ones(phi.torus.shape))
         delta = 0.125
         T = kiselman_legendre(Mollifications(phi), delta, b, K)

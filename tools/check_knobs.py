@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""List the keyword defaults of torusma that no call ever sets, and the
-functions of torusma that nothing references.
+"""List the keyword defaults of torusma that no call ever sets, the
+functions of torusma that nothing references and the dataclass fields that
+nothing reads.
 
     python3 tools/check_knobs.py
 
@@ -20,6 +21,11 @@ attribute, or as a string constant that is a dotted name, one reference per
 part. Tests do not count, and the check is not transitive: a function that
 only an unreached one references counts as reached.
 
+A field of a `@dataclass` under src/torusma counts as read when some
+attribute load under src/, tests/, tools/ or bench/ has its name
+(`obj.field`, by name only, whatever obj is). Here tests count: a field a
+test reads is a diagnostic, one nothing reads is dead weight.
+
 A name a module imports counts as unused when no identifier in that module
 names it. Every .py file under src/, tests/ and tools/ is scanned, except
 `from __future__` imports and the package's `__init__.py`, whose imports are
@@ -27,10 +33,11 @@ its public re-exports.
 
 Prints one `module.function: parameter` line per default that no call sets,
 one `unreferenced: module.function` line (`Class.method` for methods) per
-function nothing references and one `unused import: path: name` line per
-import nothing reads, and exits 1 if there is any; a default no caller
-changes is a constant, a function no command reaches is dead, and an import
-nothing reads is noise.
+function nothing references, one `unread: Class.field` line per dataclass
+field nothing reads and one `unused import: path: name` line per import
+nothing reads, and exits 1 if there is any; a default no caller changes is
+a constant, a function no command reaches is dead, a field nothing reads is
+a value computed for no one, and an import nothing reads is noise.
 """
 
 import ast
@@ -166,6 +173,35 @@ def unreferenced(package=PACKAGE, reach_dirs=REACH_DIRS):
     return sorted(dead)
 
 
+def _is_dataclass(node):
+    """Whether a ClassDef carries @dataclass or @dataclass(...)."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(
+            target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package=PACKAGE, read_dirs=CALLER_DIRS):
+    """Sorted `Class.field` labels of dataclass fields no attribute load reads."""
+    loaded = set()
+    for root in read_dirs:
+        for path in sorted(root.rglob("*.py")):
+            loaded |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += [f"{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)
+                           and item.target.id not in loaded]
+    return sorted(unread)
+
+
 def _imported(tree):
     """Names the imports of a module bind, `from __future__` aside."""
     bound = set()
@@ -194,14 +230,17 @@ def unused_imports(dirs=IMPORT_DIRS, root=ROOT):
 def main():
     unset = never_set()
     dead = unreferenced()
+    unread = unread_fields()
     unused = unused_imports()
     for line in unset:
         print(line)
     for label in dead:
         print(f"unreferenced: {label}")
+    for label in unread:
+        print(f"unread: {label}")
     for label in unused:
         print(f"unused import: {label}")
-    return 1 if unset or dead or unused else 0
+    return 1 if unset or dead or unread or unused else 0
 
 
 if __name__ == "__main__":
