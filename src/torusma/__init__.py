@@ -67,6 +67,7 @@ from .certify import (
     MixtureResult,
     stability_gamma,
     stability_check,
+    check_solution,
     hoelder_certificate,
     mixture_measure,
     mixture_experiment,

@@ -4,7 +4,7 @@ the convexity (mixture) experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .pluripotential import (
     sublevel,
 )
 from .regularize import (
+    KLTransform,
     Mollifications,
     kernel_second_moment,
     kiselman_legendre,
@@ -196,12 +197,13 @@ class HoelderCertificate:
     trivial: bool = False
 
 
-def _certificate_row(family: Mollifications, d: float, b: float, alpha: float,
-                     K_eff: float, C4: float, scale: float) -> CertificateRow:
-    """One delta of the Hoelder chain; its fields are freed on return. The
-    modulus radius kappa_hat d = t0_min lies on the t-grid, so it is a lookup."""
+def _certificate_row(family: Mollifications, d: float, b: float, T: KLTransform,
+                     alpha: float, K_eff: float, C4: float,
+                     scale: float) -> CertificateRow:
+    """The checks of one delta of the Hoelder chain on its Kiselman-Legendre
+    transform T; the modulus radius kappa_hat d = t0_min and the modulus come
+    from the transform."""
     phi = family.phi.values
-    T = kiselman_legendre(family, d, b, K_eff)
     value = T.value.values
     # two work fields and one mask carry every lattice expression below
     work = np.empty_like(phi)
@@ -222,23 +224,35 @@ def _certificate_row(family: Mollifications, d: float, b: float, alpha: float,
     gap_field = np.subtract(Phi_d, phi, out=work)
     diff2_ok = bool(np.all(np.less_equal(gap_field, upper, out=test)))
     gap = float(gap_field.max())
-    t0_min = float(T.t_opt.values.min())
-    modulus = float(np.subtract(family(t0_min).values, phi, out=work).max())
     return CertificateRow(
-        delta=d, b=float(b), gap=gap, t0_min=t0_min, kappa_hat=float(t0_min / d),
-        modulus=modulus, sandwich_ok=sandwich_ok, diff2_ok=diff2_ok and diff1_ok,
+        delta=d, b=float(b), gap=gap, t0_min=T.t0_min, kappa_hat=float(T.t0_min / d),
+        modulus=T.modulus, sandwich_ok=sandwich_ok, diff2_ok=diff2_ok and diff1_ok,
     )
 
 
+def check_solution(model: MeasureField, mu: MeasureField) -> None:
+    """The Hoelder chain's precondition: raise unless phi solves
+    (omega + dd^c phi)^n = c mu up to the constant c, where `model` is
+    (omega + dd^c phi)^n, as a solve's report carries it. Callers check while
+    the solve's measure is live and drop it before `hoelder_certificate`."""
+    c = model.mass / mu.mass
+    mismatch = float(np.abs(model.density.values - c * mu.density.values).max())
+    if mismatch > 1e-6 * max(1.0, c * float(mu.density.values.max())):
+        raise PreconditionError(
+            f"phi does not solve omega_phi^n = c mu: sup mismatch {mismatch:.3e}"
+        )
+
+
 def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
-                        metric: HermitianMetric, delta_list,
-                        model: MeasureField) -> HoelderCertificate:
-    """Run the full Hoelder chain on a solution of (omega + dd^c phi)^n = c mu.
+                        metric: HermitianMetric, delta_list) -> HoelderCertificate:
+    """Run the full Hoelder chain on a solution of (omega + dd^c phi)^n = c mu
+    that `check_solution` accepted.
 
     `family` is the family rho_t phi of the sup-normalized solution phi
-    (sup phi = 0, as `solve_ma` returns it); every radius below is read from
-    it, so a caller that needs rho_t phi too reads the same fields. `model`
-    is (omega + dd^c phi)^n, as a solve's report carries it.
+    (sup phi = 0, as `solve_ma` returns it). The rate fit and one
+    Kiselman-Legendre pass read every radius from it, each radius once, and
+    release each one after its last read, except the rows' rho_delta phi,
+    which stay for a caller that reads them too.
 
     The monotonicity level uses K_eff = metric.K + sigma_n (kernel second
     moment): the omega term contributes sigma_n t^2 to the Kiselman-Legendre
@@ -250,15 +264,6 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
     n = torus.n
     deltas = sorted((float(d) for d in delta_list), reverse=True)
     ladder = rate_deltas(deltas, torus)
-
-    # precondition: phi solves the equation for mu up to the constant
-    c = model.mass / mu.mass
-    mismatch = float(np.abs(model.density.values - c * mu.density.values).max())
-    if mismatch > 1e-6 * max(1.0, c * float(mu.density.values.max())):
-        raise PreconditionError(
-            f"phi does not solve omega_phi^n = c mu: sup mismatch {mismatch:.3e}"
-        )
-    del model
     phi = family.phi
     top = phi.values.max()
     if top != 0.0:
@@ -273,6 +278,9 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
         )
 
     alpha1, _ = l1_rate(family, mu, ladder, metric)
+    for d in ladder:
+        if d > deltas[0]:  # read by the rate fit alone
+            family.release(d)
     alpha = min(gamma, alpha1)
     if alpha <= 0.0:
         raise PreconditionError(f"nonpositive fitted exponent alpha1 = {alpha1}")
@@ -283,9 +291,9 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
     scale = CHAIN_SLACK * (1.0 + span)
     delta0 = deltas[0]
 
-    rows = [_certificate_row(family, d, _kl_level(d, alpha, K_eff, A),
-                             alpha, K_eff, C4, scale)
-            for d in deltas]
+    levels = [(d, _kl_level(d, alpha, K_eff, A)) for d in deltas]
+    rows = [_certificate_row(family, d, b, T, alpha, K_eff, C4, scale)
+            for (d, b), T in zip(levels, kiselman_legendre(family, levels, K_eff))]
 
     exp_pow = alpha * alpha1
     C6 = max((max(r.gap, 0.0) / r.delta**exp_pow for r in rows), default=0.0)
@@ -310,7 +318,7 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
 
 @dataclass(frozen=True)
 class MixtureResult:
-    report: SolveReport
+    report: SolveReport  # without its measure: ma is None
     certificate: HoelderCertificate
     domination_slack: float
 
@@ -343,7 +351,10 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
             f"mixture domination violated by {slack:.3e} (discretization artifact)"
         )
     mu = MeasureField.from_density(GridFunction(metric.torus, mixed), metric)
+    del mixed  # mu holds its own clamped copy
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
+    check_solution(report.ma, mu)
+    report = replace(report, ma=None)  # the precondition was its only reader
     cert = hoelder_certificate(Mollifications(report.phi), mu, tau, metric,
-                               delta_list, report.ma)
+                               delta_list)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)

@@ -22,8 +22,8 @@ from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from .regularize import (Mollifications, kernel_eta, build_kernel, l1_rate,
                          rate_deltas, discrete_mass_convergence)
 from .solver import solve_ma, continuation_solve
-from .certify import (check_level_formula, stability_check, hoelder_certificate,
-                      mixture_experiment)
+from .certify import (check_level_formula, check_solution, stability_check,
+                      hoelder_certificate, mixture_experiment)
 from .gridio import write_grid
 from . import fixtures
 
@@ -317,21 +317,24 @@ def run_certificate(cfg, out, dump_stages, rng):
     _rate_ladder(cfg, metric.torus)
     check_level_formula(metric, cfg["certificate"]["tau"],
                         cfg["certificate"]["delta_list"])
-    mu, phi_star = _build_measure(cfg, metric)
+    mu = _build_measure(cfg, metric)[0]  # phi* is not read
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
-    family = Mollifications(rep.phi)  # the certificate's, and the dumps'
+    check_solution(rep.ma, mu)
+    phi, converged = rep.phi, rep.converged
+    del rep  # the precondition was the measure's only reader
+    family = Mollifications(phi)  # the certificate's, and the dumps'
     cert = hoelder_certificate(family, mu, cfg["certificate"]["tau"], metric,
-                               cfg["certificate"]["delta_list"], rep.ma)
+                               cfg["certificate"]["delta_list"])
     if dump_stages:
         for d in cfg["certificate"]["delta_list"]:
             write_grid(os.path.join(out, f"mollified_{d:.6g}.cmag"), family(d))
     del family
     write_csv(os.path.join(out, "certificate.csv"), _CERT_HEADER,
               _cert_rows(cert))
-    write_grid(os.path.join(out, "phi.cmag"), rep.phi)
+    write_grid(os.path.join(out, "phi.cmag"), phi)
     write_grid(os.path.join(out, "mu_density.cmag"), mu.density)
-    ok = cert.passed and rep.converged
+    ok = cert.passed and converged
     line = _summary("certificate", ok, alpha=cert.alpha, alpha1=cert.alpha1,
                     gamma=cert.gamma, kappa=cert.kappa, C4=cert.C4, C6=cert.C6,
                     C7=cert.C7, measured_exponent=cert.measured_exponent)

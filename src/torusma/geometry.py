@@ -202,11 +202,15 @@ class HermitianForm:
     def trace(self) -> np.ndarray:
         return self.parts[0] if self.n == 1 else self.parts[0] + self.parts[1]
 
-    def min_eig(self) -> np.ndarray:
+    def min_eig(self, det: np.ndarray | None = None) -> np.ndarray:
+        """Smallest eigenvalue field; `det`, when given, is `self.det()`
+        already computed."""
         if self.n == 1:
             return self.parts[0]
+        if det is None:
+            det = self.det()
         half_tr = 0.5 * self.trace()
-        disc = np.sqrt(np.maximum(half_tr**2 - self.det(), 0.0))
+        disc = np.sqrt(np.maximum(half_tr**2 - det, 0.0))
         return half_tr - disc
 
     def adjugate_weights(self) -> tuple:

@@ -122,7 +122,8 @@ def _kernel(torus: Torus, delta: float) -> MollifierKernel:
 
 class Mollifications:
     """The family t -> rho_t phi: phi is transformed once, and each radius is
-    convolved at most once and kept until the family is dropped."""
+    convolved at most once. A field lives until its last reader releases it;
+    reading a released radius again is an error, not a second convolution."""
 
     def __init__(self, phi: GridFunction):
         self.phi = phi
@@ -134,7 +135,14 @@ class Mollifications:
             torus = self.phi.torus
             field = from_spectrum(torus, self._spectrum, build_kernel(torus, t).spectrum)
             self._fields[t] = GridFunction(torus, field)
-        return self._fields[t]
+        field = self._fields[t]
+        if field is None:
+            raise RuntimeError(f"rho_t phi at t = {t} was released by its last reader")
+        return field
+
+    def release(self, t: float) -> None:
+        """Drop rho_t phi: the caller was its last reader."""
+        self._fields[t] = None
 
 
 def mollify(phi: GridFunction, delta: float) -> GridFunction:
@@ -189,44 +197,74 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
 
 @dataclass(frozen=True)
 class KLTransform:
-    """inf over t in (0, delta] of rho_t phi + K t^2 + K t - b log(t / delta)."""
+    """inf over t in (0, delta] of rho_t phi + K t^2 + K t - b log(t / delta),
+    with t0_min, the least t at which the infimum is attained at some lattice
+    point, and modulus = sup(rho_t0_min phi - phi)."""
 
     value: GridFunction
-    t_opt: GridFunction
+    t0_min: float
+    modulus: float
     t_grid: tuple
 
 
-def kiselman_legendre(family: Mollifications, delta: float, b: float,
-                      K: float) -> KLTransform:
-    """Infimum over a geometric t-grid {delta 2^-k}, read from the family
-    rho_t phi; the -b log(t/delta) term blows up as t -> 0, so truncating the
-    grid at two lattice spacings is safe once rho_t phi is bounded."""
-    if b <= 0.0:
-        raise PreconditionError(f"level b must be positive, got {b}")
+def kiselman_legendre(family: Mollifications, levels, K: float) -> list:
+    """The transform of each (delta, b) in `levels`, over the geometric t-grid
+    {delta 2^-k}, in one descending pass over the union of the grids.
+
+    The -b log(t/delta) term blows up as t -> 0, so truncating a grid at two
+    lattice spacings is safe once rho_t phi is bounded. Each rho_t phi is read
+    once: its t-only part (rho_t phi + K t^2) + K t is formed once, and every
+    row whose grid holds t subtracts its b log(t/delta) and keeps a strict `<`
+    running infimum. A row's t0_min is the last t at which its infimum
+    dropped anywhere, which is the minimum over the lattice of the pointwise
+    minimizer, so its modulus is read while that field is live. Every radius
+    that is no row's delta is released once the pass has used it; the rows'
+    rho_delta phi stay in the family for the caller.
+    """
     torus = family.phi.torus
-    if delta < 2.0 * torus.spacing:
-        raise PreconditionError("delta must be at least two lattice spacings")
     t_min = 2.0 * torus.spacing
-    k_max = max(0, int(math.floor(math.log2(delta / t_min))))
-    t_grid = tuple(delta * 2.0**-k for k in range(k_max + 1))
-    # the running infimum is kept in place; the first t fills every point
-    best = np.full(torus.shape, np.inf)
-    best_t = np.full(torus.shape, delta)
+    grids = []
+    for delta, b in levels:
+        if b <= 0.0:
+            raise PreconditionError(f"level b must be positive, got {b}")
+        if delta < t_min:
+            raise PreconditionError("delta must be at least two lattice spacings")
+        k_max = max(0, int(math.floor(math.log2(delta / t_min))))
+        grids.append(tuple(delta * 2.0**-k for k in range(k_max + 1)))
+    phi = family.phi.values
+    rows = len(grids)
+    best, t0_min, modulus = [None] * rows, [None] * rows, [None] * rows
     cand = np.empty(torus.shape)
     take = np.empty(torus.shape, dtype=bool)
-    for t in t_grid:
+    deltas = {delta for delta, _ in levels}
+    for t in sorted(set().union(*grids), reverse=True):
+        rho = family(t).values
         # rho_t phi + K t^2 + K t - b log(t / delta), left to right
-        np.add(family(t).values, K * t * t, out=cand)
-        cand += K * t
-        cand -= b * math.log(t / delta)
-        np.less(cand, best, out=take)
-        np.copyto(best, cand, where=take)
-        np.copyto(best_t, t, where=take)
-    return KLTransform(
-        value=GridFunction(torus, best),
-        t_opt=GridFunction(torus, best_t),
-        t_grid=t_grid,
-    )
+        base = np.add(rho, K * t * t)
+        base += K * t
+        dropped = []
+        for i, ((delta, b), grid) in enumerate(zip(levels, grids)):
+            if t not in grid:
+                continue
+            np.subtract(base, b * math.log(t / delta), out=cand)
+            if best[i] is None:  # the row's first t fills every point
+                best[i] = cand.copy()
+            else:
+                np.less(cand, best[i], out=take)
+                if not take.any():
+                    continue
+                np.copyto(best[i], cand, where=take)
+            dropped.append(i)
+        if dropped:
+            sup = float(np.subtract(rho, phi, out=cand).max())
+            for i in dropped:
+                t0_min[i], modulus[i] = t, sup
+        if t not in deltas:
+            family.release(t)
+        # base, and rho_t phi once released, die before the next convolution
+        del rho, base
+    return [KLTransform(GridFunction(torus, v), t0, m, grid)
+            for v, t0, m, grid in zip(best, t0_min, modulus, grids)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ class SolveReport:
     convergence diagnostics."""
 
     phi: GridFunction
-    ma: MeasureField  # (omega + dd^c phi)^n, read from the form the solve built
+    # (omega + dd^c phi)^n, read from the form the solve built; None once a
+    # caller has dropped it
+    ma: MeasureField | None
     c: float
     residual_history: list
     c_trace: list
@@ -210,10 +212,12 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     def diagnostics(M: HermitianForm):
         """(c, residual, sup residual, min eigenvalue) of the form M."""
         det_M = M.det()
-        dens = det_M / detg
+        min_eig = float(M.min_eig(det_M).min())
         c = float(np.mean(det_M) * torus.volume) / mu.mass
-        res = dens - c * f
-        return c, res, float(np.abs(res).max()), float(M.min_eig().min())
+        res = det_M / detg  # the density, then the residual
+        det_M = None
+        res -= c * f
+        return c, res, float(np.abs(res).max()), min_eig
 
     form = metric.form()  # of phi = 0
     P = np.zeros(spectral_symbols(torus).quarter_lap.shape, dtype=complex)

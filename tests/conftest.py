@@ -1,7 +1,12 @@
 """Shared test fixtures."""
 
+import math
+
+import numpy as np
 import pytest
 import scipy.fft
+
+from torusma.regularize import mollify
 
 
 def _counted(monkeypatch, name):
@@ -28,3 +33,31 @@ def inverse_transforms(monkeypatch):
 def forward_transforms(monkeypatch):
     """List that gains one entry per scipy.fft.rfftn call during the test."""
     return _counted(monkeypatch, "rfftn")
+
+
+def _reference_kiselman_legendre(phi, delta, b, K):
+    """One row of the Kiselman-Legendre transform in a loop of its own, as
+    the chain ran it row by row: each rho_t phi from its own `mollify`, the
+    minimand rho_t phi + K t^2 + K t - b log(t / delta) formed left to right,
+    and the pointwise minimizer t_opt kept as a field. Returns
+    (value, t_opt, t_grid)."""
+    torus = phi.torus
+    t_min = 2.0 * torus.spacing
+    k_max = max(0, int(math.floor(math.log2(delta / t_min))))
+    t_grid = tuple(delta * 2.0**-k for k in range(k_max + 1))
+    best = np.full(torus.shape, np.inf)
+    best_t = np.full(torus.shape, delta)
+    for t in t_grid:
+        cand = mollify(phi, t).values + K * t * t
+        cand += K * t
+        cand -= b * math.log(t / delta)
+        take = cand < best
+        best[take] = cand[take]
+        best_t[take] = t
+    return best, best_t, t_grid
+
+
+@pytest.fixture
+def kl_reference():
+    """The per-row Kiselman-Legendre reference (value, t_opt, t_grid)."""
+    return _reference_kiselman_legendre

@@ -22,7 +22,7 @@ from torusma.regularize import (
 )
 from torusma.solver import solve_ma, continuation_solve
 from torusma.certify import (
-    stability_gamma, stability_check, hoelder_certificate,
+    stability_gamma, stability_check, check_solution, hoelder_certificate,
     mixture_measure, mixture_experiment,
 )
 from torusma.fixtures import (
@@ -201,8 +201,9 @@ def test_criterion_07_hoelder_certificate():
     m = flat_metric(Torus(1, 64))
     mu = lp_density_fixture(2.0, 0.5, m)
     rep = solve_ma(mu, m, tol=1e-10)
+    check_solution(rep.ma, mu)
     cert = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
-                               (1 / 8, 1 / 16, 1 / 32), rep.ma)
+                               (1 / 8, 1 / 16, 1 / 32))
     dt = time.monotonic() - t0
     kh = [r.kappa_hat for r in cert.rows]
     kappa_spread = max(kh) / min(kh)

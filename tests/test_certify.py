@@ -11,8 +11,8 @@ from torusma.pluripotential import ma_measure
 from torusma.regularize import Mollifications
 from torusma.solver import decompose_subsolution, solve_ma
 from torusma.certify import (
-    stability_gamma, stability_check, hoelder_certificate, mixture_measure,
-    mixture_experiment, check_level_formula,
+    stability_gamma, stability_check, check_solution, hoelder_certificate,
+    mixture_measure, mixture_experiment, check_level_formula,
 )
 from torusma.fixtures import (
     lp_density_fixture, manufactured_cos, stability_pair, mixture_pair,
@@ -116,8 +116,9 @@ class TestHoelderCertificate:
         m = flat_metric(Torus(1, 64))
         mu = lp_density_fixture(2.0, 0.5, m)
         rep = solve_ma(mu, m, tol=1e-10)
+        check_solution(rep.ma, mu)
         cert = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
-                                   (1 / 8, 1 / 16, 1 / 32), rep.ma)
+                                   (1 / 8, 1 / 16, 1 / 32))
         return cert, rep, mu, m
 
     def test_certificate_passes(self, cert_l2):
@@ -148,16 +149,15 @@ class TestHoelderCertificate:
         m = flat_metric(Torus(1, 64))
         phi = GridFunction.constant(m.torus, 0.0)
         mu = ma_measure(phi, m)
-        cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
-                                   (1 / 8, 1 / 16), mu)
+        check_solution(mu, mu)
+        cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m, (1 / 8, 1 / 16))
         assert cert.passed and cert.trivial
 
     def test_mismatched_measure_rejected(self, cert_l2):
         _, rep, mu, m = cert_l2
         other = lp_density_fixture(2.0, 0.3, m)
         with pytest.raises(PreconditionError, match="does not solve"):
-            hoelder_certificate(Mollifications(rep.phi), other, 1.0, m,
-                                (1 / 8, 1 / 16), rep.ma)
+            check_solution(rep.ma, other)
 
     def test_unnormalized_phi_rejected(self, cert_l2):
         # the family of phi - 0.1 has the same measure, but sup 0 is required
@@ -165,7 +165,7 @@ class TestHoelderCertificate:
         lowered = GridFunction(m.torus, rep.phi.values - 0.1)
         with pytest.raises(PreconditionError, match="sup-normalized"):
             hoelder_certificate(Mollifications(lowered), mu, 1.0, m,
-                                (1 / 8, 1 / 16), rep.ma)
+                                (1 / 8, 1 / 16))
 
     def test_solve_measure_spares_the_precondition(self, cert_l2, monkeypatch):
         import torusma.geometry
@@ -178,8 +178,9 @@ class TestHoelderCertificate:
             return hessian(f)
 
         monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
+        check_solution(rep.ma, mu)
         again = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
-                                    (1 / 8, 1 / 16, 1 / 32), rep.ma)
+                                    (1 / 8, 1 / 16, 1 / 32))
         assert calls == []
         assert again == cert
 
@@ -189,11 +190,18 @@ class TestHoelderCertificate:
         # the model measure's n=1 Hessian makes one more inverse transform
         phi, mu, m = manufactured_cos(1, 128)
         inverse_transforms.clear()
-        model = ma_measure(phi, m)
+        check_solution(ma_measure(phi, m), mu)
         cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
-                                   (1 / 8, 1 / 16, 1 / 32), model)
+                                   (1 / 8, 1 / 16, 1 / 32))
         assert cert.passed and not cert.trivial
         assert len(inverse_transforms) == 5 + 1
+
+
+def cusp_potential(t):
+    """A sup-normalized potential with a square-root cusp, so that small
+    levels move the Kiselman-Legendre minimizer below delta."""
+    return GridFunction(t, 0.05 * np.abs(np.sin(np.pi * t.axis_coord(0))) ** 0.5
+                        + 0.01 * np.cos(2 * np.pi * t.axis_coord(1)) - 0.1)
 
 
 @pytest.mark.parametrize("b", [1e-5, 0.05])
@@ -201,17 +209,88 @@ def test_modulus_radius_is_kl_minimizer(b):
     # small levels move the KL minimizer below delta (kappa_hat < 1); the
     # modulus is rho_r phi - phi at r = max(kappa_hat delta, 2/N) = t0_min
     from torusma.certify import _certificate_row
-    from torusma.regularize import mollify
+    from torusma.regularize import kiselman_legendre, mollify
     t = Torus(1, 64)
-    phi = GridFunction(t, 0.05 * np.abs(np.sin(np.pi * t.axis_coord(0))) ** 0.5
-                       + 0.01 * np.cos(2 * np.pi * t.axis_coord(1)) - 0.1)
-    rows = [_certificate_row(Mollifications(phi), d, b, 0.2, 0.3, 0.1, 1e-6)
-            for d in (0.25, 0.1, 0.0625)]
+    phi = cusp_potential(t)
+    family = Mollifications(phi)
+    levels = [(d, b) for d in (0.25, 0.1, 0.0625)]
+    rows = [_certificate_row(family, d, b, T, 0.2, 0.3, 0.1, 1e-6)
+            for (d, b), T in zip(levels, kiselman_legendre(family, levels, 0.3))]
     for row in rows:
         r = max(row.kappa_hat * row.delta, 2.0 * t.spacing)
         assert r == row.t0_min
         assert row.modulus == float((mollify(phi, r).values - phi.values).max())
     assert min(row.kappa_hat for row in rows) < 1.0
+
+
+class TestOnePassChain:
+    """The chain's rows from one Kiselman-Legendre pass against rows built
+    one at a time from the per-row reference, at n=1 N=256, where the rows'
+    t-grids overlap (1/8, 1/16 and 1/32 all reach down to 2/N = 1/128)."""
+
+    @staticmethod
+    def reference_row(phi, d, b, K_eff, alpha, C4, scale, kl_reference):
+        from torusma.certify import _certificate_row
+        from torusma.regularize import KLTransform, mollify
+        value, t_opt, t_grid = kl_reference(phi, d, b, K_eff)
+        t0_min = float(t_opt.min())
+        modulus = float((mollify(phi, t0_min).values - phi.values).max())
+        T = KLTransform(GridFunction(phi.torus, value), t0_min, modulus, t_grid)
+        return _certificate_row(Mollifications(phi), d, b, T, alpha, K_eff, C4,
+                                scale)
+
+    def test_certificate_rows_match_reference(self, kl_reference):
+        from torusma.regularize import kernel_second_moment
+        phi, mu, m = manufactured_cos(1, 256)
+        cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
+                                   (1 / 8, 1 / 16, 1 / 32))
+        assert cert.passed and len(cert.rows) == 3
+        K_eff = m.K + kernel_second_moment(1)
+        span = -float(phi.values.min())
+        for row in cert.rows:
+            want = self.reference_row(phi, row.delta, row.b, K_eff, cert.alpha,
+                                      cert.C4, 1e-6 * (1.0 + span), kl_reference)
+            assert row == want
+
+    @pytest.mark.parametrize("b", [1e-5, 3e-3])
+    def test_small_level_rows_match_reference(self, b, kl_reference):
+        # small levels: the infimum drops below delta, so t0_min < delta
+        from torusma.certify import _certificate_row
+        from torusma.regularize import kiselman_legendre
+        phi = cusp_potential(Torus(1, 256))
+        family = Mollifications(phi)
+        levels = [(d, b) for d in (1 / 8, 1 / 16, 1 / 32)]
+        transforms = kiselman_legendre(family, levels, 0.3)
+        rows = [_certificate_row(family, d, b, T, 0.2, 0.3, 0.1, 1e-6)
+                for (d, b), T in zip(levels, transforms)]
+        assert min(row.kappa_hat for row in rows) < 1.0
+        for (d, b), T, row in zip(levels, transforms, rows):
+            value, _, _ = kl_reference(phi, d, b, 0.3)
+            assert np.array_equal(T.value.values, value)
+            assert row == self.reference_row(phi, d, b, 0.3, 0.2, 0.1, 1e-6,
+                                             kl_reference)
+
+
+def test_chain_peak_memory_in_fields():
+    # tracemalloc peak of the chain above its entry, in N^2 float64 fields,
+    # at n=1 N=256 with the default deltas; a first call builds the kernels,
+    # so the count is of lattice fields only. Run row by row, keeping every
+    # radius and a t_opt field per row, the chain peaked at 10.1 fields; one
+    # pass that drops each radius after its last reader peaks at 9.1
+    import tracemalloc
+    phi, mu, m = manufactured_cos(1, 256)
+    deltas = (1 / 8, 1 / 16, 1 / 32)
+    hoelder_certificate(Mollifications(phi), mu, 1.0, m, deltas)
+    family = Mollifications(phi)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        hoelder_certificate(family, mu, 1.0, m, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = (peak - entry) / phi.values.nbytes
+    assert fields <= 9.5
 
 
 def test_level_formula_checked_at_gamma():
@@ -237,6 +316,7 @@ class TestMixture:
         res = mixture_experiment(phi1, phi2, c1, c2, m)
         assert res.domination_slack >= -1e-10
         assert res.report.converged
+        assert res.report.ma is None  # dropped before the chain
         assert res.certificate.passed
 
     def test_densities_built_once_before_the_solve(self, monkeypatch):

@@ -317,17 +317,30 @@ class TestKiselmanLegendre:
         return GridFunction(t, 0.04 * np.cos(2 * np.pi * x)
                             * np.ones(t.shape)), m
 
+    @staticmethod
+    def cusp(phi):
+        """phi plus a square-root cusp, so that small levels move the
+        minimizer below delta at some points."""
+        t = phi.torus
+        return GridFunction(t, phi.values + 0.01 * np.abs(
+            np.sin(np.pi * t.axis_coord(1))) ** 0.5 * np.ones(t.shape))
+
     def test_upper_bounded_by_t_equals_delta(self, phi64):
         phi, m = phi64
         delta, b, K = 0.125, 0.01, 0.5
-        T = kiselman_legendre(Mollifications(phi), delta, b, K)
+        [T] = kiselman_legendre(Mollifications(phi), [(delta, b)], K)
         upper = mollify(phi, delta).values + K * delta**2 + K * delta
         assert np.all(T.value.values <= upper + 1e-12)
 
-    def test_t_opt_within_grid(self, phi64):
+    def test_t_opt_within_grid(self, phi64, kl_reference):
+        # the pointwise minimizer t_opt of the per-row reference lies on the
+        # grid, and t0_min is its minimum
         phi, m = phi64
-        T = kiselman_legendre(Mollifications(phi), 0.125, 0.01, 0.5)
-        assert set(np.unique(T.t_opt.values)) <= set(T.t_grid)
+        [T] = kiselman_legendre(Mollifications(phi), [(0.125, 0.01)], 0.5)
+        _, t_opt, t_grid = kl_reference(phi, 0.125, 0.01, 0.5)
+        assert T.t_grid == t_grid
+        assert set(np.unique(t_opt)) <= set(T.t_grid)
+        assert T.t0_min == t_opt.min()
         assert max(T.t_grid) == 0.125
         assert min(T.t_grid) >= 2 * phi.torus.spacing
 
@@ -336,10 +349,9 @@ class TestKiselmanLegendre:
         # reference: one mollify per t and a pointwise np.where minimum; the
         # transform must agree bit for bit (at b = 0.003 every t wins somewhere)
         phi, m = phi64
-        phi = GridFunction(phi.torus, phi.values + 0.01 * np.abs(
-            np.sin(np.pi * phi.torus.axis_coord(1))) ** 0.5 * np.ones(phi.torus.shape))
+        phi = self.cusp(phi)
         delta = 0.125
-        T = kiselman_legendre(Mollifications(phi), delta, b, K)
+        [T] = kiselman_legendre(Mollifications(phi), [(delta, b)], K)
         best = best_t = None
         for t in T.t_grid:
             cand = mollify(phi, t).values + K * t * t + K * t - b * math.log(t / delta)
@@ -349,17 +361,51 @@ class TestKiselmanLegendre:
                 best_t = np.where(cand < best, t, best_t)
                 best = np.where(cand < best, cand, best)
         assert np.array_equal(T.value.values, best)
-        assert np.array_equal(T.t_opt.values, best_t)
+        assert T.t0_min == best_t.min()
+        assert T.modulus == float((mollify(phi, T.t0_min).values - phi.values).max())
+        if b == 0.003:
+            assert set(np.unique(best_t)) == set(T.t_grid)
+
+    def test_one_pass_equals_rows_one_at_a_time(self, phi64, kl_reference,
+                                                inverse_transforms):
+        # overlapping dyadic grids, a non-dyadic grid and a repeated delta:
+        # every row equals its own per-row loop bit for bit, and each
+        # distinct radius is convolved once
+        phi, m = phi64
+        phi = self.cusp(phi)
+        levels = [(0.125, 0.003), (0.0625, 1e-4), (0.1, 0.01), (0.125, 1.0)]
+        inverse_transforms.clear()
+        transforms = kiselman_legendre(Mollifications(phi), levels, 0.05)
+        radii = {t for T in transforms for t in T.t_grid}
+        assert len(inverse_transforms) == len(radii) == 5
+        assert any(T.t0_min < delta for (delta, _), T in zip(levels, transforms))
+        for (delta, b), T in zip(levels, transforms):
+            value, t_opt, t_grid = kl_reference(phi, delta, b, 0.05)
+            assert T.t_grid == t_grid
+            assert np.array_equal(T.value.values, value)
+            assert T.t0_min == t_opt.min()
+            assert T.modulus == float(
+                (mollify(phi, T.t0_min).values - phi.values).max())
+
+    def test_pass_releases_all_but_the_rows(self, phi64):
+        phi, m = phi64
+        family = Mollifications(phi)
+        first = family(0.125)
+        kiselman_legendre(family, [(0.125, 0.01), (0.0625, 0.01)], 0.5)
+        assert family(0.125) is first
+        family(0.0625)
+        with pytest.raises(RuntimeError, match="released"):
+            family(1 / 32)
 
     def test_level_must_be_positive(self, phi64):
         phi, m = phi64
         with pytest.raises(PreconditionError):
-            kiselman_legendre(Mollifications(phi), 0.125, 0.0, 0.5)
+            kiselman_legendre(Mollifications(phi), [(0.125, 0.0)], 0.5)
 
     def test_under_resolved_delta_rejected(self, phi64):
         phi, m = phi64
         with pytest.raises(PreconditionError):
-            kiselman_legendre(Mollifications(phi), 0.01, 0.01, 0.5)
+            kiselman_legendre(Mollifications(phi), [(0.01, 0.01)], 0.5)
 
 
 class TestL1Rate:
