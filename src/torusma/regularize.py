@@ -209,21 +209,37 @@ class KLTransform:
 
 def kiselman_legendre(family: Mollifications, levels, K: float) -> list:
     """The transform of each (delta, b) in `levels`, over the geometric t-grid
-    {delta 2^-k}, in one descending pass over the union of the grids.
+    {delta 2^-k}, in one descending pass over the union of the cut grids.
 
     The -b log(t/delta) term blows up as t -> 0, so truncating a grid at two
-    lattice spacings is safe once rho_t phi is bounded. Each rho_t phi is read
-    once: its t-only part (rho_t phi + K t^2) + K t is formed once, and every
-    row whose grid holds t subtracts its b log(t/delta) and keeps a strict `<`
-    running infimum. A row's t0_min is the last t at which its infimum
-    dropped anywhere, which is the minimum over the lattice of the pointwise
-    minimizer, so its modulus is read while that field is live. Every radius
-    that is no row's delta is released once the pass has used it; the rows'
-    rho_delta phi stay in the family for the caller.
+    lattice spacings is safe once rho_t phi is bounded. KLTransform.t_grid is
+    that nominal grid, but the pass reads only the radii that can lower the
+    infimum, which needs K >= 0. The discrete kernel is nonnegative with unit
+    sum, so rho_t phi >= min phi, and the minimand at t = delta 2^-k is at
+    least min phi + k b ln 2, while the row's value at t = delta is at most
+    max phi + K delta (1 + delta). A radius with
+    k b ln 2 > osc phi + K delta (1 + delta) + margin lowers no point and is
+    never convolved. The margin 1e-9 (1 + |max phi| + |min phi|) covers the
+    round-off of the transforms, which scales with the size of phi, not with
+    its oscillation alone.
+
+    Each kept rho_t phi is read once: its t-only part (rho_t phi + K t^2) + K t
+    is formed once, and every row whose cut grid holds t subtracts its
+    b log(t/delta) and keeps a strict `<` running infimum. A row's t0_min is
+    the last t at which its infimum dropped anywhere, which is the minimum
+    over the lattice of the pointwise minimizer, so its modulus is read while
+    that field is live. Every radius that is no row's delta is released once
+    the pass has used it; the rows' rho_delta phi stay in the family for the
+    caller.
     """
+    if K < 0.0:
+        raise PreconditionError(f"K must be nonnegative, got {K}")
     torus = family.phi.torus
+    phi = family.phi.values
+    top, bottom = float(phi.max()), float(phi.min())
+    margin = 1e-9 * (1.0 + abs(top) + abs(bottom))
     t_min = 2.0 * torus.spacing
-    grids = []
+    grids, kept = [], []
     for delta, b in levels:
         if b <= 0.0:
             raise PreconditionError(f"level b must be positive, got {b}")
@@ -231,19 +247,21 @@ def kiselman_legendre(family: Mollifications, levels, K: float) -> list:
             raise PreconditionError("delta must be at least two lattice spacings")
         k_max = max(0, int(math.floor(math.log2(delta / t_min))))
         grids.append(tuple(delta * 2.0**-k for k in range(k_max + 1)))
-    phi = family.phi.values
+        reach = top - bottom + K * delta * (1.0 + delta) + margin
+        kept.append(tuple(t for k, t in enumerate(grids[-1])
+                          if k * b * math.log(2.0) <= reach))
     rows = len(grids)
     best, t0_min, modulus = [None] * rows, [None] * rows, [None] * rows
     cand = np.empty(torus.shape)
     take = np.empty(torus.shape, dtype=bool)
     deltas = {delta for delta, _ in levels}
-    for t in sorted(set().union(*grids), reverse=True):
+    for t in sorted(set().union(*kept), reverse=True):
         rho = family(t).values
         # rho_t phi + K t^2 + K t - b log(t / delta), left to right
         base = np.add(rho, K * t * t)
         base += K * t
         dropped = []
-        for i, ((delta, b), grid) in enumerate(zip(levels, grids)):
+        for i, ((delta, b), grid) in enumerate(zip(levels, kept)):
             if t not in grid:
                 continue
             np.subtract(base, b * math.log(t / delta), out=cand)

@@ -185,16 +185,20 @@ class TestHoelderCertificate:
         assert again == cert
 
     def test_one_inverse_transform_per_radius(self, inverse_transforms):
-        # N=128, deltas 1/8, 1/16, 1/32: the rate ladder adds 1/4 and the
-        # Kiselman-Legendre t-grids reach 2/N = 1/64, so 5 distinct radii;
-        # the model measure's n=1 Hessian makes one more inverse transform
+        # N=128, deltas 1/8, 1/16, 1/32: the rate ladder adds 1/4, and the
+        # nominal Kiselman-Legendre t-grids reach 2/N = 1/64. The pass skips
+        # t = delta/2 and below: osc phi = 0.1, K_eff = sigma_1 = 0.4037, and
+        # the levels b = delta^(1/7) are 0.743, 0.673, 0.610, so
+        # k b ln 2 >= 0.42 at k = 1 exceeds osc phi + K_eff delta (1 + delta)
+        # <= 0.157 on every row. That leaves 4 distinct radii, and the model
+        # measure's n=1 Hessian makes one more inverse transform
         phi, mu, m = manufactured_cos(1, 128)
         inverse_transforms.clear()
         check_solution(ma_measure(phi, m), mu)
         cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
                                    (1 / 8, 1 / 16, 1 / 32))
         assert cert.passed and not cert.trivial
-        assert len(inverse_transforms) == 5 + 1
+        assert len(inverse_transforms) == 4 + 1
 
 
 def cusp_potential(t):
@@ -276,7 +280,8 @@ def test_chain_peak_memory_in_fields():
     # at n=1 N=256 with the default deltas; a first call builds the kernels,
     # so the count is of lattice fields only. Run row by row, keeping every
     # radius and a t_opt field per row, the chain peaked at 10.1 fields; one
-    # pass that drops each radius after its last reader peaks at 9.1
+    # pass that drops each radius after its last reader peaked at 9.1, and
+    # skipping the radii that cannot lower the infimum brings it to 8.1
     import tracemalloc
     phi, mu, m = manufactured_cos(1, 256)
     deltas = (1 / 8, 1 / 16, 1 / 32)

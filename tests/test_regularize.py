@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torusma.errors import PreconditionError
 from torusma.geometry import (
@@ -396,6 +396,61 @@ class TestKiselmanLegendre:
         family(0.0625)
         with pytest.raises(RuntimeError, match="released"):
             family(1 / 32)
+
+    # kl_reference is a pure function, so hypothesis may share it across examples
+    @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 1.0),
+           shift=st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-3),
+           K=st.floats(0.0, 1.0), cuts=st.tuples(st.floats(0.3, 2.9),
+                                                 st.floats(2.1, 6.0),
+                                                 st.floats(0.3, 6.0)))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pruned_pass_equals_full_grid_rows(self, kl_reference, seed, amplitude,
+                                               shift, K, cuts):
+        # a band-limited phi with sup phi != 0; each row's level puts its cut
+        # near k = cuts[i]: the delta = 1/4 row (grid k = 0..3) always loses
+        # its smallest radius, the delta = 1/8 row (k = 0..2) keeps all, and
+        # the delta = 0.1 row falls on either side
+        t = Torus(1, 64)
+        rng = np.random.default_rng(seed)
+        x, y = t.axis_coord(0), t.axis_coord(1)
+        values = np.zeros(t.shape)
+        for j in range(4):
+            for k in range(4):
+                a, c = rng.standard_normal(2)
+                arg = 2 * np.pi * (j * x + k * y)
+                values += a * np.cos(arg) + c * np.sin(arg)
+        values *= amplitude / np.abs(values).max()
+        phi = GridFunction(t, values + shift)
+        osc = float(values.max() - values.min())
+        levels = [(delta, (osc + K * delta * (1 + delta)) / (cut * math.log(2)))
+                  for delta, cut in zip((0.25, 0.125, 0.1), cuts)]
+        transforms = kiselman_legendre(Mollifications(phi), levels, K)
+        for (delta, b), T in zip(levels, transforms):
+            value, t_opt, t_grid = kl_reference(phi, delta, b, K)
+            assert T.t_grid == t_grid
+            assert np.array_equal(T.value.values, value)
+            assert T.t0_min == t_opt.min()
+            assert T.modulus == float(
+                (mollify(phi, T.t0_min).values - phi.values).max())
+
+    def test_pruned_radius_is_never_convolved(self, phi64, inverse_transforms):
+        # osc phi = 0.08, K = 0.05 and delta = 1/4 give the reach
+        # 0.08 + 0.05 (1/4) (5/4) = 0.0956; at b = 0.05, k b ln 2 = 0.0347 k,
+        # so k <= 2 is kept and t = 1/32 (k = 3) is skipped
+        phi, m = phi64
+        family = Mollifications(phi)
+        inverse_transforms.clear()
+        [T] = kiselman_legendre(family, [(0.25, 0.05)], 0.05)
+        assert T.t_grid == (0.25, 0.125, 0.0625, 0.03125)
+        assert len(inverse_transforms) == 3
+        family(1 / 32)  # never convolved, so never released: a fresh transform
+        assert len(inverse_transforms) == 4
+
+    def test_negative_K_rejected(self, phi64):
+        phi, m = phi64
+        with pytest.raises(PreconditionError, match="K must be nonnegative"):
+            kiselman_legendre(Mollifications(phi), [(0.125, 0.01)], -0.1)
 
     def test_level_must_be_positive(self, phi64):
         phi, m = phi64

@@ -24,9 +24,11 @@ The matrix: every command at n=1 N=64 and at n=2 N=16 on the flat metric;
 the same on the conformal metric (amplitude 0.2) for the commands that accept
 it; every command with the fixtures singular_density and holder_subsolution
 at n=1 N=64; mixture at tau = 0.5; certificate at n=1 N=256, where the
-Kiselman-Legendre t-grids of the rows overlap; and a 2x2 stability sweep
-(N = 32, 64 x tau = 0.5, 1.0). Progress and wall times go to the terminal
-only, so the snapshot itself is deterministic.
+Kiselman-Legendre t-grids of the rows overlap, on the flat metric and on the
+conformal one with deltas 1/16, 1/32, 1/64, the one certificate where A > 0
+and the transform's infimum drops below its t = delta value; and a 2x2
+stability sweep (N = 32, 64 x tau = 0.5, 1.0). Progress and wall times go to
+the terminal only, so the snapshot itself is deterministic.
 """
 
 import argparse
@@ -72,6 +74,10 @@ def matrix():
                  {"certificate": {"tau": 0.5}}))
     runs.append(("certificate-n1-N256-flat", "certificate",
                  {"torus": {"n": 1, "N": 256}}))
+    runs.append(("certificate-n1-N256-conformal", "certificate",
+                 {"torus": {"n": 1, "N": 256},
+                  "metric": {"kind": "conformal", "amplitude": 0.2},
+                  "certificate": {"delta_list": "0.0625,0.03125,0.015625"}}))
     runs.append(("sweep-stability", "sweep",
                  {"sweep": {"command": "stability", "N": "32,64",
                             "tau": "0.5,1.0"}}))
