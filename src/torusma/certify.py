@@ -4,17 +4,18 @@ the convexity (mixture) experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .capacity import estimate_capacity
 from .errors import DominationError, PreconditionError
-from .geometry import GridFunction, HermitianMetric, integrate
+from .geometry import GridFunction, HermitianMetric, integrate, omega_form
 from .pluripotential import (
     MeasureField,
     is_omega_psh,
     ma_measure,
+    measure_of_form,
     psh_tolerance,
     sublevel,
 )
@@ -89,10 +90,12 @@ def stability_check(psi: GridFunction, phi: GridFunction, mu: MeasureField,
     tol = psh_tolerance(metric)
     if psi.values.max() > tol:
         raise PreconditionError("psi must be <= 0")
-    if not (is_omega_psh(psi, metric) and is_omega_psh(phi, metric)):
+    M = omega_form(phi, metric)  # phi's cone check and measure read one form
+    if not (is_omega_psh(psi, metric) and M.min_eig().min() >= -tol):
         raise PreconditionError("psi and phi must be omega-psh")
-    model = ma_measure(phi, metric)
-    mismatch = float(np.abs(model.density.values - mu.density.values).max())
+    model = measure_of_form(M, metric).density.values
+    del M
+    mismatch = float(np.abs(model - mu.density.values).max())
     if mismatch > 1e-8 * max(1.0, float(mu.density.values.max())):
         raise PreconditionError(
             f"mu does not match (omega + dd^c phi)^n: sup mismatch {mismatch:.3e}"
@@ -230,11 +233,12 @@ def _certificate_row(family: Mollifications, d: float, b: float, T: KLTransform,
     )
 
 
-def check_solution(model: MeasureField, mu: MeasureField) -> None:
+def check_solution(phi: GridFunction, mu: MeasureField,
+                   metric: HermitianMetric) -> None:
     """The Hoelder chain's precondition: raise unless phi solves
-    (omega + dd^c phi)^n = c mu up to the constant c, where `model` is
-    (omega + dd^c phi)^n, as a solve's report carries it. Callers check while
-    the solve's measure is live and drop it before `hoelder_certificate`."""
+    (omega + dd^c phi)^n = c mu up to the constant c. The model measure is
+    built here and dropped on return, before the chain runs."""
+    model = ma_measure(phi, metric)
     c = model.mass / mu.mass
     mismatch = float(np.abs(model.density.values - c * mu.density.values).max())
     if mismatch > 1e-6 * max(1.0, c * float(mu.density.values.max())):
@@ -245,8 +249,9 @@ def check_solution(model: MeasureField, mu: MeasureField) -> None:
 
 def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
                         metric: HermitianMetric, delta_list) -> HoelderCertificate:
-    """Run the full Hoelder chain on a solution of (omega + dd^c phi)^n = c mu
-    that `check_solution` accepted.
+    """Run the full Hoelder chain on a solution phi of
+    (omega + dd^c phi)^n = c mu that `check_solution(phi, mu, metric)`
+    accepted; the chain itself builds no Monge-Ampere measure.
 
     `family` is the family rho_t phi of the sup-normalized solution phi
     (sup phi = 0, as `solve_ma` returns it). The rate fit and one
@@ -318,7 +323,7 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
 
 @dataclass(frozen=True)
 class MixtureResult:
-    report: SolveReport  # without its measure: ma is None
+    report: SolveReport
     certificate: HoelderCertificate
     domination_slack: float
 
@@ -353,8 +358,7 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
     mu = MeasureField.from_density(GridFunction(metric.torus, mixed), metric)
     del mixed  # mu holds its own clamped copy
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
-    check_solution(report.ma, mu)
-    report = replace(report, ma=None)  # the precondition was its only reader
+    check_solution(report.phi, mu, metric)
     cert = hoelder_certificate(Mollifications(report.phi), mu, tau, metric,
                                delta_list)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)

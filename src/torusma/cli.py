@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TorusMAError, ConfigError, PreconditionError
 from .geometry import Torus, GridFunction, flat_metric, conformal_metric
-from .pluripotential import sublevel
+from .pluripotential import ma_measure, sublevel
 from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from .regularize import (Mollifications, kernel_eta, build_kernel, l1_rate,
                          rate_deltas, discrete_mass_convergence)
@@ -198,7 +198,8 @@ def run_solve(cfg, out, dump_stages, rng):
     if mu is not None:
         write_grid(os.path.join(out, "mu_density.cmag"), mu.density)
     if dump_stages:
-        write_grid(os.path.join(out, "ma_density.cmag"), rep.ma.density)
+        write_grid(os.path.join(out, "ma_density.cmag"),
+                   ma_measure(rep.phi, metric).density)
     write_csv(os.path.join(out, "solve.csv"),
               ["iteration", "residual", "c"],
               [(i, r, rep.c) for i, r in enumerate(rep.residual_history)])
@@ -320,9 +321,8 @@ def run_certificate(cfg, out, dump_stages, rng):
     mu = _build_measure(cfg, metric)[0]  # phi* is not read
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
-    check_solution(rep.ma, mu)
     phi, converged = rep.phi, rep.converged
-    del rep  # the precondition was the measure's only reader
+    check_solution(phi, mu, metric)
     family = Mollifications(phi)  # the certificate's, and the dumps'
     cert = hoelder_certificate(family, mu, cfg["certificate"]["tau"], metric,
                                cfg["certificate"]["delta_list"])

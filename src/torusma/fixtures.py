@@ -11,7 +11,7 @@ import numpy as np
 from .errors import PreconditionError
 from .geometry import Torus, GridFunction, HermitianMetric, complex_hessian, flat_metric
 from .pluripotential import (
-    MeasureField, _checked_measure, is_omega_psh, ma_measure, psh_tolerance,
+    MeasureField, is_omega_psh, ma_measure, measure_of_form, psh_tolerance,
 )
 from .regularize import psh_repair
 from .solver import ContinuationSchedule, decompose_subsolution
@@ -41,7 +41,7 @@ def cos_datum(metric: HermitianMetric, amplitude: float):
     `metric`, both read from one complex Hessian of phi*.
 
     phi* must be psh for the flat metric; on any metric, mu is built only
-    when omega + dd^c phi* passes ma_measure's psh check.
+    when omega + dd^c phi* passes measure_of_form's psh check.
     """
     torus = metric.torus
     phi = GridFunction(torus, _cos_profile(torus, amplitude)).sup_normalized()
@@ -50,7 +50,7 @@ def cos_datum(metric: HermitianMetric, amplitude: float):
     if M.min_eig().min() + 1.0 < -psh_tolerance(flat_metric(torus)):
         raise PreconditionError(f"amplitude {amplitude} too large for psh fixture")
     M.parts[:torus.n] += metric.factor  # omega + dd^c phi*, as omega_form adds g
-    return phi, _checked_measure(M, metric)
+    return phi, measure_of_form(M, metric)
 
 
 def manufactured_cos(n: int, N: int, amplitude: float = 0.05):
@@ -81,7 +81,7 @@ def lp_density_fixture(p: float, singularity_exponent: float,
     if s == 0.0:
         dens = np.ones(torus.shape)
     else:
-        dist = torus.periodic_distance((0.0,) * torus.ndim_real)
+        dist = torus.periodic_distance()
         with np.errstate(divide="ignore"):
             dens = np.where(dist > 0.0, dist, 1.0) ** (-s)
         # cell-average at lattice points coinciding with the singularity

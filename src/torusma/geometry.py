@@ -62,15 +62,12 @@ class Torus:
         shape[axis] = self.N
         return x.reshape(shape)
 
-    def periodic_distance(self, center: tuple) -> np.ndarray:
-        """Euclidean distance on the torus from each lattice point to `center`."""
-        if len(center) != self.ndim_real:
-            raise PreconditionError("center must have 2n coordinates")
+    def periodic_distance(self) -> np.ndarray:
+        """Euclidean distance on the torus from each lattice point to 0."""
         d2 = np.zeros(self.shape)
-        for a, c in enumerate(center):
-            d = np.abs(self.axis_coord(a) - c)
-            d = np.minimum(d, 1.0 - d)
-            d2 = d2 + d**2
+        for a in range(self.ndim_real):
+            x = self.axis_coord(a)  # in [0, 1)
+            d2 = d2 + np.minimum(x, 1.0 - x) ** 2
         return np.sqrt(d2)
 
 

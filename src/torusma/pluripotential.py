@@ -59,21 +59,12 @@ def is_omega_psh(f: GridFunction, metric: HermitianMetric) -> bool:
     return psh_defect(f, metric) >= -psh_tolerance(metric)
 
 
-def _measure_of_form(M: HermitianForm, metric: HermitianMetric) -> MeasureField:
-    """det M / det g, clamped at 0, as a measure: the Monge-Ampere measure
-    of the potential whose form omega + dd^c f is M."""
-    density = np.maximum(M.det() / metric.det(), 0.0)
-    return MeasureField.from_density(GridFunction(metric.torus, density), metric)
-
-
-def ma_measure(f: GridFunction, metric: HermitianMetric) -> MeasureField:
-    """Monge-Ampere measure (omega + dd^c f)^n as a density w.r.t. det(g) dV."""
-    return _checked_measure(omega_form(f, metric), metric)
-
-
-def _checked_measure(M: HermitianForm, metric: HermitianMetric) -> MeasureField:
-    """`_measure_of_form(M)`, after rejecting a potential whose form
-    M = omega + dd^c f has a psh defect below -100 psh_tolerance."""
+def measure_of_form(M: HermitianForm, metric: HermitianMetric) -> MeasureField:
+    """det M / det g, clamped at 0, as the Monge-Ampere measure of the f whose
+    form omega + dd^c f is M; raises when M's psh defect is below
+    -100 psh_tolerance. That cannot happen on a `solve_ma` solution: every
+    accepted iterate's form has min eigenvalue > -psh_tolerance, and the
+    lattice synthesis of phi moves it only at round-off."""
     tol = psh_tolerance(metric)
     defect = float(M.min_eig().min())
     if defect < -100.0 * tol:
@@ -81,7 +72,13 @@ def _checked_measure(M: HermitianForm, metric: HermitianMetric) -> MeasureField:
             f"psh defect {defect:.3e} below -100*tol = {-100*tol:.3e}; "
             "not a valid Monge-Ampere input"
         )
-    return _measure_of_form(M, metric)
+    density = np.maximum(M.det() / metric.det(), 0.0)
+    return MeasureField.from_density(GridFunction(metric.torus, density), metric)
+
+
+def ma_measure(f: GridFunction, metric: HermitianMetric) -> MeasureField:
+    """Monge-Ampere measure (omega + dd^c f)^n as a density w.r.t. det(g) dV."""
+    return measure_of_form(omega_form(f, metric), metric)
 
 
 def sublevel(phi: GridFunction, psi: GridFunction, eps: float, s: float) -> np.ndarray:

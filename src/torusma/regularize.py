@@ -95,7 +95,7 @@ def build_kernel(torus: Torus, delta: float) -> MollifierKernel:
 def _kernel(torus: Torus, delta: float) -> MollifierKernel:
     # the profile vanishes beyond delta, so it is evaluated only on the box of
     # lattice points within delta of the origin along every axis; the squared
-    # distances there are periodic_distance(origin)**2 bit for bit
+    # distances there are periodic_distance()**2 bit for bit
     x = np.arange(torus.N) / torus.N
     d = np.minimum(x, 1.0 - x)
     box = np.flatnonzero(d <= delta)

@@ -19,9 +19,8 @@ from .geometry import (
 )
 from .pluripotential import (
     MeasureField,
-    _measure_of_form,
     ma_measure,
-    psh_defect,
+    measure_of_form,
     psh_tolerance,
 )
 from .regularize import Mollifications, psh_repair
@@ -29,13 +28,9 @@ from .regularize import Mollifications, psh_repair
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution (sup-normalized), its Monge-Ampere measure, constant c, and
-    convergence diagnostics."""
+    """Solution (sup-normalized), constant c, and convergence diagnostics."""
 
     phi: GridFunction
-    # (omega + dd^c phi)^n, read from the form the solve built; None once a
-    # caller has dropped it
-    ma: MeasureField | None
     c: float
     residual_history: list
     c_trace: list
@@ -190,11 +185,11 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     The iterate is carried as the half spectrum P of phi, so the forms of the
     line-search trials P + s Psi cost no forward transform; c and the residual
     do not depend on constants, so phi is synthesized on the lattice and
-    sup-normalized once, on return, and the reported measure is read from
-    that lattice phi. The residuals reported are those of the spectral
-    iterate. The constant c is updated every iteration as the mass ratio
-    (total Monge-Ampere mass) / mu(X); on the flat Kaehler torus the numerator
-    is conserved, so c stays fixed at vol / mu(X).
+    sup-normalized once, on return; the solve builds no measure of it. The
+    residuals reported are those of the spectral iterate. The constant c is
+    updated every iteration as the mass ratio (total Monge-Ampere mass) /
+    mu(X); on the flat Kaehler torus the numerator is conserved, so c stays
+    fixed at vol / mu(X).
     """
     if mu.mass <= 0.0:
         raise PreconditionError("measure must have positive mass")
@@ -263,7 +258,6 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     phi = GridFunction(torus, phi)
     return SolveReport(
         phi=phi,
-        ma=_measure_of_form(omega_form(phi, metric), metric),
         c=c,
         residual_history=residual_history,
         c_trace=c_trace,
@@ -307,11 +301,12 @@ def _line_search(P: np.ndarray, Psi: np.ndarray, res_norm: float, diagnostics,
 
 def decompose_subsolution(mu: MeasureField, u: GridFunction,
                           metric: HermitianMetric) -> ContinuationSchedule:
-    """Radon-Nikodym split mu = C0 h omega_u^n with h in [0, 1]."""
-    if psh_defect(u, metric) < -psh_tolerance(metric):
+    """Radon-Nikodym split mu = C0 h omega_u^n with h in [0, 1]; the cone
+    check and omega_u^n are read from one form of u."""
+    M = omega_form(u, metric)
+    if M.min_eig().min() < -psh_tolerance(metric):
         raise PreconditionError("subsolution candidate u is not omega-psh")
-    ma_u = ma_measure(u, metric)
-    du = ma_u.density.values
+    du = measure_of_form(M, metric).density.values
     md = mu.density.values
     positive = md > 1e-15 * max(md.max(), 1.0)
     if np.any(positive & (du <= 1e-14 * max(du.max(), 1.0))):

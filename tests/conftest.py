@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import torusma.geometry
 from torusma.regularize import mollify
 
 
-def _counted(monkeypatch, name):
-    """List that gains one entry per call of scipy.fft.<name> during the test."""
+def _counted(monkeypatch, module, name):
+    """List that gains one entry per call of module.<name> during the test."""
     calls = []
-    transform = getattr(scipy.fft, name)
+    function = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return transform(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -26,13 +27,20 @@ def _counted(monkeypatch, name):
 def inverse_transforms(monkeypatch):
     """List that gains one entry per inverse transform during the test:
     `geometry.from_spectrum` makes one scipy.fft.irfft call, on the last axis."""
-    return _counted(monkeypatch, "irfft")
+    return _counted(monkeypatch, scipy.fft, "irfft")
 
 
 @pytest.fixture
 def forward_transforms(monkeypatch):
     """List that gains one entry per scipy.fft.rfftn call during the test."""
-    return _counted(monkeypatch, "rfftn")
+    return _counted(monkeypatch, scipy.fft, "rfftn")
+
+
+@pytest.fixture
+def complex_hessians(monkeypatch):
+    """List that gains one entry per `geometry.complex_hessian` call during
+    the test; `omega_form` of a lattice function makes one."""
+    return _counted(monkeypatch, torusma.geometry, "complex_hessian")
 
 
 def _reference_kiselman_legendre(phi, delta, b, K):

@@ -1,6 +1,7 @@
 """Stability estimate, Hoelder-modulus certificate, mixture experiments."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ class TestStabilityCheck:
         assert len(chk.ledger) == 75
         assert len(masks) == len(set(masks)) == distinct
 
+    def test_phi_form_built_once(self, complex_hessians, monkeypatch):
+        # psi's cone check takes one Hessian; phi's cone check and its
+        # measure read one more. The ledger's capacity estimates are stubbed
+        import torusma.certify
+        monkeypatch.setattr(torusma.certify, "estimate_capacity",
+                            lambda *args, **kwargs: SimpleNamespace(lower=1.0))
+        psi, phi, mu, m = stability_pair(2, 16, 1e-2)
+        complex_hessians.clear()
+        stability_check(psi, phi, mu, 1.0, m, budget=1)
+        assert len(complex_hessians) == 2
+
     def test_constant_scales_with_amplitude_law(self):
         # C(a) tracks a^(1-gamma): the sup side is linear in a while the
         # L1 side enters through the gamma power
@@ -116,7 +128,7 @@ class TestHoelderCertificate:
         m = flat_metric(Torus(1, 64))
         mu = lp_density_fixture(2.0, 0.5, m)
         rep = solve_ma(mu, m, tol=1e-10)
-        check_solution(rep.ma, mu)
+        check_solution(rep.phi, mu, m)
         cert = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
                                    (1 / 8, 1 / 16, 1 / 32))
         return cert, rep, mu, m
@@ -149,7 +161,7 @@ class TestHoelderCertificate:
         m = flat_metric(Torus(1, 64))
         phi = GridFunction.constant(m.torus, 0.0)
         mu = ma_measure(phi, m)
-        check_solution(mu, mu)
+        check_solution(phi, mu, m)
         cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m, (1 / 8, 1 / 16))
         assert cert.passed and cert.trivial
 
@@ -157,7 +169,7 @@ class TestHoelderCertificate:
         _, rep, mu, m = cert_l2
         other = lp_density_fixture(2.0, 0.3, m)
         with pytest.raises(PreconditionError, match="does not solve"):
-            check_solution(rep.ma, other)
+            check_solution(rep.phi, other, m)
 
     def test_unnormalized_phi_rejected(self, cert_l2):
         # the family of phi - 0.1 has the same measure, but sup 0 is required
@@ -166,23 +178,6 @@ class TestHoelderCertificate:
         with pytest.raises(PreconditionError, match="sup-normalized"):
             hoelder_certificate(Mollifications(lowered), mu, 1.0, m,
                                 (1 / 8, 1 / 16))
-
-    def test_solve_measure_spares_the_precondition(self, cert_l2, monkeypatch):
-        import torusma.geometry
-        cert, rep, mu, m = cert_l2
-        calls = []
-        hessian = torusma.geometry.complex_hessian
-
-        def counted(f):
-            calls.append(1)
-            return hessian(f)
-
-        monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
-        check_solution(rep.ma, mu)
-        again = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
-                                    (1 / 8, 1 / 16, 1 / 32))
-        assert calls == []
-        assert again == cert
 
     def test_one_inverse_transform_per_radius(self, inverse_transforms):
         # N=128, deltas 1/8, 1/16, 1/32: the rate ladder adds 1/4, and the
@@ -194,7 +189,7 @@ class TestHoelderCertificate:
         # measure's n=1 Hessian makes one more inverse transform
         phi, mu, m = manufactured_cos(1, 128)
         inverse_transforms.clear()
-        check_solution(ma_measure(phi, m), mu)
+        check_solution(phi, mu, m)
         cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
                                    (1 / 8, 1 / 16, 1 / 32))
         assert cert.passed and not cert.trivial
@@ -321,21 +316,14 @@ class TestMixture:
         res = mixture_experiment(phi1, phi2, c1, c2, m)
         assert res.domination_slack >= -1e-10
         assert res.report.converged
-        assert res.report.ma is None  # dropped before the chain
         assert res.certificate.passed
 
-    def test_densities_built_once_before_the_solve(self, monkeypatch):
+    def test_densities_built_once_before_the_solve(self, complex_hessians,
+                                                   monkeypatch):
         # omega_{phi1}^n, omega_{phi2}^n and the average's: three Hessians
         import torusma.certify
-        import torusma.geometry
         rng = np.random.default_rng(7)
         phi1, phi2, c1, c2, m = mixture_pair(1, 64, rng)
-        calls = []
-        hessian = torusma.geometry.complex_hessian
-
-        def counted(f):
-            calls.append(1)
-            return hessian(f)
 
         class Stop(Exception):
             pass
@@ -343,11 +331,11 @@ class TestMixture:
         def stop(*args, **kwargs):
             raise Stop
 
-        monkeypatch.setattr(torusma.geometry, "complex_hessian", counted)
         monkeypatch.setattr(torusma.certify, "solve_ma", stop)
+        complex_hessians.clear()
         with pytest.raises(Stop):
             mixture_experiment(phi1, phi2, c1, c2, m)
-        assert len(calls) == 3
+        assert len(complex_hessians) == 3
 
     def test_nonpositive_weight_rejected(self):
         rng = np.random.default_rng(3)

@@ -63,7 +63,7 @@ class TestTorus:
 
     def test_periodic_distance_wraps(self):
         t = Torus(1, 64)
-        d = t.periodic_distance((0.0, 0.0))
+        d = t.periodic_distance()
         assert d.max() == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert d.min() == 0.0
 

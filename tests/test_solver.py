@@ -49,25 +49,11 @@ class TestSolveMA:
         _, mu, m = manufactured_cos(2, 16)
         monkeypatch.setattr(torusma.geometry, "hessian_of_spectrum", hashing_hessian)
         rep = solve_ma(mu, m, tol=1e-12)
-        assert rep.converged and rep.iterations >= 2
-        assert len(seen) > rep.iterations
+        # five full Newton steps take one line-search trial form each; the
+        # solve builds no form of the phi it returns
+        assert rep.converged and rep.iterations == 5
+        assert len(seen) == 5
         assert len(set(seen)) == len(seen)
-
-    @pytest.mark.parametrize("n, N, kind, tol", [
-        (1, 64, "flat", 1e-10), (2, 8, "flat", 1e-10), (2, 8, "conformal", 1e-10),
-        (1, 64, "flat", 0.0)])
-    def test_report_measure_is_ma_measure(self, n, N, kind, tol):
-        # read from the form of the last accepted iterate; tol 0 ends in a
-        # stalled line search, whose last trial form is not phi's
-        phi_star, mu, m = manufactured_cos(n, N)
-        if kind == "conformal":
-            m = conformal_metric(m.torus, 0.2)
-            mu = ma_measure(phi_star, m)
-        rep = solve_ma(mu, m, tol=tol)
-        assert rep.converged == (tol > 0.0)
-        ref = ma_measure(rep.phi, m)
-        assert np.array_equal(rep.ma.density.values, ref.density.values)
-        assert rep.ma.mass == ref.mass
 
     def test_uniform_datum_gives_constant(self):
         m = flat_metric(Torus(1, 64))
@@ -116,6 +102,12 @@ class TestDecomposeSubsolution:
         dens_u = ma_measure(sched.u, m).density.values
         assert np.all(sched.C0 * dens_u * sched.h.values
                       <= sched.C0 * dens_u + 1e-12)
+
+    def test_one_form_for_check_and_measure(self, complex_hessians):
+        phi, mu, m = manufactured_cos(1, 64)
+        complex_hessians.clear()
+        decompose_subsolution(mu, phi, m)
+        assert len(complex_hessians) == 1
 
     def test_undominated_measure_rejected(self):
         # mass where omega_u^n vanishes cannot be decomposed
@@ -274,7 +266,7 @@ class TestInnerSolve:
         assert asymmetry("conformal", 2, 8) > 1e-6
 
     def test_matvecs_on_reference_solve(self, monkeypatch):
-        # solve-n2's reference input: 61 matvecs with lgmres at rtol 1e-6
+        # solve-n2's reference input, on the flat metric: the step runs PCG
         matvecs = []
         linearization = solver._linearization
 
@@ -324,6 +316,23 @@ class TestInnerSolve:
         rep = solve_ma(ma_measure(phi_star, m), m, tol=1e-10)
         assert rep.converged
         assert rep.iterations <= 5
+
+    @pytest.mark.parametrize("amplitude, N", [(0.3, 16), (0.45, 8), (-0.45, 8)])
+    def test_hermitian_steps_converge(self, amplitude, N):
+        # conformal n=2 cases a replacement for the lgmres step must pass
+        # (lgmres: 8, 8 and 9 Newton steps). CG alone stalls on the first
+        # with residual 0.58, and leaves inner solves unconverged on the
+        # others; restarted GMRES(20) and BiCGSTAB on half spectra raise
+        # DivergenceError at +-0.45
+        m = conformal_metric(Torus(2, N), amplitude)
+        if N == 16:
+            mu = lp_density_fixture(2.0, 0.5, m)
+        else:
+            _, cos_mu, _ = manufactured_cos(2, N, 0.09)
+            mu = MeasureField.from_density(cos_mu.density, m)
+        assert not m.is_kahler
+        rep = solve_ma(mu, m, tol=1e-10)
+        assert rep.converged and rep.krylov_unconverged == 0
 
     def test_conformal_n1_solves_in_one_step(self):
         # at n=1 det g * L is exactly Lap/4, which the preconditioner inverts

@@ -132,7 +132,7 @@ def ref_ascent_gradient(mask, v, metric):
 
 
 def ref_kernel_values(torus, delta):
-    d2 = torus.periodic_distance((0.0,) * torus.ndim_real) ** 2
+    d2 = torus.periodic_distance() ** 2
     raw = kernel_profile_raw(d2 / delta**2)
     return raw / raw.sum()
 
@@ -252,7 +252,7 @@ def test_from_spectrum_bit_equals_irfftn(n, N):
 
 def full_lattice_kernel(torus, delta):
     """The kernel built on every lattice point: (spectrum, continuum mass)."""
-    d2 = torus.periodic_distance((0.0,) * torus.ndim_real) ** 2
+    d2 = torus.periodic_distance() ** 2
     raw = kernel_profile_raw(d2 / delta**2)
     mass = float(kernel_eta(torus.n) * raw.sum() * torus.spacing ** torus.ndim_real
                  / delta ** (2 * torus.n))
