@@ -8,8 +8,8 @@ import pytest
 import torusma.solver as solver
 from torusma.errors import DominationError, PreconditionError
 from torusma.geometry import (
-    Torus, GridFunction, conformal_metric, flat_metric, integrate, omega_form,
-    to_spectrum,
+    Torus, GridFunction, conformal_metric, flat_metric, integrate,
+    inverse_quarter_laplacian, omega_form, to_spectrum,
 )
 from torusma.pluripotential import MeasureField, ma_measure
 from torusma.solver import (
@@ -189,6 +189,44 @@ def conformal_case(n, N):
     return MeasureField.from_density(mu.density, m), m
 
 
+def pinned_case(amplitude, N):
+    """A conformal n=2 case pinned for the Hermitian Newton step: the datum
+    lp_density_fixture(2, 0.5) at N=16, manufactured_cos(2, N, 0.09)'s
+    density otherwise. (mu, metric)."""
+    m = conformal_metric(Torus(2, N), amplitude)
+    if N == 16:
+        return lp_density_fixture(2.0, 0.5, m), m
+    _, cos_mu, _ = manufactured_cos(2, N, 0.09)
+    return MeasureField.from_density(cos_mu.density, m), m
+
+
+def lgmres_reference(apply_L, rhs, torus, rtol):
+    """The Newton step's former scipy lgmres on lattice vectors, preconditioned
+    by the inverse flat quarter-Laplacian, negated: (Psi, info, cycles), Psi
+    the half spectrum of the mean-zero solution."""
+    from scipy.sparse.linalg import LinearOperator, lgmres
+
+    shape, size = torus.shape, torus.npoints
+
+    def apply_A(vec):
+        out = apply_L(to_spectrum(vec.reshape(shape)))
+        return np.negative(out, out=out).ravel()
+
+    def apply_prec(vec):
+        out = inverse_quarter_laplacian(torus, vec.reshape(shape)).ravel()
+        return np.negative(out, out=out)
+
+    A = LinearOperator((size, size), matvec=apply_A, dtype=float)
+    Mprec = LinearOperator((size, size), matvec=apply_prec, dtype=float)
+    starts = []  # lgmres calls back at the start of every cycle and at the end
+    psi, info = lgmres(A, rhs.ravel(), M=Mprec, rtol=rtol, atol=0.0,
+                       maxiter=solver._KRYLOV_MAXITER,
+                       callback=lambda x: starts.append(1))
+    Psi = to_spectrum(psi.reshape(shape))
+    Psi[(0,) * torus.ndim_real] = 0.0
+    return Psi, info, len(starts) - (info == 0)
+
+
 def metric_case(kind, n, N):
     """manufactured_cos's phi* and a metric of the given kind."""
     phi, _, flat = manufactured_cos(n, N)
@@ -214,16 +252,16 @@ def flag_inner_solves(monkeypatch, used, unused):
 class TestInnerSolveFlag:
     def test_unconverged_inner_solves_counted(self, monkeypatch):
         # the flat metric is Kaehler, so the step runs CG
-        flag_inner_solves(monkeypatch, "_pcg", "_lgmres")
+        flag_inner_solves(monkeypatch, "_pcg", "_gmres")
         _, mu, m = manufactured_cos(1, 64)
         rep = solve_ma(mu, m, tol=1e-12)
         # the flag is reported; Newton acceptance is unchanged
         assert rep.converged and rep.iterations >= 1
         assert rep.krylov_unconverged == rep.iterations
 
-    def test_unconverged_lgmres_solves_counted(self, monkeypatch):
-        # conformal n=2 is not Kaehler, so the step runs lgmres
-        flag_inner_solves(monkeypatch, "_lgmres", "_pcg")
+    def test_unconverged_gmres_solves_counted(self, monkeypatch):
+        # conformal n=2 is not Kaehler, so the step runs GMRES
+        flag_inner_solves(monkeypatch, "_gmres", "_pcg")
         mu, m = conformal_case(2, 8)
         rep = solve_ma(mu, m, tol=1e-12)
         assert rep.converged and rep.iterations >= 1
@@ -261,7 +299,7 @@ class TestInnerSolve:
 
     def test_conformal_n2_linearization_is_not_symmetric(self):
         # the torsion of the conformal n=2 metric breaks the symmetry, so its
-        # step keeps lgmres
+        # step runs GMRES
         assert not metric_case("conformal", 2, 8)[1].is_kahler
         assert asymmetry("conformal", 2, 8) > 1e-6
 
@@ -319,20 +357,73 @@ class TestInnerSolve:
 
     @pytest.mark.parametrize("amplitude, N", [(0.3, 16), (0.45, 8), (-0.45, 8)])
     def test_hermitian_steps_converge(self, amplitude, N):
-        # conformal n=2 cases a replacement for the lgmres step must pass
-        # (lgmres: 8, 8 and 9 Newton steps). CG alone stalls on the first
+        # conformal n=2 cases on which _gmres, like scipy's lgmres before
+        # it, takes 8, 8 and 9 Newton steps. CG alone stalls on the first
         # with residual 0.58, and leaves inner solves unconverged on the
-        # others; restarted GMRES(20) and BiCGSTAB on half spectra raise
-        # DivergenceError at +-0.45
-        m = conformal_metric(Torus(2, N), amplitude)
-        if N == 16:
-            mu = lp_density_fixture(2.0, 0.5, m)
-        else:
-            _, cos_mu, _ = manufactured_cos(2, N, 0.09)
-            mu = MeasureField.from_density(cos_mu.density, m)
+        # others. Right-preconditioned GMRES(20) and BiCGSTAB that stop on
+        # the lattice residual raise DivergenceError at +-0.45; _gmres
+        # preconditions on the left and tightens each cycle's tolerance on
+        # the preconditioned residual, as lgmres does
+        mu, m = pinned_case(amplitude, N)
         assert not m.is_kahler
         rep = solve_ma(mu, m, tol=1e-10)
         assert rep.converged and rep.krylov_unconverged == 0
+        steps = {(0.3, 16): 8, (0.45, 8): 8, (-0.45, 8): 9}
+        assert rep.iterations == steps[amplitude, N]
+
+    @pytest.mark.parametrize("amplitude, N, step, cycles", [
+        (0.3, 16, 1, 1), (0.45, 8, 1, 1), (-0.45, 8, 6, 3)])
+    def test_gmres_matches_scipy_lgmres(self, monkeypatch, amplitude, N, step,
+                                        cycles):
+        # the same iteration as lgmres, one matvec fewer (none at x = 0);
+        # over every Newton system of the three pinned cases Psi agreed to
+        # 1.4e-14 of its sup
+        systems = []
+        gmres = solver._gmres
+
+        def recording(apply_L, rhs, torus, rtol):
+            systems.append((apply_L, rhs, rtol))
+            return gmres(apply_L, rhs, torus, rtol=rtol)
+
+        monkeypatch.setattr(solver, "_gmres", recording)
+        mu, m = pinned_case(amplitude, N)
+        solve_ma(mu, m, tol=1e-10)
+        linearization, rhs, rtol = systems[step - 1]
+        matvecs = []
+
+        def apply_L(P):
+            matvecs.append(1)
+            return linearization(P)
+
+        Psi, info = gmres(apply_L, rhs, m.torus, rtol=rtol)
+        gmres_matvecs = len(matvecs)
+        ref, ref_info, ref_cycles = lgmres_reference(apply_L, rhs, m.torus, rtol)
+        lgmres_matvecs = len(matvecs) - gmres_matvecs
+        assert ref_cycles == cycles
+        assert info == ref_info == 0
+        assert gmres_matvecs == lgmres_matvecs - 1
+        assert np.abs(Psi - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_non_finite_step_ends_solve(self, monkeypatch):
+        # a NaN at one lattice point of every matvec: the GMRES step reports
+        # its failure and returns no step, and the line search stalls
+        linearization = solver._linearization
+
+        def poisoned(M, metric, w):
+            apply_L = linearization(M, metric, w)
+
+            def apply(P):
+                out = apply_L(P)
+                out[(0,) * out.ndim] = np.nan
+                return out
+
+            return apply
+
+        monkeypatch.setattr(solver, "_linearization", poisoned)
+        mu, m = conformal_case(2, 8)
+        rep = solve_ma(mu, m, tol=1e-12)
+        assert not rep.converged
+        assert rep.krylov_unconverged == 1
 
     def test_conformal_n1_solves_in_one_step(self):
         # at n=1 det g * L is exactly Lap/4, which the preconditioner inverts

@@ -23,12 +23,13 @@ only.
 The matrix: every command at n=1 N=64 and at n=2 N=16 on the flat metric;
 the same on the conformal metric (amplitude 0.2) for the commands that accept
 it; every command with the fixtures singular_density and holder_subsolution
-at n=1 N=64; solve with singular_density at n=2 N=16, the one flat n=2
-solve whose datum is not band-limited; mixture at tau = 0.5; certificate at
-n=1 N=256, where the Kiselman-Legendre t-grids of the rows overlap, on the
-flat metric and on the conformal one with deltas 1/16, 1/32, 1/64, the one
-certificate where A > 0 and the transform's infimum drops below its
-t = delta value; and a 2x2 stability sweep (N = 32, 64 x tau = 0.5, 1.0).
+at n=1 N=64; solve with singular_density at n=2 N=16 on the flat and on
+the conformal metric, the n=2 solves whose datum is not band-limited;
+mixture at tau = 0.5; certificate at n=1 N=256, where the Kiselman-Legendre
+t-grids of the rows overlap, on the flat metric and on the conformal one
+with deltas 1/16, 1/32, 1/64, the one certificate where A > 0 and the
+transform's infimum drops below its t = delta value; and a 2x2 stability
+sweep (N = 32, 64 x tau = 0.5, 1.0).
 Progress and wall times go to the terminal only, so the snapshot itself is
 deterministic.
 """
@@ -74,6 +75,10 @@ def matrix():
                          {"fixture": {"name": fixture}}))
     runs.append(("solve-n2-N16-singular_density", "solve",
                  {"torus": {"n": 2, "N": 16},
+                  "fixture": {"name": "singular_density"}}))
+    runs.append(("solve-n2-N16-conformal-singular_density", "solve",
+                 {"torus": {"n": 2, "N": 16},
+                  "metric": {"kind": "conformal", "amplitude": 0.2},
                   "fixture": {"name": "singular_density"}}))
     runs.append(("mixture-n1-N64-tau0.5", "mixture",
                  {"certificate": {"tau": 0.5}}))
