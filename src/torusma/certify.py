@@ -233,12 +233,13 @@ def _certificate_row(family: Mollifications, d: float, b: float, T: KLTransform,
     )
 
 
-def check_solution(phi: GridFunction, mu: MeasureField,
+def check_solution(family: Mollifications, mu: MeasureField,
                    metric: HermitianMetric) -> None:
-    """The Hoelder chain's precondition: raise unless phi solves
-    (omega + dd^c phi)^n = c mu up to the constant c. The model measure is
-    built here and dropped on return, before the chain runs."""
-    model = ma_measure(phi, metric)
+    """The Hoelder chain's precondition: raise unless the phi of `family`
+    solves (omega + dd^c phi)^n = c mu up to the constant c. The model
+    measure is built from the family's half spectrum of phi, so phi is not
+    transformed again, and dropped on return, before the chain runs."""
+    model = measure_of_form(omega_form(family.spectrum, metric), metric)
     c = model.mass / mu.mass
     mismatch = float(np.abs(model.density.values - c * mu.density.values).max())
     if mismatch > 1e-6 * max(1.0, c * float(mu.density.values.max())):
@@ -250,7 +251,7 @@ def check_solution(phi: GridFunction, mu: MeasureField,
 def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
                         metric: HermitianMetric, delta_list) -> HoelderCertificate:
     """Run the full Hoelder chain on a solution phi of
-    (omega + dd^c phi)^n = c mu that `check_solution(phi, mu, metric)`
+    (omega + dd^c phi)^n = c mu that `check_solution(family, mu, metric)`
     accepted; the chain itself builds no Monge-Ampere measure.
 
     `family` is the family rho_t phi of the sup-normalized solution phi
@@ -358,7 +359,7 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
     mu = MeasureField.from_density(GridFunction(metric.torus, mixed), metric)
     del mixed  # mu holds its own clamped copy
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
-    check_solution(report.phi, mu, metric)
-    cert = hoelder_certificate(Mollifications(report.phi), mu, tau, metric,
-                               delta_list)
+    family = Mollifications(report.phi)
+    check_solution(family, mu, metric)
+    cert = hoelder_certificate(family, mu, tau, metric, delta_list)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import TorusMAError, ConfigError, PreconditionError
-from .geometry import Torus, GridFunction, flat_metric, conformal_metric
+from .geometry import Torus, GridFunction, conformal_metric
 from .pluripotential import ma_measure, sublevel
 from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from .regularize import (Mollifications, kernel_eta, build_kernel, l1_rate,
@@ -42,19 +42,18 @@ def _ints(text):
 
 _SCHEMA = {
     "torus": {"n": (int, 1), "N": (int, 64)},
-    "metric": {"kind": (str, "flat"), "amplitude": (float, 0.0)},
+    "metric": {"amplitude": (float, 0.0)},  # 0 is the flat metric
     "fixture": {"name": (str, "manufactured_cos"), "amplitude": (float, 0.05),
                 "s": (float, 0.5), "p": (float, 2.0)},
     "solver": {"tol": (float, 1e-10), "max_iter": (int, 60)},
     "certificate": {"tau": (float, 1.0),
                     "delta_list": (_floats, (1 / 8, 1 / 16, 1 / 32))},
-    "stability": {"tau": (float, 1.0), "amplitude": (float, 1e-2),
-                  "budget": (int, 10)},
+    "stability": {"amplitude": (float, 1e-2), "budget": (int, 10)},
     "run": {"seed": (int, 0), "out": (str, "out")},
     "sweep": {"command": (str, "solve"), "N": (_ints, None), "tau": (_floats, None)},
 }
 
-# the [fixture] keys each named fixture reads
+# the [fixture] keys each named fixture reads; its keys are the fixture names
 _FIXTURE_READS = {"manufactured_cos": ("name", "amplitude"),
                   "singular_density": ("name", "s", "p"),
                   "holder_subsolution": ("name",)}
@@ -96,11 +95,9 @@ def load_config(path=None, overrides=()):
             Torus(cfg["torus"]["n"], N)
         except PreconditionError as exc:
             raise ConfigError(f"bad value in [{sec}]: {exc}") from exc
-    if cfg["metric"]["kind"] not in ("flat", "conformal"):
-        raise ConfigError("metric kind must be flat or conformal")
-    if cfg["fixture"]["name"] not in fixtures.FIXTURE_NAMES:
+    if cfg["fixture"]["name"] not in _FIXTURE_READS:
         raise ConfigError(f"unknown fixture {cfg['fixture']['name']!r}; "
-                          f"choose from {fixtures.FIXTURE_NAMES}")
+                          f"choose from {tuple(_FIXTURE_READS)}")
     return cfg
 
 
@@ -112,27 +109,19 @@ def _rate_ladder(cfg, torus):
         raise ConfigError(f"bad [certificate] delta_list: {exc}") from exc
 
 
-def _require_flat(cfg, what):
-    """`what` builds its own flat metric: reject a [metric] it would ignore."""
-    if cfg["metric"]["kind"] != "flat":
-        raise ConfigError(f"{what} uses the flat metric; [metric] kind = "
-                          f"{cfg['metric']['kind']} is not supported")
-
-
-def _require_default_fixture(cfg, what, reads=()):
-    """`what` builds its own fixture and reads only the [fixture] keys in
-    `reads`: reject any other key that is not at its default."""
-    for key, (_, default) in _SCHEMA["fixture"].items():
-        if key not in reads and cfg["fixture"][key] != default:
-            raise ConfigError(f"{what} builds its own fixture; [fixture] {key} = "
-                              f"{cfg['fixture'][key]} is not supported")
+def _require_defaults(cfg, section, what, reads=()):
+    """`what` builds its own [section] input and reads only the keys in
+    `reads`: reject any other key of [section] that is not at its default."""
+    for key, (_, default) in _SCHEMA[section].items():
+        if key not in reads and cfg[section][key] != default:
+            raise ConfigError(f"{what} builds its own {section}; [{section}] "
+                              f"{key} = {cfg[section][key]} is not supported")
 
 
 def _metric_for(cfg):
-    torus = Torus(cfg["torus"]["n"], cfg["torus"]["N"])
-    if cfg["metric"]["kind"] == "flat":
-        return flat_metric(torus)
-    return conformal_metric(torus, cfg["metric"]["amplitude"])
+    """The conformal metric of [metric] amplitude; amplitude 0 is flat."""
+    return conformal_metric(Torus(cfg["torus"]["n"], cfg["torus"]["N"]),
+                            cfg["metric"]["amplitude"])
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +169,9 @@ def _build_measure(cfg, metric):
 
 def run_solve(cfg, out, dump_stages, rng):
     name = cfg["fixture"]["name"]
-    _require_default_fixture(cfg, f"solve with {name}", _FIXTURE_READS[name])
+    _require_defaults(cfg, "fixture", f"solve with {name}", _FIXTURE_READS[name])
     if name == "holder_subsolution":
-        _require_flat(cfg, "holder_subsolution")
+        _require_defaults(cfg, "metric", f"solve with {name}")
         if cfg["torus"]["n"] != 1:
             raise ConfigError("holder_subsolution is defined for [torus] n = 1 only")
         sched, metric = fixtures.holder_subsolution(cfg["torus"]["N"])
@@ -205,15 +194,16 @@ def run_solve(cfg, out, dump_stages, rng):
               [(i, r, rep.c) for i, r in enumerate(rep.residual_history)])
     ok = rep.converged
     line = _summary("solve", ok, c=rep.c, residual=rep.residual_history[-1],
-                    iterations=rep.iterations)
+                    iterations=rep.iterations,
+                    krylov_unconverged=rep.krylov_unconverged)
     return (0 if ok else 2), line
 
 
 def run_capacity(cfg, out, dump_stages, rng):
     name = cfg["fixture"]["name"]
     # the reference sets always come from manufactured_cos at [fixture] amplitude
-    _require_default_fixture(cfg, f"capacity with {name}",
-                             _FIXTURE_READS[name] + ("amplitude",))
+    _require_defaults(cfg, "fixture", f"capacity with {name}",
+                      _FIXTURE_READS[name] + ("amplitude",))
     metric = _metric_for(cfg)
     mu, ref = _build_measure(cfg, metric)
     torus = metric.torus
@@ -253,7 +243,7 @@ def run_capacity(cfg, out, dump_stages, rng):
 
 
 def run_regularize(cfg, out, dump_stages, rng):
-    _require_default_fixture(cfg, "regularize", reads=("amplitude",))
+    _require_defaults(cfg, "fixture", "regularize", reads=("amplitude",))
     metric = _metric_for(cfg)
     torus = metric.torus
     deltas = _rate_ladder(cfg, torus)
@@ -262,8 +252,7 @@ def run_regularize(cfg, out, dump_stages, rng):
     kernel = build_kernel(torus, 0.125)
     N_list = [64, 128, 256] if n == 1 else [16, 32, 64]
     errs = discrete_mass_convergence(n, 0.125, N_list)
-    phi, mu, _ = fixtures.manufactured_cos(torus.n, torus.N,
-                                           cfg["fixture"]["amplitude"])
+    phi, mu = fixtures.cos_datum(metric, cfg["fixture"]["amplitude"])
     family = Mollifications(phi)  # shared by the rate fit and the dumps
     rate, rate_C = l1_rate(family, mu, deltas, metric)
     rows = [("eta", n, eta), ("continuum_mass", 0.125, kernel.continuum_mass)]
@@ -284,12 +273,12 @@ def run_regularize(cfg, out, dump_stages, rng):
 
 
 def run_stability(cfg, out, dump_stages, rng):
-    _require_flat(cfg, "stability")
-    _require_default_fixture(cfg, "stability")
+    _require_defaults(cfg, "metric", "stability")
+    _require_defaults(cfg, "fixture", "stability")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     psi, phi, mu, metric = fixtures.stability_pair(
         n, N, cfg["stability"]["amplitude"])
-    chk = stability_check(psi, phi, mu, cfg["stability"]["tau"], metric,
+    chk = stability_check(psi, phi, mu, cfg["certificate"]["tau"], metric,
                           budget=cfg["stability"]["budget"])
     write_csv(os.path.join(out, "stability.csv"),
               ["eps", "s", "t", "cap_lower", "mu_mass", "hbar", "slack"],
@@ -313,7 +302,8 @@ _CERT_HEADER = ["delta", "b", "gap", "t0_min", "kappa_hat", "modulus",
 
 def run_certificate(cfg, out, dump_stages, rng):
     name = cfg["fixture"]["name"]
-    _require_default_fixture(cfg, f"certificate with {name}", _FIXTURE_READS[name])
+    _require_defaults(cfg, "fixture", f"certificate with {name}",
+                      _FIXTURE_READS[name])
     metric = _metric_for(cfg)
     _rate_ladder(cfg, metric.torus)
     check_level_formula(metric, cfg["certificate"]["tau"],
@@ -321,9 +311,8 @@ def run_certificate(cfg, out, dump_stages, rng):
     mu = _build_measure(cfg, metric)[0]  # phi* is not read
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
-    phi, converged = rep.phi, rep.converged
-    check_solution(phi, mu, metric)
-    family = Mollifications(phi)  # the certificate's, and the dumps'
+    family = Mollifications(rep.phi)  # the check's, the chain's and the dumps'
+    check_solution(family, mu, metric)
     cert = hoelder_certificate(family, mu, cfg["certificate"]["tau"], metric,
                                cfg["certificate"]["delta_list"])
     if dump_stages:
@@ -332,18 +321,19 @@ def run_certificate(cfg, out, dump_stages, rng):
     del family
     write_csv(os.path.join(out, "certificate.csv"), _CERT_HEADER,
               _cert_rows(cert))
-    write_grid(os.path.join(out, "phi.cmag"), phi)
+    write_grid(os.path.join(out, "phi.cmag"), rep.phi)
     write_grid(os.path.join(out, "mu_density.cmag"), mu.density)
-    ok = cert.passed and converged
+    ok = cert.passed and rep.converged
     line = _summary("certificate", ok, alpha=cert.alpha, alpha1=cert.alpha1,
                     gamma=cert.gamma, kappa=cert.kappa, C4=cert.C4, C6=cert.C6,
-                    C7=cert.C7, measured_exponent=cert.measured_exponent)
+                    C7=cert.C7, measured_exponent=cert.measured_exponent,
+                    krylov_unconverged=rep.krylov_unconverged)
     return (0 if ok else 2), line
 
 
 def run_mixture(cfg, out, dump_stages, rng):
-    _require_flat(cfg, "mixture")
-    _require_default_fixture(cfg, "mixture")
+    _require_defaults(cfg, "metric", "mixture")
+    _require_defaults(cfg, "fixture", "mixture")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     _rate_ladder(cfg, Torus(n, N))
     phi1, phi2, c1, c2, metric = fixtures.mixture_pair(n, N, rng)
@@ -360,7 +350,8 @@ def run_mixture(cfg, out, dump_stages, rng):
     ok = (res.domination_slack >= -1e-10 and res.certificate.passed
           and res.report.converged)
     line = _summary("mixture", ok, slack=res.domination_slack, c=res.report.c,
-                    alpha=res.certificate.alpha, converged=res.report.converged)
+                    alpha=res.certificate.alpha, converged=res.report.converged,
+                    krylov_unconverged=res.report.krylov_unconverged)
     return (0 if ok else 2), line
 
 
@@ -394,7 +385,6 @@ def run_sweep(cfg, out, dump_stages, rng):
         sub = {sec: dict(keys) for sec, keys in cfg.items()}
         sub["torus"]["N"] = N
         sub["certificate"]["tau"] = tau
-        sub["stability"]["tau"] = tau
         cell_out = os.path.join(out, f"cell_N{N}_tau{_fmt(tau)}")
         os.makedirs(cell_out, exist_ok=True)
         cell_rng = np.random.default_rng(seed)

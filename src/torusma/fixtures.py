@@ -24,7 +24,6 @@ __all__ = [
     "stability_pair",
     "random_psh",
     "mixture_pair",
-    "FIXTURE_NAMES",
 ]
 
 
@@ -167,7 +166,3 @@ def mixture_pair(n: int, N: int, rng: np.random.Generator):
     phi2 = random_psh(torus, metric, rng)
     c1, c2 = rng.uniform(0.5, 2.0, size=2)
     return phi1, phi2, float(c1), float(c2), metric
-
-
-# names accepted by the command-line configuration
-FIXTURE_NAMES = ("manufactured_cos", "singular_density", "holder_subsolution")

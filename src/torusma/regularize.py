@@ -121,19 +121,20 @@ def _kernel(torus: Torus, delta: float) -> MollifierKernel:
 
 
 class Mollifications:
-    """The family t -> rho_t phi: phi is transformed once, and each radius is
-    convolved at most once. A field lives until its last reader releases it;
-    reading a released radius again is an error, not a second convolution."""
+    """The family t -> rho_t phi: phi is transformed once, into `spectrum`,
+    and each radius is convolved at most once. A field lives until its last
+    reader releases it; reading a released radius again is an error, not a
+    second convolution."""
 
     def __init__(self, phi: GridFunction):
         self.phi = phi
-        self._spectrum = to_spectrum(phi.values)
+        self.spectrum = to_spectrum(phi.values)
         self._fields = {}
 
     def __call__(self, t: float) -> GridFunction:
         if t not in self._fields:
             torus = self.phi.torus
-            field = from_spectrum(torus, self._spectrum, build_kernel(torus, t).spectrum)
+            field = from_spectrum(torus, self.spectrum, build_kernel(torus, t).spectrum)
             self._fields[t] = GridFunction(torus, field)
         field = self._fields[t]
         if field is None:

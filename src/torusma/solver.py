@@ -56,10 +56,14 @@ def _linearization(M: HermitianForm, metric: HermitianMetric, w):
 
     tr(adj(M) H(psi)) is det g times the linearized density; on a Kaehler
     metric the cofactor field of M is divergence-free, so it is self-adjoint
-    and negative semi-definite. With w = f det g / mean(f det g) the oblique
-    projection is det g times the exact Jacobian of det M / det g - c f, whose
-    constant c = mean(det M) / mean(f det g) depends on phi; w = 1 projects
-    onto mean zero. It keeps only the adjugate weights, not M.
+    and negative semi-definite, on the lattice at n = 1 and for band-limited
+    iterates at n = 2. On a rough n = 2 iterate the product adj(M) H(psi)
+    aliases and the off-diagonal symbols zero the Nyquist mode, so the
+    symmetry is only approximate (1.6e-3 relative at N = 16 on white-noise
+    phi). With w = f det g / mean(f det g) the oblique projection is det g
+    times the exact Jacobian of det M / det g - c f, whose constant
+    c = mean(det M) / mean(f det g) depends on phi; w = 1 projects onto mean
+    zero. It keeps only the adjugate weights, not M.
     """
     torus = metric.torus
     hess = spectral_symbols(torus).hess
@@ -110,8 +114,10 @@ def _inner(A: np.ndarray, B: np.ndarray, parseval: np.ndarray) -> float:
 
 def _pcg(apply_L, rhs: np.ndarray, torus, rtol: float) -> tuple:
     """Preconditioned CG on -apply_L(psi) = rhs, for a Kaehler metric, where
-    -apply_L is symmetric positive definite on mean-zero fields; apply_L is a
-    `_linearization`.
+    -apply_L is symmetric positive definite on mean-zero fields up to the
+    n = 2 aliasing that `_linearization` describes; apply_L is a
+    `_linearization`. On rough n = 2 data that can leave a solve
+    unconverged, which the caller counts in `krylov_unconverged`.
 
     The preconditioner is the inverse flat quarter-Laplacian, negated, a
     multiplier on the half spectrum, so the iterate, residual and direction

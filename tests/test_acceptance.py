@@ -201,9 +201,9 @@ def test_criterion_07_hoelder_certificate():
     m = flat_metric(Torus(1, 64))
     mu = lp_density_fixture(2.0, 0.5, m)
     rep = solve_ma(mu, m, tol=1e-10)
-    check_solution(rep.phi, mu, m)
-    cert = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
-                               (1 / 8, 1 / 16, 1 / 32))
+    family = Mollifications(rep.phi)
+    check_solution(family, mu, m)
+    cert = hoelder_certificate(family, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
     dt = time.monotonic() - t0
     kh = [r.kappa_hat for r in cert.rows]
     kappa_spread = max(kh) / min(kh)

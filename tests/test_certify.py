@@ -128,9 +128,9 @@ class TestHoelderCertificate:
         m = flat_metric(Torus(1, 64))
         mu = lp_density_fixture(2.0, 0.5, m)
         rep = solve_ma(mu, m, tol=1e-10)
-        check_solution(rep.phi, mu, m)
-        cert = hoelder_certificate(Mollifications(rep.phi), mu, 1.0, m,
-                                   (1 / 8, 1 / 16, 1 / 32))
+        family = Mollifications(rep.phi)
+        check_solution(family, mu, m)
+        cert = hoelder_certificate(family, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
         return cert, rep, mu, m
 
     def test_certificate_passes(self, cert_l2):
@@ -161,15 +161,16 @@ class TestHoelderCertificate:
         m = flat_metric(Torus(1, 64))
         phi = GridFunction.constant(m.torus, 0.0)
         mu = ma_measure(phi, m)
-        check_solution(phi, mu, m)
-        cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m, (1 / 8, 1 / 16))
+        family = Mollifications(phi)
+        check_solution(family, mu, m)
+        cert = hoelder_certificate(family, mu, 1.0, m, (1 / 8, 1 / 16))
         assert cert.passed and cert.trivial
 
     def test_mismatched_measure_rejected(self, cert_l2):
         _, rep, mu, m = cert_l2
         other = lp_density_fixture(2.0, 0.3, m)
         with pytest.raises(PreconditionError, match="does not solve"):
-            check_solution(rep.phi, other, m)
+            check_solution(Mollifications(rep.phi), other, m)
 
     def test_unnormalized_phi_rejected(self, cert_l2):
         # the family of phi - 0.1 has the same measure, but sup 0 is required
@@ -178,6 +179,14 @@ class TestHoelderCertificate:
         with pytest.raises(PreconditionError, match="sup-normalized"):
             hoelder_certificate(Mollifications(lowered), mu, 1.0, m,
                                 (1 / 8, 1 / 16))
+
+    def test_check_transforms_nothing_forward(self, forward_transforms):
+        # the model measure is built from the family's half spectrum of phi
+        phi, mu, m = manufactured_cos(1, 64)
+        family = Mollifications(phi)
+        forward_transforms.clear()
+        check_solution(family, mu, m)
+        assert forward_transforms == []
 
     def test_one_inverse_transform_per_radius(self, inverse_transforms):
         # N=128, deltas 1/8, 1/16, 1/32: the rate ladder adds 1/4, and the
@@ -189,9 +198,9 @@ class TestHoelderCertificate:
         # measure's n=1 Hessian makes one more inverse transform
         phi, mu, m = manufactured_cos(1, 128)
         inverse_transforms.clear()
-        check_solution(phi, mu, m)
-        cert = hoelder_certificate(Mollifications(phi), mu, 1.0, m,
-                                   (1 / 8, 1 / 16, 1 / 32))
+        family = Mollifications(phi)
+        check_solution(family, mu, m)
+        cert = hoelder_certificate(family, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
         assert cert.passed and not cert.trivial
         assert len(inverse_transforms) == 4 + 1
 

@@ -21,7 +21,7 @@ class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg["torus"]["N"] == 64
-        assert cfg["metric"]["kind"] == "flat"
+        assert cfg["metric"] == {"amplitude": 0.0}  # the flat metric
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -93,6 +93,27 @@ class TestSolveCommand:
         c_expected = ma_measure(phi, m).mass / mu.mass
         assert float(rows[-1]["c"]) == pytest.approx(c_expected, abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["solve", "certificate", "mixture"])
+    def test_unconverged_inner_solves_reach_summary(self, tmp_path, capsys,
+                                                    monkeypatch, command):
+        # every inner CG solve reports failure but returns its real step, so
+        # the Newton iteration is unchanged and every step counts
+        import torusma.solver
+        pcg = torusma.solver._pcg
+        calls = []
+
+        def flagged(*args, **kwargs):
+            calls.append(1)
+            return pcg(*args, **kwargs)[0], 1
+
+        monkeypatch.setattr(torusma.solver, "_pcg", flagged)
+        assert main([command, "--out", str(tmp_path / "o")]) == 0
+        summary = dict(part.split("=") for part in
+                       capsys.readouterr().out.split()[2:])
+        assert calls and int(summary["krylov_unconverged"]) == len(calls)
+        if command == "solve":
+            assert int(summary["iterations"]) == len(calls)
+
 
 class TestCapacityCommand:
     def test_summary_rederivable_from_csv(self, tmp_path, capsys):
@@ -112,6 +133,25 @@ class TestCapacityCommand:
         C_tau = np.max(masses[active] / caps[active] ** (1.0 + tau))
         assert float(summary["C"]) == pytest.approx(C, rel=1e-12)
         assert float(summary["C_tau"]) == pytest.approx(C_tau, rel=1e-12)
+
+
+class TestRegularizeCommand:
+    def test_l1_rate_weighs_a_measure_of_the_configured_metric(self, tmp_path,
+                                                               capsys):
+        from torusma.fixtures import cos_datum
+        from torusma.geometry import Torus, conformal_metric
+        from torusma.regularize import Mollifications, l1_rate, rate_deltas
+        ini = tmp_path / "c.ini"
+        ini.write_text("[metric]\namplitude = 0.2\n")
+        out = tmp_path / "o"
+        assert main(["regularize", "--config", str(ini), "--out", str(out)]) == 0
+        rows = {r["quantity"]: float(r["value"])
+                for r in read_csv(out / "regularize.csv")}
+        metric = conformal_metric(Torus(1, 64), 0.2)
+        phi, mu = cos_datum(metric, 0.05)
+        deltas = rate_deltas((1 / 8, 1 / 16, 1 / 32), metric.torus)
+        rate, rate_C = l1_rate(Mollifications(phi), mu, deltas, metric)
+        assert (rows["l1_rate"], rows["l1_rate_C"]) == (rate, rate_C)
 
 
 class TestErrorPaths:
@@ -167,15 +207,48 @@ class TestDeltaLadder:
         assert "delta_list" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Make every solve, fit and fixture build a command could start fail."""
+    import torusma.certify
+    import torusma.cli
+    import torusma.fixtures
+    import torusma.solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called before the config check")
+
+    for module, name in [(torusma.cli, "solve_ma"),
+                         (torusma.cli, "continuation_solve"),
+                         (torusma.solver, "solve_ma"),
+                         (torusma.certify, "solve_ma"),
+                         (torusma.certify, "estimate_capacity"),
+                         (torusma.cli, "l1_rate"),
+                         (torusma.fixtures, "stability_pair"),
+                         (torusma.fixtures, "mixture_pair"),
+                         (torusma.fixtures, "manufactured_cos"),
+                         (torusma.fixtures, "cos_datum")]:
+        monkeypatch.setattr(module, name, no_solve)
+
+
+def run_rejected(tmp_path, capsys, command, text):
+    """Run `command` on the config `text`; assert it exits 1, return stderr."""
+    ini = tmp_path / "c.ini"
+    ini.write_text(text)
+    assert main([command, "--config", str(ini),
+                 "--out", str(tmp_path / "o")]) == 1
+    return capsys.readouterr().err
+
+
 class TestIgnoredConfigRejected:
     """Settings a pipeline would silently ignore fail before any solve."""
 
     @pytest.mark.parametrize("command,text", [
         ("solve", "[fixture]\nname = holder_subsolution\n[torus]\nn = 2\nN = 16\n"),
         ("solve", "[fixture]\nname = holder_subsolution\n"
-                  "[metric]\nkind = conformal\namplitude = 0.2\n"),
-        ("stability", "[metric]\nkind = conformal\namplitude = 0.2\n"),
-        ("mixture", "[metric]\nkind = conformal\namplitude = 0.2\n"),
+                  "[metric]\namplitude = 0.2\n"),
+        ("stability", "[metric]\namplitude = 0.2\n"),
+        ("mixture", "[metric]\namplitude = 0.2\n"),
         ("stability", "[fixture]\nname = singular_density\n"),
         ("stability", "[fixture]\nname = holder_subsolution\n"),
         ("mixture", "[fixture]\nname = singular_density\n"),
@@ -190,36 +263,29 @@ class TestIgnoredConfigRejected:
         ("certificate", "[fixture]\ns = 0.3\n"),
         ("capacity", "[fixture]\np = 3.0\n"),
         ("certificate", "[torus]\nn = 1\nN = 64\n"
-                        "[metric]\nkind = conformal\namplitude = 0.2\n"),
+                        "[metric]\namplitude = 0.2\n"),
     ])
-    def test_exits_one_before_solving(self, tmp_path, capsys, monkeypatch,
+    def test_exits_one_before_solving(self, tmp_path, capsys, no_solver,
                                       command, text):
-        import torusma.certify
-        import torusma.cli
-        import torusma.fixtures
-        import torusma.solver
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solver called before the config check")
-
-        for module, name in [(torusma.cli, "solve_ma"),
-                             (torusma.cli, "continuation_solve"),
-                             (torusma.solver, "solve_ma"),
-                             (torusma.certify, "solve_ma"),
-                             (torusma.certify, "estimate_capacity"),
-                             (torusma.cli, "l1_rate"),
-                             (torusma.fixtures, "stability_pair"),
-                             (torusma.fixtures, "mixture_pair"),
-                             (torusma.fixtures, "manufactured_cos")]:
-            monkeypatch.setattr(module, name, no_solve)
-        ini = tmp_path / "c.ini"
-        ini.write_text(text)
-        code = main([command, "--config", str(ini),
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert ("flat metric" in err or "n = 1 only" in err
+        err = run_rejected(tmp_path, capsys, command, text)
+        assert ("builds its own metric" in err or "n = 1 only" in err
                 or "builds its own fixture" in err or "level formula" in err)
+
+    @pytest.mark.parametrize("command,text,message", [
+        # one key per setting: the retired keys are unknown, not aliases
+        ("solve", "[metric]\nkind = conformal\n",
+         "unknown key 'kind' in section [metric]"),
+        ("stability", "[stability]\ntau = 0.5\n",
+         "unknown key 'tau' in section [stability]"),
+        ("stability", "[metric]\namplitude = 0.2\n",
+         "stability builds its own metric; [metric] amplitude = 0.2 "
+         "is not supported"),
+        ("solve", "[metric]\namplitude = 0.6\n", "|amplitude| < 0.5"),
+        ("certificate", "[metric]\namplitude = -0.6\n", "|amplitude| < 0.5"),
+    ])
+    def test_one_key_per_setting(self, tmp_path, capsys, no_solver, command,
+                                 text, message):
+        assert message in run_rejected(tmp_path, capsys, command, text)
 
     @pytest.mark.parametrize("name", ["stability_pair", "mixture_pair"])
     def test_unread_fixture_names_rejected(self, tmp_path, name):
@@ -288,6 +354,27 @@ class TestCertificateCommand:
             "mollified_0.125.cmag"]
 
 
+    @pytest.mark.parametrize("command", ["certificate", "mixture"])
+    def test_no_forward_transform_repeats(self, tmp_path, capsys, monkeypatch,
+                                          command):
+        # the solution check reads phi's half spectrum from the family that
+        # the certificate convolves, so no field is transformed forward twice
+        import hashlib
+        import scipy.fft
+        from torusma.regularize import _kernel
+        rfftn = scipy.fft.rfftn
+        digests = []
+
+        def hashed(x, *args, **kwargs):
+            digests.append(hashlib.sha1(np.ascontiguousarray(x)).hexdigest())
+            return rfftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", hashed)
+        _kernel.cache_clear()  # the run builds its kernels
+        assert main([command, "--out", str(tmp_path / "o")]) == 0
+        assert digests and len(set(digests)) == len(digests)
+
+
 class TestStabilityCommand:
     def test_passes_and_writes_ledger(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"
@@ -298,6 +385,17 @@ class TestStabilityCommand:
         rows = read_csv(out / "stability.csv")
         assert len(rows) > 0
         assert min(float(r["slack"]) for r in rows) >= -1e-12
+
+    def test_reads_the_certificate_tau(self, tmp_path, capsys):
+        # gamma = 1 / (1 + (n+2)(n + 1/tau)) is 0.1 at n = 1, tau = 0.5
+        ini = tmp_path / "c.ini"
+        ini.write_text("[certificate]\ntau = 0.5\n"
+                       "[stability]\nbudget = 4\n[torus]\nN = 32\n")
+        assert main(["stability", "--config", str(ini),
+                     "--out", str(tmp_path / "o")]) == 0
+        summary = dict(part.split("=") for part in
+                       capsys.readouterr().out.split()[2:])
+        assert float(summary["gamma"]) == 0.1
 
 
 class TestSweep:
