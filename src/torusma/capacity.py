@@ -45,28 +45,36 @@ class DecayFit:
     residual: float
 
 
-def _ascent_gradient(mask: np.ndarray, M: HermitianForm,
-                     metric: HermitianMetric) -> np.ndarray:
+def _ascent_gradient(mask: np.ndarray, M: HermitianForm, metric: HermitianMetric,
+                     mask_spectrum: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the masked Monge-Ampere mass w.r.t. v at M = g + H(v)
     (spectral adjoint): sum_k H_k^*(mask C_k) over the adjugate weights C.
+    At n = 1 the only weight is 1, so mask C_0 is the mask as floats, whose
+    half spectrum the caller may pass as `mask_spectrum`.
     """
     torus = metric.torus
-    G = sum(s * to_spectrum(mask * c)
-            for s, c in zip(spectral_symbols(torus).hess, M.adjugate_weights()))
+    if mask_spectrum is not None:
+        spectra = (mask_spectrum,)
+    else:
+        spectra = (to_spectrum(mask * c) for c in M.adjugate_weights())
+    G = sum(s * F for s, F in zip(spectral_symbols(torus).hess, spectra))
     return from_spectrum(torus, G)
 
 
-def _seed_candidates(mask: np.ndarray, metric: HermitianMetric):
-    """Zero function plus scaled relative-extremal heuristics (smoothed indicators)."""
+def _seed_candidates(indicator: Mollifications, metric: HermitianMetric):
+    """Zero function plus scaled relative-extremal heuristics (smoothed
+    indicators), each as `psh_repair` returns it; `indicator` is the family
+    of the mask as floats. A heuristic that is zero everywhere is the first
+    seed again and is not yielded."""
     torus = metric.torus
-    yield GridFunction.constant(torus, 0.0)
-    smoothed = Mollifications(GridFunction(torus, mask.astype(float)))
+    yield GridFunction.constant(torus, 0.0), None
     for radius in (4.0 * torus.spacing, 8.0 * torus.spacing):
         if radius > 0.25:
             continue
         for scale in (0.5, 1.0):
-            vals = np.clip(scale * (1.0 - smoothed(radius).values), 0.0, 1.0)
-            yield psh_repair(GridFunction(torus, vals), metric)
+            vals = np.clip(scale * (1.0 - indicator(radius).values), 0.0, 1.0)
+            if vals.any():
+                yield psh_repair(GridFunction(torus, vals), metric)
 
 
 def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
@@ -79,6 +87,10 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
     re-verification, so the result is a certified lower bound.
     `extra_candidates` lets callers share one candidate pool across several
     sets (used by the nested-monotonicity checks).
+
+    A candidate already in [0, 1] that `psh_repair` returns unchanged is
+    evaluated on the form the repair verified, and no seed repeats the
+    first, the zero function.
     """
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
@@ -90,15 +102,17 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
     best_v = best_form = None
     evaluated = 0
 
-    def consider(v: GridFunction):
+    def consider(v: GridFunction, M: HermitianForm | None = None):
         """Keep v, and the form it was verified on, if it is feasible and
-        beats the best masked mass so far."""
+        beats the best masked mass so far; M, when given, is the form of v,
+        whose values lie in [0, 1]."""
         nonlocal best_val, best_v, best_form, evaluated
         evaluated += 1
-        if v.values.min() < -_BOUND_SLACK or v.values.max() > 1.0 + _BOUND_SLACK:
-            return
-        v = GridFunction(torus, np.clip(v.values, 0.0, 1.0))
-        M = omega_form(v, metric)
+        if M is None:
+            if v.values.min() < -_BOUND_SLACK or v.values.max() > 1.0 + _BOUND_SLACK:
+                return
+            v = GridFunction(torus, np.clip(v.values, 0.0, 1.0))
+            M = omega_form(v, metric)
         if float(M.min_eig().min()) < -psh_tolerance(metric):
             return
         # integral over E of (omega + dd^c v)^n
@@ -107,8 +121,11 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
             best_val = val
             best_v, best_form = v, M
 
-    for seed in _seed_candidates(mask, metric):
-        consider(seed)
+    indicator = Mollifications(GridFunction(torus, mask.astype(float)))
+    for seed in _seed_candidates(indicator, metric):
+        consider(*seed)
+    mask_spectrum = indicator.spectrum if torus.n == 1 else None
+    indicator = None
     for cand in extra_candidates:
         consider(cand)
 
@@ -120,15 +137,16 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
     step = 0.1
     for _ in range(budget):
         if grad is None:
-            grad = _ascent_gradient(mask, form, metric)
+            grad = _ascent_gradient(mask, form, metric, mask_spectrum)
             gnorm = np.abs(grad).max()
         if gnorm < 1e-14:
             break
         trial_vals = np.clip(v.values + step * grad / gnorm, 0.0, 1.0)
-        trial = psh_repair(GridFunction(torus, trial_vals), metric)
-        trial = GridFunction(torus, np.clip(trial.values, 0.0, 1.0))
+        trial, M = psh_repair(GridFunction(torus, trial_vals), metric)
+        if M is None:  # repaired: back into [0, 1]
+            trial = GridFunction(torus, np.clip(trial.values, 0.0, 1.0))
         before = best_val
-        consider(trial)
+        consider(trial, M)
         if best_val > before + 1e-15:
             v, form = best_v, best_form
             if torus.n == 2:

@@ -205,31 +205,38 @@ def _certificate_row(family: Mollifications, d: float, b: float, T: KLTransform,
                      scale: float) -> CertificateRow:
     """The checks of one delta of the Hoelder chain on its Kiselman-Legendre
     transform T; the modulus radius kappa_hat d = t0_min and the modulus come
-    from the transform."""
+    from the transform.
+
+    Every lattice expression is evaluated on slabs of the leading axis, so
+    the row holds no work field of the lattice size; the checks reduce only
+    by max and all, which are the same over slabs as over the lattice."""
     phi = family.phi.values
     value = T.value.values
-    # two work fields and one mask carry every lattice expression below
-    work = np.empty_like(phi)
-    test = np.empty(phi.shape, dtype=bool)
-    upper = np.add(family(d).values, K_eff * d)
-    upper += K_eff * d * d
-    sandwich_ok = bool(
-        np.all(np.greater_equal(value, np.subtract(phi, scale, out=work), out=test))
-        and np.all(np.less_equal(value, np.add(upper, scale, out=work), out=test)))
-    Phi_d = np.multiply(1.0 - d**alpha, value, out=work)
-    diff1_ok = bool(Phi_d.max() <= C4 * d**alpha + scale)
-    # upper becomes diff2_rhs + scale, with
-    # diff2_rhs = C4 d^alpha + (1 - d^alpha) (upper - phi)
-    np.subtract(upper, phi, out=upper)
-    np.multiply(1.0 - d**alpha, upper, out=upper)
-    np.add(C4 * d**alpha, upper, out=upper)
-    upper += scale
-    gap_field = np.subtract(Phi_d, phi, out=work)
-    diff2_ok = bool(np.all(np.less_equal(gap_field, upper, out=test)))
-    gap = float(gap_field.max())
+    rho = family(d).values
+    shrink, bound = 1.0 - d**alpha, C4 * d**alpha
+    step = max(1, len(phi) // 16)
+    sandwich_ok = diff1_ok = diff2_ok = True
+    gaps = []
+    for k in range(0, len(phi), step):
+        p, v = phi[k:k + step], value[k:k + step]
+        upper = np.add(rho[k:k + step], K_eff * d)
+        upper += K_eff * d * d
+        sandwich_ok &= bool(np.all(v >= p - scale) and np.all(v <= upper + scale))
+        Phi_d = shrink * v
+        diff1_ok &= bool(Phi_d.max() <= bound + scale)
+        # upper becomes diff2_rhs + scale, with
+        # diff2_rhs = C4 d^alpha + (1 - d^alpha) (upper - phi)
+        upper -= p
+        upper *= shrink
+        np.add(bound, upper, out=upper)
+        upper += scale
+        gap = np.subtract(Phi_d, p, out=Phi_d)
+        diff2_ok &= bool(np.all(gap <= upper))
+        gaps.append(gap.max())
     return CertificateRow(
-        delta=d, b=float(b), gap=gap, t0_min=T.t0_min, kappa_hat=float(T.t0_min / d),
-        modulus=T.modulus, sandwich_ok=sandwich_ok, diff2_ok=diff2_ok and diff1_ok,
+        delta=d, b=float(b), gap=float(max(gaps)), t0_min=T.t0_min,
+        kappa_hat=float(T.t0_min / d), modulus=T.modulus, sandwich_ok=sandwich_ok,
+        diff2_ok=diff2_ok and diff1_ok,
     )
 
 
@@ -255,10 +262,13 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
     accepted; the chain itself builds no Monge-Ampere measure.
 
     `family` is the family rho_t phi of the sup-normalized solution phi
-    (sup phi = 0, as `solve_ma` returns it). The rate fit and one
-    Kiselman-Legendre pass read every radius from it, each radius once, and
-    release each one after its last read, except the rows' rho_delta phi,
-    which stay for a caller that reads them too.
+    (sup phi = 0, as `solve_ma` returns it). The rate fit reads the ladder
+    from the largest radius down and releases the radii above the largest
+    delta; the Kiselman-Legendre transform convolves what its rows read
+    and releases the spectrum of phi. Then one row at a time is formed,
+    checked and dropped. Each radius is convolved once and released after
+    its last read, except the rows' rho_delta phi, which stay for a caller
+    that reads them too.
 
     The monotonicity level uses K_eff = metric.K + sigma_n (kernel second
     moment): the omega term contributes sigma_n t^2 to the Kiselman-Legendre
@@ -283,10 +293,9 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
             C7=0.0, measured_exponent=1.0, rows=[], passed=True, trivial=True,
         )
 
-    alpha1, _ = l1_rate(family, mu, ladder, metric)
-    for d in ladder:
-        if d > deltas[0]:  # read by the rate fit alone
-            family.release(d)
+    # the radii above the largest delta are read by the rate fit alone
+    alpha1, _ = l1_rate(family, mu, ladder, metric,
+                        keep=[d for d in ladder if d <= deltas[0]])
     alpha = min(gamma, alpha1)
     if alpha <= 0.0:
         raise PreconditionError(f"nonpositive fitted exponent alpha1 = {alpha1}")
@@ -298,8 +307,12 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
     delta0 = deltas[0]
 
     levels = [(d, _kl_level(d, alpha, K_eff, A)) for d in deltas]
-    rows = [_certificate_row(family, d, b, T, alpha, K_eff, C4, scale)
-            for (d, b), T in zip(levels, kiselman_legendre(family, levels, K_eff))]
+    transforms = kiselman_legendre(family, levels, K_eff)
+    # one transform at a time: each is checked and dropped before the next
+    # is formed, so no zip may hold the previous one
+    rows = [_certificate_row(family, d, b, next(transforms), alpha, K_eff, C4,
+                             scale)
+            for d, b in levels]
 
     exp_pow = alpha * alpha1
     C6 = max((max(r.gap, 0.0) / r.delta**exp_pow for r in rows), default=0.0)

@@ -209,8 +209,8 @@ def run_capacity(cfg, out, dump_stages, rng):
     torus = metric.torus
     # eight nested sublevel sets of the cosine potential (built once if named)
     if ref is None:
-        ref, _, _ = fixtures.manufactured_cos(torus.n, torus.N,
-                                              cfg["fixture"]["amplitude"])
+        ref = GridFunction(torus, fixtures._cos_profile(
+            torus, cfg["fixture"]["amplitude"])).sup_normalized()
     zero = GridFunction.constant(torus, 0.0)
     osc = float(ref.values.max() - ref.values.min())
     rows = []
@@ -254,7 +254,8 @@ def run_regularize(cfg, out, dump_stages, rng):
     errs = discrete_mass_convergence(n, 0.125, N_list)
     phi, mu = fixtures.cos_datum(metric, cfg["fixture"]["amplitude"])
     family = Mollifications(phi)  # shared by the rate fit and the dumps
-    rate, rate_C = l1_rate(family, mu, deltas, metric)
+    rate, rate_C = l1_rate(family, mu, deltas, metric,
+                           keep=deltas if dump_stages else ())
     rows = [("eta", n, eta), ("continuum_mass", 0.125, kernel.continuum_mass)]
     rows += [("discrete_mass_err", N, e) for N, e in zip(N_list, errs)]
     rows += [("l1_rate", 0.0, rate), ("l1_rate_C", 0.0, rate_C)]
@@ -365,6 +366,11 @@ _COMMANDS = {
 }
 
 
+# the commands that read [certificate] tau; a tau axis over any other
+# command would write identical cells
+_READS_TAU = ("capacity", "stability", "certificate", "mixture")
+
+
 def run_sweep(cfg, out, dump_stages, rng):
     command = cfg["sweep"]["command"]
     if command not in _COMMANDS:
@@ -373,6 +379,9 @@ def run_sweep(cfg, out, dump_stages, rng):
     taus = cfg["sweep"]["tau"]
     if Ns == () or taus == ():
         raise ConfigError("sweep grid is empty")
+    if taus is not None and command not in _READS_TAU:
+        raise ConfigError(f"{command} does not read [certificate] tau; "
+                          "[sweep] tau is not supported")
     if Ns is None:
         Ns = (cfg["torus"]["N"],)
     if taus is None:

@@ -108,7 +108,7 @@ def holder_subsolution(N: int, delta_range=(3, 8)):
     x = torus.axis_coord(0)
     raw = GridFunction(torus, 0.05 * np.abs(np.sin(np.pi * x)) ** 0.5
                        * np.ones(torus.shape))
-    u = psh_repair(raw, metric, rounds=8)
+    u = psh_repair(raw, metric, rounds=8)[0]
     h = GridFunction(torus, 0.5 * (1.0 + np.cos(2.0 * np.pi * x))
                      * np.ones(torus.shape))
     dens = GridFunction(torus, ma_measure(u, metric).density.values * h.values)
@@ -153,7 +153,7 @@ def random_psh(torus: Torus, metric: HermitianMetric,
             vals = vals + (0.02 / k ** 2) * (
                 a * np.cos(2.0 * np.pi * k * x) + b * np.sin(2.0 * np.pi * k * x)
             ) * np.ones(torus.shape)
-    f = psh_repair(GridFunction(torus, vals), metric)
+    f = psh_repair(GridFunction(torus, vals), metric)[0]
     return f.sup_normalized()
 
 

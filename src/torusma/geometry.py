@@ -234,8 +234,7 @@ class SpectralSymbols:
 
     xi: tuple                    # angular wavenumber per real axis, Nyquist zeroed
     hess: tuple                  # symbols of the HermitianForm parts of the Hessian
-    quarter_lap: np.ndarray      # symbol of Lap / 4
-    inv_quarter_lap: np.ndarray  # its inverse, 0 on the constant mode
+    inv_quarter_lap: np.ndarray  # inverse of the symbol of Lap / 4, 0 on the constant mode
     parseval: np.ndarray         # last-axis weights: sum(u v) = sum(parseval Re(conj(U) V))
 
 
@@ -273,8 +272,7 @@ def spectral_symbols(torus: Torus) -> SpectralSymbols:
     parseval = np.full(N // 2 + 1, 2.0 / torus.npoints)
     parseval[[0, -1]] = 1.0 / torus.npoints
     return SpectralSymbols(
-        xi=tuple(xi), hess=tuple(hess),
-        quarter_lap=_frozen(quarter_lap), inv_quarter_lap=_frozen(inv),
+        xi=tuple(xi), hess=tuple(hess), inv_quarter_lap=_frozen(inv),
         parseval=_frozen(parseval),
     )
 

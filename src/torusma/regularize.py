@@ -8,6 +8,7 @@ supported kernel rho(t) = eta (1-t)^(-2) exp(1/(t-1)) on [0, 1].
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,8 +124,10 @@ def _kernel(torus: Torus, delta: float) -> MollifierKernel:
 class Mollifications:
     """The family t -> rho_t phi: phi is transformed once, into `spectrum`,
     and each radius is convolved at most once. A field lives until its last
-    reader releases it; reading a released radius again is an error, not a
-    second convolution."""
+    reader releases it, and so does the spectrum: once its last convolution
+    is done, `release_spectrum` drops it. Reading a released radius again,
+    or a radius never convolved after the spectrum went, is an error, not a
+    second transform."""
 
     def __init__(self, phi: GridFunction):
         self.phi = phi
@@ -133,6 +136,9 @@ class Mollifications:
 
     def __call__(self, t: float) -> GridFunction:
         if t not in self._fields:
+            if self.spectrum is None:
+                raise RuntimeError(f"rho_t phi at t = {t} was never convolved, and "
+                                   "the spectrum of phi was released")
             torus = self.phi.torus
             field = from_spectrum(torus, self.spectrum, build_kernel(torus, t).spectrum)
             self._fields[t] = GridFunction(torus, field)
@@ -145,6 +151,10 @@ class Mollifications:
         """Drop rho_t phi: the caller was its last reader."""
         self._fields[t] = None
 
+    def release_spectrum(self) -> None:
+        """Drop the spectrum of phi: every radius still to be read is convolved."""
+        self.spectrum = None
+
 
 def mollify(phi: GridFunction, delta: float) -> GridFunction:
     """rho_delta phi: periodic convolution with the discrete unit-mass kernel."""
@@ -155,8 +165,10 @@ def mollify(phi: GridFunction, delta: float) -> GridFunction:
 # psh repair: approximate projection back into the omega-psh cone
 # ---------------------------------------------------------------------------
 
-def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> GridFunction:
-    """Push f toward the omega-psh cone.
+def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> tuple:
+    """Push f toward the omega-psh cone: (g, M), with g the result and M the
+    form omega + dd^c f it was verified on when g is f itself, which is
+    the case when f is already in the cone; otherwise M is None.
 
     Each round raises the smallest eigenvalue of M = g + H(f) to 0 wherever it
     is negative, which adds max(-lambda_min, 0) to the trace of M, and rebuilds
@@ -179,7 +191,9 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
         lam = M.min_eig()
         defect = float(lam.min())
         if defect >= -tol:
-            return f if k == 0 else GridFunction(torus, from_spectrum(torus, F))
+            if k == 0:
+                return f, M
+            return GridFunction(torus, from_spectrum(torus, F)), None
         if k == rounds:
             break
         # sum the clamped diagonal before subtracting g: at n = 1 this is
@@ -189,7 +203,7 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> Gri
         F[origin] = mean_mode
     lam = metric.min_eig()
     theta = lam / (lam - defect + tol)
-    return GridFunction(torus, theta * from_spectrum(torus, F))
+    return GridFunction(torus, theta * from_spectrum(torus, F)), None
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +222,13 @@ class KLTransform:
     t_grid: tuple
 
 
-def kiselman_legendre(family: Mollifications, levels, K: float) -> list:
+def kiselman_legendre(family: Mollifications, levels, K: float) -> Iterator[KLTransform]:
     """The transform of each (delta, b) in `levels`, over the geometric t-grid
-    {delta 2^-k}, in one descending pass over the union of the cut grids.
+    {delta 2^-k}, as an iterator that forms each row when it is asked for.
 
     The -b log(t/delta) term blows up as t -> 0, so truncating a grid at two
     lattice spacings is safe once rho_t phi is bounded. KLTransform.t_grid is
-    that nominal grid, but the pass reads only the radii that can lower the
+    that nominal grid, but a row reads only the radii that can lower its
     infimum, which needs K >= 0. The discrete kernel is nonnegative with unit
     sum, so rho_t phi >= min phi, and the minimand at t = delta 2^-k is at
     least min phi + k b ln 2, while the row's value at t = delta is at most
@@ -224,14 +238,18 @@ def kiselman_legendre(family: Mollifications, levels, K: float) -> list:
     round-off of the transforms, which scales with the size of phi, not with
     its oscillation alone.
 
-    Each kept rho_t phi is read once: its t-only part (rho_t phi + K t^2) + K t
-    is formed once, and every row whose cut grid holds t subtracts its
-    b log(t/delta) and keeps a strict `<` running infimum. A row's t0_min is
-    the last t at which its infimum dropped anywhere, which is the minimum
-    over the lattice of the pointwise minimizer, so its modulus is read while
-    that field is live. Every radius that is no row's delta is released once
-    the pass has used it; the rows' rho_delta phi stay in the family for the
-    caller.
+    Before any row, this call checks K, every b and every delta, cuts every
+    grid, convolves the union of the cut grids, each radius once, and
+    releases the family's spectrum. A row then runs alone: for each t of
+    its cut grid, descending, it forms (rho_t phi + K t^2) + K t
+    - b log(t/delta), left to right, in one work field and keeps a strict
+    `<` running infimum. Its t0_min is the last t at which its infimum
+    dropped anywhere, which is the minimum over the lattice of the pointwise
+    minimizer, so its modulus is read while that field is live. A radius
+    that is no row's delta is released after its last row; the rows'
+    rho_delta phi stay in the family for the caller. Nothing of a row but
+    its KLTransform outlives it, so a caller that drops each transform
+    before asking for the next holds one row's infimum at a time.
     """
     if K < 0.0:
         raise PreconditionError(f"K must be nonnegative, got {K}")
@@ -251,39 +269,44 @@ def kiselman_legendre(family: Mollifications, levels, K: float) -> list:
         reach = top - bottom + K * delta * (1.0 + delta) + margin
         kept.append(tuple(t for k, t in enumerate(grids[-1])
                           if k * b * math.log(2.0) <= reach))
-    rows = len(grids)
-    best, t0_min, modulus = [None] * rows, [None] * rows, [None] * rows
-    cand = np.empty(torus.shape)
-    take = np.empty(torus.shape, dtype=bool)
-    deltas = {delta for delta, _ in levels}
     for t in sorted(set().union(*kept), reverse=True):
+        family(t)
+    family.release_spectrum()
+    last = {t: i for i, cut in enumerate(kept) for t in cut}
+    deltas = {delta for delta, _ in levels}
+    rows = [(delta, b, grid, cut,
+             [t for t in cut if t not in deltas and last[t] == i])
+            for i, ((delta, b), grid, cut) in enumerate(zip(levels, grids, kept))]
+    return (_kl_row(family, K, *row) for row in rows)
+
+
+def _kl_row(family: Mollifications, K: float, delta: float, b: float, grid: tuple,
+            cut: tuple, release: list) -> KLTransform:
+    """One row of `kiselman_legendre` over the radii `cut` of its grid;
+    the radii in `release` are dropped from the family after their read."""
+    phi = family.phi.values
+    best = None
+    cand = np.empty(phi.shape)
+    for t in cut:
         rho = family(t).values
-        # rho_t phi + K t^2 + K t - b log(t / delta), left to right
-        base = np.add(rho, K * t * t)
-        base += K * t
-        dropped = []
-        for i, ((delta, b), grid) in enumerate(zip(levels, kept)):
-            if t not in grid:
-                continue
-            np.subtract(base, b * math.log(t / delta), out=cand)
-            if best[i] is None:  # the row's first t fills every point
-                best[i] = cand.copy()
-            else:
-                np.less(cand, best[i], out=take)
-                if not take.any():
-                    continue
-                np.copyto(best[i], cand, where=take)
-            dropped.append(i)
+        np.add(rho, K * t * t, out=cand)
+        cand += K * t
+        cand -= b * math.log(t / delta)
+        if best is None:  # the row's first t fills every point
+            best, cand = cand, np.empty(phi.shape)
+            dropped = True
+        else:
+            take = np.less(cand, best)
+            dropped = bool(take.any())
+            if dropped:
+                np.copyto(best, cand, where=take)
+            take = None
         if dropped:
-            sup = float(np.subtract(rho, phi, out=cand).max())
-            for i in dropped:
-                t0_min[i], modulus[i] = t, sup
-        if t not in deltas:
+            t0_min, modulus = t, float(np.subtract(rho, phi, out=cand).max())
+        if t in release:
             family.release(t)
-        # base, and rho_t phi once released, die before the next convolution
-        del rho, base
-    return [KLTransform(GridFunction(torus, v), t0, m, grid)
-            for v, t0, m, grid in zip(best, t0_min, modulus, grids)]
+        rho = None  # a released radius dies here
+    return KLTransform(GridFunction(family.phi.torus, best), t0_min, modulus, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +346,35 @@ def rate_deltas(delta_list, torus: Torus) -> list:
 
 
 def l1_rate(family: Mollifications, mu: MeasureField, delta_list,
-            metric: HermitianMetric) -> tuple:
+            metric: HermitianMetric, keep=()) -> tuple:
     """Regression of log ||rho_delta phi - phi||_{L1(d mu)} against log delta,
     with rho_delta phi read from the family of phi.
 
-    Returns (alpha1_hat, C). Constant phi reports (1.0, 0.0).
+    The radii are read from the largest down, and each one's integrand is
+    formed in one work field; a radius not in `keep`, the radii a later
+    reader needs, is released before the next one is convolved. The points
+    reach the fit in the order of `delta_list`. Returns (alpha1_hat, C).
+    Constant phi reports (1.0, 0.0).
     """
     if len(delta_list) < 4:
         raise PreconditionError("need at least 4 delta values")
     span = max(delta_list) / min(delta_list)
     if span < 8.0 - 1e-9:
         raise PreconditionError("delta_list must span roughly a decade (factor >= 8)")
-    logs = []
+    l1 = {}
     diff = np.empty(family.phi.torus.shape)  # |rho_d phi - phi| mu, per d
-    for d in delta_list:
+    for d in sorted(set(delta_list), reverse=True):
         np.subtract(family(d).values, family.phi.values, out=diff)
         np.abs(diff, out=diff)
         diff *= mu.density.values
-        logs.append((math.log(d), integrate(diff, metric)))
-    if all(l1 < 1e-14 for _, l1 in logs):
+        l1[d] = integrate(diff, metric)
+        if d not in keep:
+            family.release(d)
+    logs = [(math.log(d), l1[d]) for d in delta_list]
+    if all(v < 1e-14 for _, v in logs):
         return 1.0, 0.0
-    xs = [x for x, l1 in logs if l1 > 0.0]
-    ys = [math.log(l1) for _, l1 in logs if l1 > 0.0]
+    xs = [x for x, v in logs if v > 0.0]
+    ys = [math.log(v) for _, v in logs if v > 0.0]
     slope, intercept = np.polyfit(xs, ys, 1)
     return float(slope), float(math.exp(intercept))
 

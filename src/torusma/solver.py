@@ -112,45 +112,53 @@ def _inner(A: np.ndarray, B: np.ndarray, parseval: np.ndarray) -> float:
     return float(cols.reshape(-1, 2).sum(axis=1) @ parseval)
 
 
-def _pcg(apply_L, rhs: np.ndarray, torus, rtol: float) -> tuple:
-    """Preconditioned CG on -apply_L(psi) = rhs, for a Kaehler metric, where
-    -apply_L is symmetric positive definite on mean-zero fields up to the
-    n = 2 aliasing that `_linearization` describes; apply_L is a
-    `_linearization`. On rough n = 2 data that can leave a solve
-    unconverged, which the caller counts in `krylov_unconverged`.
+def _pcg(apply_L, B: np.ndarray, torus, rtol: float) -> tuple:
+    """Preconditioned CG on -apply_L(psi) = rhs, B the half spectrum of rhs,
+    for a Kaehler metric, where -apply_L is symmetric positive definite on
+    mean-zero fields up to the n = 2 aliasing that `_linearization`
+    describes; apply_L is a `_linearization`. On rough n = 2 data that can
+    leave a solve unconverged, which the caller counts in
+    `krylov_unconverged`.
 
     The preconditioner is the inverse flat quarter-Laplacian, negated, a
     multiplier on the half spectrum, so the iterate, residual and direction
     are carried as half spectra and inner products are taken by Parseval:
-    each iteration costs one `apply_L` and one forward transform. The
-    iteration is scipy's `cg` with atol = 0: it stops when the lattice
-    residual norm drops below rtol |rhs|, and returns (Psi, info) with info 0
-    on convergence and the iteration count otherwise.
+    each iteration costs one `apply_L` and one forward transform. B is
+    overwritten: it becomes the residual R. Three half spectra, R, X and P,
+    live across each `apply_L`: the preconditioned residual Z is a fresh
+    array that P absorbs (on the first iteration P is Z), the image Q of P
+    is the workspace for the updates of R and then X, and X is allocated,
+    as zeros, only after the first matvec. The iteration is scipy's `cg`
+    with atol = 0: it stops when the lattice residual norm drops below
+    rtol |rhs|, and returns (Psi, info) with info 0 on convergence and the
+    iteration count otherwise.
     """
     sym = spectral_symbols(torus)
-    R = to_spectrum(rhs)
-    X = np.zeros_like(R)
+    R = B
     atol = rtol * np.sqrt(_inner(R, R, sym.parseval))
     if atol == 0.0:
-        return X, 0
-    Z = np.empty_like(R)  # preconditioned residual, then workspace for the updates
-    P = None
+        return np.zeros_like(R), 0
+    X = P = None
     for _ in range(_KRYLOV_MAXITER):
         if np.sqrt(_inner(R, R, sym.parseval)) < atol:
-            return X, 0
-        np.multiply(R, sym.inv_quarter_lap, out=Z)
+            return (np.zeros_like(R) if X is None else X), 0
+        Z = np.multiply(R, sym.inv_quarter_lap)  # preconditioned residual
         np.negative(Z, out=Z)
         rho = _inner(R, Z, sym.parseval)
         if P is None:
-            P = Z.copy()
+            P = Z
         else:
             P *= rho / rho_prev
             P += Z
+        Z = None
         Q = to_spectrum(apply_L(P))
         np.negative(Q, out=Q)
         alpha = rho / _inner(P, Q, sym.parseval)
-        X += np.multiply(P, alpha, out=Z)
-        R -= np.multiply(Q, alpha, out=Z)
+        R -= np.multiply(Q, alpha, out=Q)
+        if X is None:
+            X = np.zeros_like(R)
+        X += np.multiply(P, alpha, out=Q)
+        Q = None
         rho_prev = rho
     return X, _KRYLOV_MAXITER
 
@@ -158,10 +166,11 @@ def _pcg(apply_L, rhs: np.ndarray, torus, rtol: float) -> tuple:
 _GMRES_M = 30  # Arnoldi steps per GMRES cycle, lgmres's inner_m
 
 
-def _gmres(apply_L, rhs: np.ndarray, torus, rtol: float) -> tuple:
+def _gmres(apply_L, B: np.ndarray, torus, rtol: float) -> tuple:
     """scipy's lgmres(A, b, M=M, rtol=rtol, atol=0) on half spectra, for the
     conformal n=2 metric, whose torsion breaks the symmetry CG needs; A, M,
-    the inner products, the cost of a step and (Psi, info) are `_pcg`'s.
+    the inner products, the cost of a step and (Psi, info) are `_pcg`'s,
+    and B is the half spectrum of b, which is not written to.
 
     Each cycle runs left-preconditioned GMRES from M(b - A x) and ends at a
     breakdown or once its preconditioned residual, relative to its start,
@@ -173,7 +182,6 @@ def _gmres(apply_L, rhs: np.ndarray, torus, rtol: float) -> tuple:
     steps (124 cycles of nine conformal n=2 solves took at most 29).
     """
     sym = spectral_symbols(torus)
-    B = to_spectrum(rhs)
     X = np.zeros_like(B)
     b_norm = np.sqrt(_inner(B, B, sym.parseval))
     if b_norm == 0.0:
@@ -236,8 +244,6 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     if not np.all(np.isfinite(f)):
         raise PreconditionError("measure density must be bounded on the lattice")
     detg = metric.det()
-    # f det g / mean(f det g): the direction in which c(phi) moves the residual
-    w = f * detg * (torus.volume / mu.mass)
 
     residual_history: list = []
     c_trace: list = []
@@ -253,14 +259,15 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         return c, res, float(np.abs(res).max()), min_eig
 
     form = metric.form()  # of phi = 0
-    P = np.zeros(spectral_symbols(torus).quarter_lap.shape, dtype=complex)
+    P = np.zeros(spectral_symbols(torus).inv_quarter_lap.shape, dtype=complex)
     c, res, res_norm, _ = diagnostics(form)
     residual_history.append(res_norm)
     c_trace.append(c)
     converged = res_norm <= tol
     iterations = 0
     unconverged = 0  # Newton steps whose inner Krylov solve did not converge
-    # each step solves -apply_L(psi) = rhs, rhs the mean-zero det g * residual
+    # each step solves -apply_L(psi) = rhs, rhs the mean-zero det g * residual,
+    # given to the Krylov method as its half spectrum
     krylov = _pcg if metric.is_kahler else _gmres
 
     # a name is dropped as soon as its field is dead: the solve's peak memory
@@ -273,10 +280,14 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         norm = float(np.linalg.norm(rhs))
         eta = _ETA_MAX if iterations == 1 else _forcing(eta, norm, prev_norm)
         prev_norm = norm
-        apply_L = _linearization(form, metric, w)
+        # w = f det g / mean(f det g), the direction in which c(phi) moves
+        # the residual, lives only as long as apply_L
+        apply_L = _linearization(form, metric, f * detg * (torus.volume / mu.mass))
         form = res = None  # not held in the Krylov solve
-        Psi, info = krylov(apply_L, rhs, torus, rtol=eta)
-        rhs = apply_L = None
+        B = to_spectrum(rhs)
+        rhs = None
+        Psi, info = krylov(apply_L, B, torus, rtol=eta)
+        B = apply_L = None
         if not np.all(np.isfinite(Psi)):
             raise PreconditionError("Newton step is not finite")
         unconverged += info != 0
@@ -377,7 +388,7 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
     reports = []
     u_family = Mollifications(schedule.u)
     for delta in schedule.delta_list:
-        u_j = psh_repair(u_family(delta), metric)
+        u_j = psh_repair(u_family(delta), metric)[0]
         ma_uj = ma_measure(u_j, metric)
         dens_j = schedule.C0 * schedule.h.values * ma_uj.density.values
         mu_j = MeasureField.from_density(GridFunction(metric.torus, dens_j), metric)

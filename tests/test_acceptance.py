@@ -66,7 +66,7 @@ def test_criterion_02_mass_conservation():
     rep = continuation_solve(sched, m, tol=1e-10)
     worst = 0.0
     for c_j, d in zip(rep.c_trace, sched.delta_list):
-        u_j = psh_repair(mollify(sched.u, d), m)
+        u_j = psh_repair(mollify(sched.u, d), m)[0]
         dens = ma_measure(u_j, m).density.values * sched.h.values * sched.C0
         mass_j = integrate(dens, m)
         worst = max(worst, abs(c_j - m.torus.volume / mass_j))

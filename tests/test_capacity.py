@@ -28,6 +28,33 @@ def nested_sets(phi, zero, count=8):
 
 
 class TestEstimateCapacity:
+    def test_no_field_transformed_twice_at_n1(self, monkeypatch):
+        # each candidate's form is built once: on the form psh_repair
+        # verified when the repair returned its input, no seed repeats the
+        # zero function, and the gradient reads the mask's spectrum from
+        # the seeds' family. (At n=2 the gradient still transforms equal
+        # weighted masks, the zero off-diagonal weights among them.)
+        import hashlib
+        import scipy.fft
+        rfftn = scipy.fft.rfftn
+        digests = []
+
+        def hashed(x, *args, **kwargs):
+            digests.append(hashlib.sha1(np.ascontiguousarray(x)).hexdigest())
+            return rfftn(x, *args, **kwargs)
+
+        t = Torus(1, 32)
+        m = flat_metric(t)
+        x = t.axis_coord(0)
+        phi = GridFunction(t, 0.05 * np.cos(2 * np.pi * x)
+                           * np.ones(t.shape)).sup_normalized()
+        sets = nested_sets(phi, GridFunction.constant(t, 0.0))
+        monkeypatch.setattr(scipy.fft, "rfftn", hashed)
+        for E in sets:
+            digests.clear()
+            estimate_capacity(E, m, budget=10)
+            assert len(set(digests)) == len(digests)
+
     def test_zero_candidate_lower_bound(self, setup32):
         # v = 0 is always feasible, so cap(E) >= omega^n(E)
         t, m, phi, zero = setup32

@@ -287,6 +287,17 @@ class TestIgnoredConfigRejected:
                                  text, message):
         assert message in run_rejected(tmp_path, capsys, command, text)
 
+    @pytest.mark.parametrize("command", ["solve", "regularize"])
+    def test_tau_axis_over_a_command_that_ignores_tau(self, tmp_path, capsys,
+                                                      no_solver, command):
+        # solve and regularize never read [certificate] tau: a tau axis
+        # would write identical cells, so the sweep exits 1 before any cell
+        err = run_rejected(tmp_path, capsys, "sweep",
+                           f"[sweep]\ncommand = {command}\ntau = 0.5,1.0\n")
+        assert (f"{command} does not read [certificate] tau; "
+                "[sweep] tau is not supported") in err
+        assert not list((tmp_path / "o").glob("cell_*"))
+
     @pytest.mark.parametrize("name", ["stability_pair", "mixture_pair"])
     def test_unread_fixture_names_rejected(self, tmp_path, name):
         p = tmp_path / "c.ini"

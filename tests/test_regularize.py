@@ -116,6 +116,20 @@ class TestMollifications:
         family(1 / 16)
         assert len(inverse_transforms) == 1
 
+    def test_new_radius_after_spectrum_released_raises(self, inverse_transforms):
+        # a radius convolved before the release is still read; one never
+        # convolved raises instead of transforming again
+        t = Torus(1, 64)
+        family = Mollifications(GridFunction(t, np.cos(2 * np.pi * t.axis_coord(0))
+                                             * np.ones(t.shape)))
+        first = family(0.125)
+        family.release_spectrum()
+        inverse_transforms.clear()
+        assert family(0.125) is first
+        with pytest.raises(RuntimeError, match="never convolved"):
+            family(1 / 16)
+        assert inverse_transforms == []
+
 
 class TestPshRepair:
     def test_psh_input_unchanged(self):
@@ -123,9 +137,11 @@ class TestPshRepair:
         m = flat_metric(t)
         x = t.axis_coord(0)
         f = GridFunction(t, 0.02 * np.cos(2 * np.pi * x) * np.ones(t.shape))
-        g = psh_repair(f, m)
+        g, M = psh_repair(f, m)
         assert np.abs(g.values - f.values).max() < 1e-9
         assert g is f
+        # the form it was verified on, bit for bit the form of f
+        assert np.array_equal(M.parts, omega_form(f, m).parts)
 
     def test_repairs_cusp_into_cone(self):
         t = Torus(1, 128)
@@ -134,7 +150,8 @@ class TestPshRepair:
         f = GridFunction(t, 0.05 * np.abs(np.sin(np.pi * x)) ** 0.5
                          * np.ones(t.shape))
         assert not is_omega_psh(f, m)
-        g = psh_repair(f, m, rounds=8)
+        g, M = psh_repair(f, m, rounds=8)
+        assert M is None  # repaired: no form of the result
         assert psh_defect(g, m) >= -psh_tolerance(m)
 
     def test_repairs_two_dim(self):
@@ -142,7 +159,8 @@ class TestPshRepair:
         m = flat_metric(t)
         x = t.axis_coord(0)
         f = GridFunction(t, 0.2 * np.cos(2 * np.pi * x) * np.ones(t.shape))
-        g = psh_repair(f, m, rounds=8)
+        g, M = psh_repair(f, m, rounds=8)
+        assert M is None  # repaired: no form of the result
         assert psh_defect(g, m) >= -psh_tolerance(m)
 
 
@@ -256,7 +274,7 @@ def test_trace_repair_matches_clamped_field(n, N, kind, rounds):
     f = cusp_with_noise(t)
     vals = f.values
     assert not is_omega_psh(f, m)
-    got = psh_repair(f, m, rounds=rounds).values
+    got = psh_repair(f, m, rounds=rounds)[0].values
     want = ref_psh_repair(f, m, rounds=rounds).values
     assert not np.array_equal(want, vals)
     if n == 1:
@@ -278,7 +296,7 @@ def test_spectral_repair_matches_lattice_repair(n, N, kind, rounds,
     f = cusp_with_noise(t)
     inverse_transforms.clear()
     forward_transforms.clear()
-    got = psh_repair(f, m, rounds=rounds).values
+    got = psh_repair(f, m, rounds=rounds)[0].values
     spectral_work = (len(inverse_transforms), len(forward_transforms))
     inverse_transforms.clear()
     forward_transforms.clear()
@@ -375,7 +393,7 @@ class TestKiselmanLegendre:
         phi = self.cusp(phi)
         levels = [(0.125, 0.003), (0.0625, 1e-4), (0.1, 0.01), (0.125, 1.0)]
         inverse_transforms.clear()
-        transforms = kiselman_legendre(Mollifications(phi), levels, 0.05)
+        transforms = list(kiselman_legendre(Mollifications(phi), levels, 0.05))
         radii = {t for T in transforms for t in T.t_grid}
         assert len(inverse_transforms) == len(radii) == 5
         assert any(T.t0_min < delta for (delta, _), T in zip(levels, transforms))
@@ -391,7 +409,7 @@ class TestKiselmanLegendre:
         phi, m = phi64
         family = Mollifications(phi)
         first = family(0.125)
-        kiselman_legendre(family, [(0.125, 0.01), (0.0625, 0.01)], 0.5)
+        list(kiselman_legendre(family, [(0.125, 0.01), (0.0625, 0.01)], 0.5))
         assert family(0.125) is first
         family(0.0625)
         with pytest.raises(RuntimeError, match="released"):
@@ -444,23 +462,48 @@ class TestKiselmanLegendre:
         [T] = kiselman_legendre(family, [(0.25, 0.05)], 0.05)
         assert T.t_grid == (0.25, 0.125, 0.0625, 0.03125)
         assert len(inverse_transforms) == 3
-        family(1 / 32)  # never convolved, so never released: a fresh transform
-        assert len(inverse_transforms) == 4
+        # never convolved, and the spectrum is gone: a read raises
+        with pytest.raises(RuntimeError, match="never convolved"):
+            family(1 / 32)
+        assert len(inverse_transforms) == 3
 
-    def test_negative_K_rejected(self, phi64):
+    def test_rows_are_formed_one_at_a_time(self, phi64, inverse_transforms):
+        # the union of the cut grids is convolved before the first row; a
+        # row is formed when asked for, and releases a radius that is no
+        # row's delta after its last row
+        phi, m = phi64
+        family = Mollifications(phi)
+        inverse_transforms.clear()
+        rows = kiselman_legendre(family, [(0.125, 0.01), (0.0625, 0.01)], 0.5)
+        assert len(inverse_transforms) == 3
+        assert family.spectrum is None
+        family(1 / 32)  # read by both rows, so not yet released
+        first = next(rows)
+        assert first.t_grid[0] == 0.125
+        family(1 / 32)
+        second = next(rows)
+        assert second.t_grid[0] == 0.0625
+        with pytest.raises(RuntimeError, match="released"):
+            family(1 / 32)
+        assert len(inverse_transforms) == 3
+
+    def test_negative_K_rejected(self, phi64, inverse_transforms):
         phi, m = phi64
         with pytest.raises(PreconditionError, match="K must be nonnegative"):
             kiselman_legendre(Mollifications(phi), [(0.125, 0.01)], -0.1)
+        assert inverse_transforms == []  # raised before any convolution
 
-    def test_level_must_be_positive(self, phi64):
+    def test_level_must_be_positive(self, phi64, inverse_transforms):
         phi, m = phi64
         with pytest.raises(PreconditionError):
             kiselman_legendre(Mollifications(phi), [(0.125, 0.0)], 0.5)
+        assert inverse_transforms == []  # raised before any convolution
 
-    def test_under_resolved_delta_rejected(self, phi64):
+    def test_under_resolved_delta_rejected(self, phi64, inverse_transforms):
         phi, m = phi64
         with pytest.raises(PreconditionError):
             kiselman_legendre(Mollifications(phi), [(0.01, 0.01)], 0.5)
+        assert inverse_transforms == []  # raised before any convolution
 
 
 class TestL1Rate:
@@ -482,7 +525,7 @@ class TestL1Rate:
         x = t.axis_coord(0)
         raw = GridFunction(t, 0.05 * np.abs(np.sin(np.pi * x)) ** 0.5
                            * np.ones(t.shape))
-        u = psh_repair(raw, m, rounds=8)
+        u = psh_repair(raw, m, rounds=8)[0]
         mu = ma_measure(u, m)
         rate, _ = l1_rate(Mollifications(u), mu, (1 / 4, 1 / 8, 1 / 16, 1 / 32), m)
         assert rate == pytest.approx(1.2344584974855304, abs=1e-9)

@@ -9,7 +9,7 @@ import torusma.solver as solver
 from torusma.errors import DominationError, PreconditionError
 from torusma.geometry import (
     Torus, GridFunction, conformal_metric, flat_metric, integrate,
-    inverse_quarter_laplacian, omega_form, to_spectrum,
+    from_spectrum, inverse_quarter_laplacian, omega_form, to_spectrum,
 )
 from torusma.pluripotential import MeasureField, ma_measure
 from torusma.solver import (
@@ -118,7 +118,7 @@ class TestDecomposeSubsolution:
         from torusma.regularize import psh_repair
         raw = GridFunction(m.torus, 0.1 * np.abs(np.sin(np.pi * x))
                            * np.ones(m.torus.shape))
-        u = psh_repair(raw, m, rounds=8)
+        u = psh_repair(raw, m, rounds=8)[0]
         dens = ma_measure(u, m).density.values
         if dens.min() > 1e-10:
             pytest.skip("fixture density did not degenerate on this lattice")
@@ -146,7 +146,7 @@ class TestContinuation:
         from torusma.regularize import mollify, psh_repair
         rep, sched, m = report
         for c_j, d in zip(rep.c_trace, sched.delta_list):
-            u_j = psh_repair(mollify(sched.u, d), m)
+            u_j = psh_repair(mollify(sched.u, d), m)[0]
             dens = ma_measure(u_j, m).density.values * sched.h.values * sched.C0
             mass_j = integrate(dens, m)
             assert c_j == pytest.approx(m.torus.volume / mass_j, abs=1e-9)
@@ -166,7 +166,7 @@ class TestContinuation:
         from torusma.regularize import mollify, psh_repair
         sched, m = holder_subsolution(N=64, delta_range=(3, 6))
         rep = continuation_solve(sched, m, tol=1e-9, max_iter=50)
-        u_j = psh_repair(mollify(sched.u, sched.delta_list[-1]), m)
+        u_j = psh_repair(mollify(sched.u, sched.delta_list[-1]), m)[0]
         dens = sched.C0 * sched.h.values * ma_measure(u_j, m).density.values
         mu_j = MeasureField.from_density(GridFunction(m.torus, dens), m)
         fresh = solve_ma(mu_j, m, tol=1e-9, max_iter=50)
@@ -200,10 +200,11 @@ def pinned_case(amplitude, N):
     return MeasureField.from_density(cos_mu.density, m), m
 
 
-def lgmres_reference(apply_L, rhs, torus, rtol):
+def lgmres_reference(apply_L, B, torus, rtol):
     """The Newton step's former scipy lgmres on lattice vectors, preconditioned
-    by the inverse flat quarter-Laplacian, negated: (Psi, info, cycles), Psi
-    the half spectrum of the mean-zero solution."""
+    by the inverse flat quarter-Laplacian, negated, for the right-hand side
+    whose half spectrum is B: (Psi, info, cycles), Psi the half spectrum of
+    the mean-zero solution."""
     from scipy.sparse.linalg import LinearOperator, lgmres
 
     shape, size = torus.shape, torus.npoints
@@ -219,7 +220,7 @@ def lgmres_reference(apply_L, rhs, torus, rtol):
     A = LinearOperator((size, size), matvec=apply_A, dtype=float)
     Mprec = LinearOperator((size, size), matvec=apply_prec, dtype=float)
     starts = []  # lgmres calls back at the start of every cycle and at the end
-    psi, info = lgmres(A, rhs.ravel(), M=Mprec, rtol=rtol, atol=0.0,
+    psi, info = lgmres(A, from_spectrum(torus, B).ravel(), M=Mprec, rtol=rtol, atol=0.0,
                        maxiter=solver._KRYLOV_MAXITER,
                        callback=lambda x: starts.append(1))
     Psi = to_spectrum(psi.reshape(shape))
@@ -338,6 +339,44 @@ class TestInnerSolve:
         assert rtols[0] == 0.5
         assert all(1e-6 <= r <= 0.5 for r in rtols)
 
+    def test_pcg_holds_three_half_spectra_across_a_matvec(self, monkeypatch):
+        # tracemalloc at the entry of every apply_L: the residual (the
+        # caller's right-hand side, overwritten), the direction and, from
+        # the second matvec on, the iterate; no preconditioned residual or
+        # image of the direction survives into a matvec. At n=1 the
+        # linearization is the quarter-Laplacian minus a multiple of its
+        # mean, 0, so CG ends after one matvec, as it does on the first
+        # Newton system, at phi = 0; the second of the flat n=2 N=16 solve
+        # takes several
+        import tracemalloc
+        systems = []
+        pcg = solver._pcg
+
+        def recording(apply_L, B, torus, rtol):
+            systems.append((apply_L, B.copy(), rtol))
+            return pcg(apply_L, B, torus, rtol=rtol)
+
+        monkeypatch.setattr(solver, "_pcg", recording)
+        _, mu, m = manufactured_cos(2, 16, 0.07)
+        solve_ma(mu, m, tol=1e-10)
+        linearization, B, rtol = systems[1]
+        held = []
+
+        def apply_L(P):
+            held.append(tracemalloc.get_traced_memory()[0] - entry)
+            return linearization(P)
+
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0] - B.nbytes
+            _, info = pcg(apply_L, B, m.torus, rtol=1e-6)
+        finally:
+            tracemalloc.stop()
+        assert info == 0 and len(held) >= 3
+        spectra = [h / B.nbytes for h in held]
+        assert spectra[0] <= 2.05
+        assert max(spectra) <= 3.05
+
     def test_forcing_rule(self):
         # Eisenstat-Walker choice 2 with its safeguard, clipped to [1e-6, 0.5]
         assert solver._forcing(0.3, 1.0, 10.0) == pytest.approx(0.9 * 0.01)
@@ -381,23 +420,23 @@ class TestInnerSolve:
         systems = []
         gmres = solver._gmres
 
-        def recording(apply_L, rhs, torus, rtol):
-            systems.append((apply_L, rhs, rtol))
-            return gmres(apply_L, rhs, torus, rtol=rtol)
+        def recording(apply_L, B, torus, rtol):
+            systems.append((apply_L, B, rtol))
+            return gmres(apply_L, B, torus, rtol=rtol)
 
         monkeypatch.setattr(solver, "_gmres", recording)
         mu, m = pinned_case(amplitude, N)
         solve_ma(mu, m, tol=1e-10)
-        linearization, rhs, rtol = systems[step - 1]
+        linearization, B, rtol = systems[step - 1]
         matvecs = []
 
         def apply_L(P):
             matvecs.append(1)
             return linearization(P)
 
-        Psi, info = gmres(apply_L, rhs, m.torus, rtol=rtol)
+        Psi, info = gmres(apply_L, B, m.torus, rtol=rtol)
         gmres_matvecs = len(matvecs)
-        ref, ref_info, ref_cycles = lgmres_reference(apply_L, rhs, m.torus, rtol)
+        ref, ref_info, ref_cycles = lgmres_reference(apply_L, B, m.torus, rtol)
         lgmres_matvecs = len(matvecs) - gmres_matvecs
         assert ref_cycles == cycles
         assert info == ref_info == 0
