@@ -34,6 +34,7 @@ class CapacityEstimate:
     lower: float
     candidate: GridFunction
     iterations: int
+    form: HermitianForm  # omega + dd^c candidate, the form it was verified on
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,12 @@ def _seed_candidates(indicator: Mollifications, metric: HermitianMetric):
     """Zero function plus scaled relative-extremal heuristics (smoothed
     indicators), each as `psh_repair` returns it; `indicator` is the family
     of the mask as floats. A heuristic that is zero everywhere is the first
-    seed again and is not yielded."""
+    seed again and is not yielded. At n = 1 the zero function comes with
+    `metric.form()`, the transformed form of 0 bit for bit; at n = 2 the
+    transform leaves zeros of either sign off the diagonal, so it is
+    transformed."""
     torus = metric.torus
-    yield GridFunction.constant(torus, 0.0), None
+    yield GridFunction.constant(torus, 0.0), (metric.form() if torus.n == 1 else None)
     for radius in (4.0 * torus.spacing, 8.0 * torus.spacing):
         if radius > 0.25:
             continue
@@ -85,24 +89,27 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
     Alternates a gradient step with clamping to [0,1] and psh repair; every
     reported value comes from a candidate that passed feasibility
     re-verification, so the result is a certified lower bound.
-    `extra_candidates` lets callers share one candidate pool across several
-    sets (used by the nested-monotonicity checks).
+    `extra_candidates`, earlier estimates, lets callers share one candidate
+    pool across several sets (used by the nested-monotonicity checks); each
+    joins with the form its own estimate verified.
 
-    A candidate already in [0, 1] that `psh_repair` returns unchanged is
-    evaluated on the form the repair verified, and no seed repeats the
-    first, the zero function.
+    Each candidate's form is built once: a candidate already in [0, 1] that
+    `psh_repair` returns unchanged is evaluated on the form the repair
+    verified, a repaired one is clipped to [0, 1] and transformed once, and
+    no seed repeats the first, the zero function.
     """
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
     torus = metric.torus
     if not mask.any():
-        return CapacityEstimate(0.0, GridFunction.constant(torus, 0.0), 0)
+        return CapacityEstimate(0.0, GridFunction.constant(torus, 0.0), 0, metric.form())
 
     best_val = -np.inf
     best_v = best_form = None
     evaluated = 0
+    tol = psh_tolerance(metric)
 
-    def consider(v: GridFunction, M: HermitianForm | None = None):
+    def consider(v: GridFunction, M: HermitianForm | None):
         """Keep v, and the form it was verified on, if it is feasible and
         beats the best masked mass so far; M, when given, is the form of v,
         whose values lie in [0, 1]."""
@@ -113,10 +120,13 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
                 return
             v = GridFunction(torus, np.clip(v.values, 0.0, 1.0))
             M = omega_form(v, metric)
-        if float(M.min_eig().min()) < -psh_tolerance(metric):
+        det = M.det()
+        if float(M.min_eig(det).min()) < -tol:
             return
         # integral over E of (omega + dd^c v)^n
-        val = float(np.mean(mask * np.maximum(M.det(), 0.0)) * torus.volume)
+        density = np.maximum(det, 0.0)
+        density *= mask
+        val = float(np.mean(density) * torus.volume)
         if val > best_val:
             best_val = val
             best_v, best_form = v, M
@@ -124,10 +134,11 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
     indicator = Mollifications(GridFunction(torus, mask.astype(float)))
     for seed in _seed_candidates(indicator, metric):
         consider(*seed)
+        seed = None  # a seed consider did not keep is freed before the next is built
     mask_spectrum = indicator.spectrum if torus.n == 1 else None
     indicator = None
-    for cand in extra_candidates:
-        consider(cand)
+    for earlier in extra_candidates:
+        consider(earlier.candidate, earlier.form)
 
     # projected ascent from the best seed; the zero seed is always feasible,
     # so best_v is set. The gradient changes only when v does, and at n = 1
@@ -141,12 +152,18 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
             gnorm = np.abs(grad).max()
         if gnorm < 1e-14:
             break
-        trial_vals = np.clip(v.values + step * grad / gnorm, 0.0, 1.0)
+        # v + step grad / gnorm, clipped to [0, 1], in one field
+        trial_vals = np.multiply(grad, step)
+        trial_vals /= gnorm
+        trial_vals += v.values
+        np.clip(trial_vals, 0.0, 1.0, out=trial_vals)
         trial, M = psh_repair(GridFunction(torus, trial_vals), metric)
         if M is None:  # repaired: back into [0, 1]
             trial = GridFunction(torus, np.clip(trial.values, 0.0, 1.0))
+            M = omega_form(trial, metric)
         before = best_val
         consider(trial, M)
+        trial_vals = trial = M = None  # not held while the next trial is built
         if best_val > before + 1e-15:
             v, form = best_v, best_form
             if torus.n == 2:
@@ -156,7 +173,7 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
             step *= 0.5
             if step < 1e-6:
                 break
-    return CapacityEstimate(float(best_val), best_v, evaluated)
+    return CapacityEstimate(float(best_val), best_v, evaluated, best_form)
 
 
 # alpha_1 of the exponential law: the largest exponent on the grid 0.1, ..., 1.0

@@ -221,7 +221,7 @@ def run_capacity(cfg, out, dump_stages, rng):
     for k in reversed(range(8)):
         s = 1.9 * osc * 2.0 ** (-k)
         mask = sublevel(ref, zero, 0.3, s)
-        extra = () if prev is None else (prev.candidate,)
+        extra = () if prev is None else (prev,)
         cap = estimate_capacity(mask, metric, budget=20, extra_candidates=extra)
         mass = mu.mass_on(mask, metric)
         if prev is not None and cap.lower < prev.lower - 1e-12:

@@ -213,10 +213,19 @@ class HermitianForm:
     def adjugate_weights(self) -> tuple:
         """Weights C with tr(adj(M) H) = sum_k C_k H_k for every form H,
         in the order of `parts`."""
+        return self._adjugate_weights(lambda b: -2.0 * b)
+
+    def adjugate_weights_in_place(self) -> tuple:
+        """`adjugate_weights` built on the form's own parts: the off-diagonal
+        parts are scaled by -2 in place, which is exact, so the form is
+        spent and must not be read again."""
+        return self._adjugate_weights(lambda b: np.multiply(b, -2.0, out=b))
+
+    def _adjugate_weights(self, off_diagonal) -> tuple:
         if self.n == 1:
             return (1.0,)
         a, d, re, im = self.parts
-        return (d, a, -2.0 * re, -2.0 * im)
+        return (d, a, off_diagonal(re), off_diagonal(im))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +311,11 @@ def from_spectrum(torus: Torus, spectrum: np.ndarray,
 
 def hessian_of_spectrum(torus: Torus, F: np.ndarray) -> HermitianForm:
     """Form of mixed second derivatives of the field whose half spectrum is F:
-    one inverse transform per part, none forward."""
+    one inverse transform per part, none forward. At n = 1 the one part is
+    the inverse transform itself, as a stack of one, not a copy of it."""
     hess = spectral_symbols(torus).hess
+    if len(hess) == 1:
+        return HermitianForm(from_spectrum(torus, F, hess[0])[np.newaxis])
     parts = np.empty((len(hess),) + torus.shape)
     for part, s in zip(parts, hess):
         part[...] = from_spectrum(torus, F, s)

@@ -18,10 +18,13 @@ _HEADER = struct.Struct("<4sIII")
 
 
 def write_grid(path, f: GridFunction) -> None:
+    """Write f as a CMAG file: the header, then the buffer of its values
+    (a little-endian float64 C-contiguous array is written as it lies,
+    without a copy)."""
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, f.torus.n, f.torus.N))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
 
 
 def read_grid(path) -> GridFunction:

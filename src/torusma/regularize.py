@@ -176,13 +176,17 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> tup
     tr M + max(-lambda_min, 0) - n factor, keeping the mean of f. The rounds
     carry the half spectrum of the iterate, so each costs one inverse
     transform per form part and one forward transform; lattice values are
-    synthesized only for the result. Not a true metric projection: callers
-    must re-verify feasibility. A contraction toward the zero function is
-    used as a last resort (it always lands in the cone since g is positive).
+    synthesized only for the result. Beside its transforms a round allocates
+    one field, max(-lambda_min, 0): the target trace is formed on the trace
+    of M (at n = 1 the one part of M itself) and the new spectrum is scaled
+    in place. Not a true metric projection: callers must re-verify
+    feasibility. A contraction toward the zero function is used as a last
+    resort (it always lands in the cone since g is positive).
     """
     tol = psh_tolerance(metric)
     torus = f.torus
     inv_quarter_lap = spectral_symbols(torus).inv_quarter_lap
+    trace_g = torus.n * metric.factor
     F = to_spectrum(f.values)
     origin = (0,) * torus.ndim_real
     mean_mode = F[origin]  # the sum of f, kept by every round
@@ -198,12 +202,21 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> tup
             break
         # sum the clamped diagonal before subtracting g: at n = 1 this is
         # max(M_00, 0) - factor bit for bit
-        target_trace = M.trace() + np.maximum(-lam, 0.0) - torus.n * metric.factor
-        F = inv_quarter_lap * to_spectrum(target_trace)
+        clamp = np.negative(lam)
+        np.maximum(clamp, 0.0, out=clamp)
+        target_trace = M.trace()
+        target_trace += clamp
+        target_trace -= trace_g
+        M = lam = clamp = None
+        F = to_spectrum(target_trace)
+        target_trace = None
+        F *= inv_quarter_lap
         F[origin] = mean_mode
     lam = metric.min_eig()
     theta = lam / (lam - defect + tol)
-    return GridFunction(torus, theta * from_spectrum(torus, F)), None
+    g = from_spectrum(torus, F)
+    g *= theta
+    return GridFunction(torus, g), None
 
 
 # ---------------------------------------------------------------------------

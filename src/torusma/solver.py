@@ -63,11 +63,12 @@ def _linearization(M: HermitianForm, metric: HermitianMetric, w):
     phi). With w = f det g / mean(f det g) the oblique projection is det g
     times the exact Jacobian of det M / det g - c f, whose constant
     c = mean(det M) / mean(f det g) depends on phi; w = 1 projects onto mean
-    zero. It keeps only the adjugate weights, not M.
+    zero. It keeps only the adjugate weights, built on M's own parts, so M
+    is spent and not read again after this call.
     """
     torus = metric.torus
     hess = spectral_symbols(torus).hess
-    weights = M.adjugate_weights()
+    weights = M.adjugate_weights_in_place()
 
     def apply_L(P):
         out = None
@@ -381,15 +382,18 @@ def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,
     The returned report is the final stage; its c_trace holds the per-stage c_j
     and cauchy_diffs the sup-norm gaps between consecutive stage solutions (the
     computable stand-in for the Cauchy-sequence argument); krylov_unconverged
-    sums over the stages.
+    sums over the stages. When `psh_repair` returns u_j unchanged, omega_{u_j}^n
+    is the measure of the form the repair verified, which is the form of u_j
+    bit for bit, so it costs no transform.
     """
     if not schedule.delta_list:
         raise PreconditionError("schedule has no mollification radii")
     reports = []
     u_family = Mollifications(schedule.u)
     for delta in schedule.delta_list:
-        u_j = psh_repair(u_family(delta), metric)[0]
-        ma_uj = ma_measure(u_j, metric)
+        u_j, M = psh_repair(u_family(delta), metric)
+        ma_uj = ma_measure(u_j, metric) if M is None else measure_of_form(M, metric)
+        M = None
         dens_j = schedule.C0 * schedule.h.values * ma_uj.density.values
         mu_j = MeasureField.from_density(GridFunction(metric.torus, dens_j), metric)
         reports.append(solve_ma(mu_j, metric, tol=tol, max_iter=max_iter))

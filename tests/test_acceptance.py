@@ -232,7 +232,7 @@ def test_criterion_08_volume_capacity_fits():
     lb_ok, mono_ok = True, True
     caps, masses = [], []
     for E in reversed(sets):  # smallest first, seeding the nested ascents
-        extra = () if prev is None else (prev.candidate,)
+        extra = () if prev is None else (prev,)
         cap = estimate_capacity(E, m, budget=10, extra_candidates=extra)
         caps.append(cap.lower)
         masses.append(mu.mass_on(E, m))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torusma.geometry import Torus, GridFunction, flat_metric
+from torusma.geometry import Torus, GridFunction, conformal_metric, flat_metric, omega_form
 from torusma.errors import PreconditionError
 from torusma.pluripotential import ma_measure, sublevel
 from torusma.capacity import estimate_capacity, fit_volume_capacity, fit_htau
@@ -87,7 +87,7 @@ class TestEstimateCapacity:
         sets = nested_sets(phi, zero)
         prev = None
         for E in reversed(sets):  # smallest first
-            extra = () if prev is None else (prev.candidate,)
+            extra = () if prev is None else (prev,)
             cap = estimate_capacity(E, m, budget=10, extra_candidates=extra)
             if prev is not None:
                 assert cap.lower >= prev.lower - 1e-12
@@ -98,6 +98,77 @@ class TestEstimateCapacity:
         cap = estimate_capacity(np.zeros(t.shape, dtype=bool), m, budget=3)
         assert cap.lower == 0.0
         assert cap.iterations == 0
+
+
+def cosine_sets(t, amplitude=0.05):
+    """The nested sublevel sets of a cosine in x1 and the metric of `amplitude`."""
+    m = conformal_metric(t, amplitude)
+    x = t.axis_coord(0)
+    phi = GridFunction(t, 0.05 * np.cos(2 * np.pi * x)
+                       * np.ones(t.shape)).sup_normalized()
+    return m, nested_sets(phi, GridFunction.constant(t, 0.0))
+
+
+class TestEachFormBuiltOnce:
+    """The forms capacity no longer transforms a second time, byte for byte
+    the forms it did transform."""
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.2])
+    def test_zero_form_without_a_transform_at_n1(self, amplitude):
+        m = conformal_metric(Torus(1, 64), amplitude)
+        zero = GridFunction.constant(m.torus, 0.0)
+        assert m.form().parts.tobytes() == omega_form(zero, m).parts.tobytes()
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.2])
+    def test_zero_form_is_transformed_at_n2(self, amplitude):
+        # the transform of 0 leaves zeros of either sign in b_re, which the
+        # adjugate weight -2 b_re carries into the gradient; the values agree
+        m = conformal_metric(Torus(2, 8), amplitude)
+        built = m.form().parts
+        transformed = omega_form(GridFunction.constant(m.torus, 0.0), m).parts
+        assert np.array_equal(built, transformed)
+        assert built[2].tobytes() != transformed[2].tobytes()
+
+    @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.2])
+    def test_estimate_carries_its_candidates_form(self, n, N, amplitude):
+        # the form an extra candidate joins with is the form the next
+        # estimate transformed of it
+        m, sets = cosine_sets(Torus(n, N), amplitude)
+        prev = None
+        for E in reversed(sets):
+            cap = estimate_capacity(E, m, budget=5,
+                                    extra_candidates=() if prev is None else (prev,))
+            v = cap.candidate.values
+            assert v.min() >= 0.0 and v.max() <= 1.0
+            assert (cap.form.parts.tobytes()
+                    == omega_form(cap.candidate, m).parts.tobytes())
+            prev = cap
+
+    def test_carried_form_adds_no_peak_at_n2(self):
+        # tracemalloc peak above entry of the nested estimates, in lattice
+        # fields: the earlier estimate's form is held through the next one's
+        # seeds, so a seed the estimate does not keep must be freed before
+        # the next is built (24.3 fields; 25.3 when it is not, 24.4 when only
+        # the candidate was carried)
+        import tracemalloc
+        m, sets = cosine_sets(Torus(2, 16), 0.2)
+
+        def nested():
+            prev = None
+            for E in reversed(sets[-3:]):
+                prev = estimate_capacity(E, m, budget=5,
+                                         extra_candidates=() if prev is None else (prev,))
+
+        nested()  # symbol tables and FFT plans cached
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            nested()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / (8 * m.torus.npoints) <= 24.5
 
 
 @pytest.fixture(scope="module")

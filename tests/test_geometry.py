@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from torusma.errors import PreconditionError
 from torusma.geometry import (
     Torus, GridFunction, HermitianForm, HermitianMetric, flat_metric,
-    conformal_metric, complex_hessian, omega_form,
+    conformal_metric, complex_hessian, hessian_of_spectrum, omega_form,
     inverse_quarter_laplacian, gradient_sup_norm, integrate,
     spectral_symbols, to_spectrum, from_spectrum,
 )
@@ -122,6 +122,24 @@ class TestComplexHessian:
         H = complex_hessian(GridFunction.constant(t, 3.7))
         assert np.abs(H.parts).max() == 0.0
 
+    def test_n1_part_is_the_inverse_transform(self):
+        # no stack is copied at n = 1: the peak is the work half spectrum
+        # and the one part, about 2 fields (3 with a copy into a stack)
+        import tracemalloc
+        t = Torus(1, 256)
+        F = to_spectrum(trig_field(t, [0.3, -0.1]).values)
+        want = from_spectrum(t, F, spectral_symbols(t).hess[0])
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            M = hessian_of_spectrum(t, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.n == 1 and M.parts.shape == (1,) + t.shape
+        assert M.parts.tobytes() == want.tobytes()
+        assert (peak - entry) / want.nbytes < 2.5
+
 
 def random_hermitian_psd(rng, shape, n):
     R = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
@@ -143,6 +161,17 @@ class TestMatrixFields:
         want = np.trace(adj @ H, axis1=-2, axis2=-1).real
         got = sum(c * h for c, h in zip(form.adjugate_weights(), from_matrix(H).parts))
         assert np.allclose(got, want, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_adjugate_weights_in_place(self, n):
+        # byte for byte the pure weights, each a view of the form's own parts
+        form = from_matrix(random_hermitian_psd(np.random.default_rng(1), (50,), n))
+        pure = form.adjugate_weights()
+        spent = form.adjugate_weights_in_place()
+        for c, w in zip(pure, spent):
+            assert np.asarray(c).tobytes() == np.asarray(w).tobytes()
+            if n == 2:
+                assert np.shares_memory(w, form.parts)
 
 
 class TestPoissonInverse:

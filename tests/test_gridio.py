@@ -30,6 +30,32 @@ def test_write_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 8)])
+def test_bytes_as_written_with_a_copy(tmp_path, n, N):
+    # the buffer is written as it lies; the file is the header and the
+    # tobytes() copy the format was first written with
+    t = Torus(n, N)
+    f = GridFunction(t, np.random.default_rng(N).normal(size=t.shape))
+    p = tmp_path / "f.cmag"
+    write_grid(p, f)
+    header = struct.pack("<4sIII", b"CMAG", 1, n, N)
+    assert p.read_bytes() == header + f.values.astype("<f8").tobytes()
+    assert read_grid(p).values.tobytes() == f.values.tobytes()
+
+
+def test_write_copies_no_field(tmp_path):
+    import tracemalloc
+    t = Torus(1, 256)
+    f = GridFunction(t, np.random.default_rng(0).random(t.shape))
+    tracemalloc.start()
+    try:
+        write_grid(tmp_path / "f.cmag", f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < f.values.nbytes / 2
+
+
 def test_bad_magic(tmp_path):
     p = tmp_path / "bad.cmag"
     p.write_bytes(b"NOPE" + b"\0" * 100)

@@ -308,6 +308,61 @@ def test_spectral_repair_matches_lattice_repair(n, N, kind, rounds,
     assert spectral_work[1] < lattice_work[1]
 
 
+def psh_repair_with_temporaries(f, metric, rounds=5):
+    """`psh_repair` as it was before its rounds were formed in place: the
+    target trace built from fresh temporaries, the spectrum scaled into a
+    new array and the contraction multiplied into a new field. Kept as the
+    byte-level reference of the in-place rounds."""
+    tol = psh_tolerance(metric)
+    torus = f.torus
+    inv_quarter_lap = spectral_symbols(torus).inv_quarter_lap
+    F = to_spectrum(f.values)
+    origin = (0,) * torus.ndim_real
+    mean_mode = F[origin]
+    for k in range(rounds + 1):
+        M = omega_form(F, metric)
+        lam = M.min_eig()
+        defect = float(lam.min())
+        if defect >= -tol:
+            if k == 0:
+                return f, M
+            return GridFunction(torus, from_spectrum(torus, F)), None
+        if k == rounds:
+            break
+        target_trace = M.trace() + np.maximum(-lam, 0.0) - torus.n * metric.factor
+        F = inv_quarter_lap * to_spectrum(target_trace)
+        F[origin] = mean_mode
+    lam = metric.min_eig()
+    theta = lam / (lam - defect + tol)
+    return GridFunction(torus, theta * from_spectrum(torus, F)), None
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 8)])
+@pytest.mark.parametrize("kind", ["flat", "conformal"])
+@pytest.mark.parametrize("rounds", [1, 5, 8])
+@pytest.mark.parametrize("inside", [False, True])
+def test_repair_bytes_match_the_reference(n, N, kind, rounds, inside):
+    """g, and M when the repair returns it, byte for byte as the reference
+    forms them: on a function outside the cone (repaired, or contracted
+    when the rounds run out) and on one inside it (returned with its
+    form)."""
+    t = Torus(n, N)
+    m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
+    if inside:
+        x = t.axis_coord(0)
+        f = GridFunction(t, 0.002 * np.cos(2 * np.pi * x) * np.ones(t.shape))
+    else:
+        f = cusp_with_noise(t)
+    g, M = psh_repair(f, m, rounds=rounds)
+    want_g, want_M = psh_repair_with_temporaries(f, m, rounds=rounds)
+    assert (M is None) == (want_M is None) == (not inside)
+    assert g.values.tobytes() == want_g.values.tobytes()
+    if inside:
+        assert M.parts.tobytes() == want_M.parts.tobytes()
+    else:
+        assert g.values.tobytes() != f.values.tobytes()
+
+
 class TestPshRepairTransforms:
     """f is transformed forward once; each round costs one inverse transform
     per form part and one forward transform, the last check one inverse per

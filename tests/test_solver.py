@@ -55,6 +55,23 @@ class TestSolveMA:
         assert len(seen) == 5
         assert len(set(seen)) == len(seen)
 
+    def test_flat_n2_peak_under_14_fields(self):
+        # tracemalloc peak above entry, in lattice fields: the Newton step's
+        # adjugate weights are built on the form's own four parts (13.6
+        # fields; 15.6 when two weights were new fields beside them)
+        import tracemalloc
+        _, mu, m = manufactured_cos(2, 16)
+        solve_ma(mu, m, tol=1e-10)  # symbol tables and FFT plans cached
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rep = solve_ma(mu, m, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.iterations == 5
+        assert (peak - entry) / (8 * m.torus.npoints) <= 14.0
+
     def test_uniform_datum_gives_constant(self):
         m = flat_metric(Torus(1, 64))
         mu = MeasureField.from_density(
@@ -172,6 +189,43 @@ class TestContinuation:
         fresh = solve_ma(mu_j, m, tol=1e-9, max_iter=50)
         assert np.array_equal(rep.phi.values, fresh.phi.values)
         assert rep.residual_history == fresh.residual_history
+
+    def test_stage_measures_from_the_verified_forms(self, monkeypatch,
+                                                    forward_transforms):
+        # every stage of holder_subsolution(64) is returned unchanged by the
+        # repair, so its measure is that of the form the repair verified:
+        # byte-equal to the measure of u_j, one forward transform fewer
+        from torusma.regularize import Mollifications, build_kernel, psh_repair
+        sched, m = holder_subsolution(N=64)
+        for delta in sched.delta_list:
+            build_kernel(m.torus, delta)  # cached before anything is counted
+        forward_transforms.clear()
+        family = Mollifications(sched.u)
+        want = []
+        for delta in sched.delta_list:
+            u_j = psh_repair(family(delta), m)[0]
+            dens = sched.C0 * sched.h.values * ma_measure(u_j, m).density.values
+            want.append(MeasureField.from_density(GridFunction(m.torus, dens), m))
+        before = len(forward_transforms)
+        solve = solver.solve_ma
+        measures, in_solves = [], []
+
+        def recording(mu, metric, **kwargs):
+            measures.append(mu)
+            start = len(forward_transforms)
+            rep = solve(mu, metric, **kwargs)
+            in_solves.append(len(forward_transforms) - start)
+            return rep
+
+        monkeypatch.setattr(solver, "solve_ma", recording)
+        forward_transforms.clear()
+        continuation_solve(sched, m, tol=1e-9)
+        staged = len(forward_transforms) - sum(in_solves)
+        assert len(sched.delta_list) == len(measures) == 3
+        assert staged == before - 3 == 4
+        for got, mu in zip(measures, want):
+            assert got.density.values.tobytes() == mu.density.values.tobytes()
+            assert got.mass == mu.mass
 
     def test_under_resolved_schedule_rejected(self):
         sched, m = holder_subsolution(N=64, delta_range=(3, 6))
