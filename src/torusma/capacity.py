@@ -66,12 +66,13 @@ def _seed_candidates(indicator: Mollifications, metric: HermitianMetric):
     """Zero function plus scaled relative-extremal heuristics (smoothed
     indicators), each as `psh_repair` returns it; `indicator` is the family
     of the mask as floats. A heuristic that is zero everywhere is the first
-    seed again and is not yielded. At n = 1 the zero function comes with
-    `metric.form()`, the transformed form of 0 bit for bit; at n = 2 the
-    transform leaves zeros of either sign off the diagonal, so it is
-    transformed."""
+    seed again and is not yielded. The zero function comes with its form
+    `metric.form()`, built without a transform. The transformed form differs
+    only in the signs of the zeros of b_re and b_im (n = 2): det and min_eig
+    read them squared, and the gradient only in entries that are 0, which
+    the ascent adds to the zero seed's +0."""
     torus = metric.torus
-    yield GridFunction.constant(torus, 0.0), (metric.form() if torus.n == 1 else None)
+    yield GridFunction.constant(torus, 0.0), metric.form()
     for radius in (4.0 * torus.spacing, 8.0 * torus.spacing):
         if radius > 0.25:
             continue
@@ -93,10 +94,10 @@ def estimate_capacity(mask: np.ndarray, metric: HermitianMetric, budget: int,
     pool across several sets (used by the nested-monotonicity checks); each
     joins with the form its own estimate verified.
 
-    Each candidate's form is built once: a candidate already in [0, 1] that
-    `psh_repair` returns unchanged is evaluated on the form the repair
-    verified, a repaired one is clipped to [0, 1] and transformed once, and
-    no seed repeats the first, the zero function.
+    Each candidate's form is built once: the zero function's is
+    `metric.form()`, one already in [0, 1] that `psh_repair` returns
+    unchanged is evaluated on the form the repair verified, a repaired one
+    is clipped to [0, 1] and transformed once, and no seed repeats the first.
     """
     if budget < 1:
         raise PreconditionError("budget must be >= 1")

@@ -155,15 +155,13 @@ def _summary(command, ok, **kv):
 # ---------------------------------------------------------------------------
 
 def _build_measure(cfg, metric):
-    """Fixture measure plus the exact potential when one exists."""
+    """The fixture's measure datum."""
     name = cfg["fixture"]["name"]
     if name == "manufactured_cos":
-        phi, mu = fixtures.cos_datum(metric, cfg["fixture"]["amplitude"])
-        return mu, phi
+        return fixtures.cos_datum(metric, cfg["fixture"]["amplitude"])[1]
     if name == "singular_density":
-        mu = fixtures.lp_density_fixture(cfg["fixture"]["p"],
-                                         cfg["fixture"]["s"], metric)
-        return mu, None
+        return fixtures.lp_density_fixture(cfg["fixture"]["p"],
+                                           cfg["fixture"]["s"], metric)
     raise ConfigError(f"fixture {name!r} does not define a measure datum")
 
 
@@ -180,7 +178,7 @@ def run_solve(cfg, out, dump_stages, rng):
         mu = None
     else:
         metric = _metric_for(cfg)
-        mu, _ = _build_measure(cfg, metric)
+        mu = _build_measure(cfg, metric)
         rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                        max_iter=cfg["solver"]["max_iter"])
     write_grid(os.path.join(out, "phi.cmag"), rep.phi)
@@ -205,12 +203,10 @@ def run_capacity(cfg, out, dump_stages, rng):
     _require_defaults(cfg, "fixture", f"capacity with {name}",
                       _FIXTURE_READS[name] + ("amplitude",))
     metric = _metric_for(cfg)
-    mu, ref = _build_measure(cfg, metric)
+    mu = _build_measure(cfg, metric)
     torus = metric.torus
-    # eight nested sublevel sets of the cosine potential (built once if named)
-    if ref is None:
-        ref = GridFunction(torus, fixtures._cos_profile(
-            torus, cfg["fixture"]["amplitude"])).sup_normalized()
+    # eight nested sublevel sets of the cosine potential
+    ref = fixtures.cos_potential(torus, cfg["fixture"]["amplitude"])
     zero = GridFunction.constant(torus, 0.0)
     osc = float(ref.values.max() - ref.values.min())
     rows = []
@@ -309,7 +305,7 @@ def run_certificate(cfg, out, dump_stages, rng):
     _rate_ladder(cfg, metric.torus)
     check_level_formula(metric, cfg["certificate"]["tau"],
                         cfg["certificate"]["delta_list"])
-    mu = _build_measure(cfg, metric)[0]  # phi* is not read
+    mu = _build_measure(cfg, metric)
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
     family = Mollifications(rep.phi)  # the check's, the chain's and the dumps'

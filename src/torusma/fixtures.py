@@ -9,15 +9,14 @@ source of truth for the inputs they exercise.
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import Torus, GridFunction, HermitianMetric, complex_hessian, flat_metric
-from .pluripotential import (
-    MeasureField, is_omega_psh, ma_measure, measure_of_form, psh_tolerance,
-)
+from .geometry import Torus, GridFunction, HermitianMetric, flat_metric
+from .pluripotential import MeasureField, is_omega_psh, ma_measure, psh_tolerance
 from .regularize import psh_repair
 from .solver import ContinuationSchedule, decompose_subsolution
 
 __all__ = [
     "lp_density_fixture",
+    "cos_potential",
     "cos_datum",
     "manufactured_cos",
     "holder_subsolution",
@@ -27,29 +26,30 @@ __all__ = [
 ]
 
 
-def _cos_profile(torus: Torus, amplitude: float) -> np.ndarray:
-    """amplitude * sum_j cos(2 pi x_j) over the real axes x_1, ..., x_n."""
+def cos_potential(torus: Torus, amplitude: float) -> GridFunction:
+    """phi* = amplitude * sum_j cos(2 pi x_j) over the real axes x_1, ..., x_n,
+    sup-normalized."""
     vals = np.zeros(torus.shape)
     for j in range(torus.n):
         vals = vals + amplitude * np.cos(2.0 * np.pi * torus.axis_coord(2 * j))
-    return vals
+    return GridFunction(torus, vals).sup_normalized()
 
 
 def cos_datum(metric: HermitianMetric, amplitude: float):
-    """phi* built from cosines, sup-normalized, and mu := omega_{phi*}^n on
-    `metric`, both read from one complex Hessian of phi*.
+    """`cos_potential`'s phi* and mu := omega_{phi*}^n on `metric`, as
+    `ma_measure` builds it.
 
-    phi* must be psh for the flat metric; on any metric, mu is built only
+    phi* must be psh for the flat metric. Its complex Hessian is diagonal
+    with entries -pi^2 amplitude cos(2 pi x_j), so that holds exactly when
+    pi^2 |amplitude| <= 1; this is checked, up to the flat metric's psh
+    tolerance, before anything is built. On any metric, mu is built only
     when omega + dd^c phi* passes measure_of_form's psh check.
     """
     torus = metric.torus
-    phi = GridFunction(torus, _cos_profile(torus, amplitude)).sup_normalized()
-    M = complex_hessian(phi)
-    # psh for the flat metric: H(phi*) >= -I
-    if M.min_eig().min() + 1.0 < -psh_tolerance(flat_metric(torus)):
+    if np.pi ** 2 * abs(amplitude) > 1.0 + psh_tolerance(flat_metric(torus)):
         raise PreconditionError(f"amplitude {amplitude} too large for psh fixture")
-    M.parts[:torus.n] += metric.factor  # omega + dd^c phi*, as omega_form adds g
-    return phi, measure_of_form(M, metric)
+    phi = cos_potential(torus, amplitude)
+    return phi, ma_measure(phi, metric)
 
 
 def manufactured_cos(n: int, N: int, amplitude: float = 0.05):
@@ -95,13 +95,13 @@ def lp_density_fixture(p: float, singularity_exponent: float,
     return mu.scaled(1.0 / mu.mass, metric)
 
 
-def holder_subsolution(N: int, delta_range=(3, 8)):
+def holder_subsolution(N: int):
     """Continuation fixture: a Hoelder (not C^2) subsolution u from repairing
     0.05 |sin(pi x)|^(1/2), datum mu = h * omega_u^n with smooth h >= 0.
 
     Returns (schedule, metric) where schedule carries the dyadic mollification
-    ladder delta_j = 2^-j for j in range(*delta_range), clipped to the lattice
-    resolution floor of two spacings.
+    ladder delta_j = 2^-j for j = 3, ..., 7, clipped to the lattice resolution
+    floor of two spacings.
     """
     torus = Torus(1, N)
     metric = flat_metric(torus)
@@ -115,8 +115,7 @@ def holder_subsolution(N: int, delta_range=(3, 8)):
     mu = MeasureField.from_density(dens, metric)
     base = decompose_subsolution(mu, u, metric)
     floor = 2.0 * torus.spacing
-    deltas = tuple(d for d in (2.0 ** -j for j in range(*delta_range))
-                   if d >= floor)
+    deltas = tuple(d for d in (2.0 ** -j for j in range(3, 8)) if d >= floor)
     if len(deltas) < 2:
         raise PreconditionError(f"N = {N} leaves fewer than two resolvable deltas")
     return ContinuationSchedule(u=base.u, C0=base.C0, h=base.h,

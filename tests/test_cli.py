@@ -385,6 +385,50 @@ class TestCertificateCommand:
         assert main([command, "--out", str(tmp_path / "o")]) == 0
         assert digests and len(set(digests)) == len(digests)
 
+    @pytest.mark.parametrize("text, amplitude", [
+        ("[torus]\nN = 256\n", 0.0),
+        ("[torus]\nN = 256\n[metric]\namplitude = 0.2\n"
+         "[certificate]\ndelta_list = 0.0625,0.03125,0.015625\n", 0.2)],
+        ids=["flat", "conformal"])
+    def test_summary_rederivable_from_artifacts(self, tmp_path, capsys, text,
+                                                amplitude):
+        # every value of the summary follows from certificate.csv and the
+        # dumped phi and mu; alpha1 is the L1 rate over the rate_deltas ladder
+        import math
+        from torusma.certify import stability_gamma
+        from torusma.geometry import conformal_metric
+        from torusma.regularize import Mollifications, l1_rate, rate_deltas
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        out = tmp_path / "o"
+        assert main(["certificate", "--config", str(ini), "--out", str(out)]) == 0
+        summary = {k: float(v) for k, v in (
+            part.split("=") for part in capsys.readouterr().out.split()[2:])}
+        rows = read_csv(out / "certificate.csv")
+        deltas = [float(r["delta"]) for r in rows]
+        gaps = [float(r["gap"]) for r in rows]
+        moduli = [float(r["modulus"]) for r in rows]
+        phi = read_grid(out / "phi.cmag")
+        metric = conformal_metric(phi.torus, amplitude)
+        mu = MeasureField.from_density(read_grid(out / "mu_density.cmag"), metric)
+        tau = 1.0  # the default config
+        gamma = stability_gamma(phi.torus.n, tau)
+        alpha1 = l1_rate(Mollifications(phi), mu,
+                         rate_deltas(deltas, phi.torus), metric)[0]
+        alpha = min(gamma, alpha1)
+        power = alpha * alpha1
+        C6 = max(max(g, 0.0) / d ** power for d, g in zip(deltas, gaps))
+        C7 = max(max(m, 0.0) / d ** power for d, m in zip(deltas, moduli))
+        kappa = (1.0 if metric.A == 0.0
+                 else math.exp(-2.0 * metric.A * C6 / (1.0 - max(deltas) ** alpha)))
+        fit = [(math.log(d), math.log(m)) for d, m in zip(deltas, moduli) if m > 0.0]
+        measured = float(np.polyfit(*zip(*fit), 1)[0])
+        assert summary == {
+            "alpha": alpha, "alpha1": alpha1, "gamma": gamma, "kappa": kappa,
+            "C4": -phi.values.min(), "C6": C6, "C7": C7,
+            "measured_exponent": measured,
+            "krylov_unconverged": summary["krylov_unconverged"]}
+
 
 class TestStabilityCommand:
     def test_passes_and_writes_ledger(self, tmp_path, capsys):

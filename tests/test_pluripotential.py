@@ -24,8 +24,8 @@ def cos_fn(torus, a, axis=0):
 
 class TestManufacturedCos:
     def test_one_form_for_check_and_measure(self, monkeypatch):
-        # the psh check and the density read one Hessian of phi*, also when
-        # the density is taken on a conformal metric
+        # the density reads one Hessian of phi* (the psh check is closed
+        # form), also when it is taken on a conformal metric
         import torusma.geometry
         calls = []
         hessian = torusma.geometry.hessian_of_spectrum
@@ -59,6 +59,17 @@ class TestManufacturedCos:
         # 1 - amplitude pi^2 < 0 at the top of the cosine
         with pytest.raises(PreconditionError, match="too large for psh fixture"):
             manufactured_cos(1, 64, 0.2)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 8)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_psh_bound_is_amplitude_pi_squared(self, n, N, sign):
+        # H(phi*) is diagonal with entries -pi^2 a cos(2 pi x_j), so phi* is
+        # psh for the flat metric exactly when pi^2 |a| <= 1
+        metric = flat_metric(Torus(n, N))
+        phi, _ = cos_datum(metric, sign * (1 - 1e-6) / np.pi**2)
+        assert psh_defect(phi, metric) > 0.0
+        with pytest.raises(PreconditionError, match="too large for psh fixture"):
+            cos_datum(metric, sign * (1 + 1e-6) / np.pi**2)
 
 
 class TestPshCone:

@@ -112,7 +112,7 @@ class TestSolveMA:
 
 class TestDecomposeSubsolution:
     def test_standard_fixture_decomposes(self):
-        sched, m = holder_subsolution(N=64, delta_range=(3, 6))
+        sched, m = holder_subsolution(N=64)
         assert sched.C0 >= 1.0
         assert np.all(sched.h.values >= -1e-12)
         # recompose: mu = C0 h omega_u^n must be dominated by C0 omega_u^n
@@ -181,7 +181,7 @@ class TestContinuation:
     def test_final_stage_solved_from_zero(self):
         # the last stage is a fresh solve of its own datum mu_j
         from torusma.regularize import mollify, psh_repair
-        sched, m = holder_subsolution(N=64, delta_range=(3, 6))
+        sched, m = holder_subsolution(N=64)
         rep = continuation_solve(sched, m, tol=1e-9, max_iter=50)
         u_j = psh_repair(mollify(sched.u, sched.delta_list[-1]), m)[0]
         dens = sched.C0 * sched.h.values * ma_measure(u_j, m).density.values
@@ -228,7 +228,7 @@ class TestContinuation:
             assert got.mass == mu.mass
 
     def test_under_resolved_schedule_rejected(self):
-        sched, m = holder_subsolution(N=64, delta_range=(3, 6))
+        sched, m = holder_subsolution(N=64)
         bad = ContinuationSchedule(u=sched.u, C0=sched.C0, h=sched.h,
                                    delta_list=(2.0 ** -8,))
         with pytest.raises(PreconditionError):

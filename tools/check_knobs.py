@@ -6,13 +6,14 @@ nothing reads.
     python3 tools/check_knobs.py
 
 Every function defined under src/torusma is read with `ast`, and so is every
-call under src/, tests/, tools/ and bench/. A parameter with a default
-counts as set when some call of a function of the same name passes it,
-positionally or by keyword. Calls are matched by bare name (`f(...)`), by
-attribute name (`mod.f(...)`, `obj.f(...)`) and through `import ... as`
-aliases. A call that unpacks `*args` sets every positional parameter, one
-that unpacks `**kwargs` every keyword. Methods skip `self`/`cls` when
-counting positional arguments.
+call under src/, tools/ and bench/. A parameter with a default counts as
+set when some call of a function of the same name passes it, positionally
+or by keyword. Tests do not count: a default that only a test changes is a
+constant the commands never vary. Calls are matched by bare name
+(`f(...)`), by attribute name (`mod.f(...)`, `obj.f(...)`) and through
+`import ... as` aliases. A call that unpacks `*args` sets every positional
+parameter, one that unpacks `**kwargs` every keyword. Methods skip
+`self`/`cls` when counting positional arguments.
 
 A function (dunders aside) counts as reached when its name is referenced
 under src/, tools/ or bench/, outside its own body and the package's
@@ -48,8 +49,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torusma"
-CALLER_DIRS = tuple(ROOT / d for d in ("src", "tests", "tools", "bench"))
 REACH_DIRS = tuple(ROOT / d for d in ("src", "tools", "bench"))
+READ_DIRS = REACH_DIRS + (ROOT / "tests",)
 IMPORT_DIRS = tuple(ROOT / d for d in ("src", "tests", "tools"))
 _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -117,7 +118,7 @@ def _calls(tree):
     return out
 
 
-def never_set(package=PACKAGE, caller_dirs=CALLER_DIRS):
+def never_set(package=PACKAGE, caller_dirs=REACH_DIRS):
     """Sorted `module.function: parameter` labels of defaults no call sets."""
     defs = []
     for path in sorted(package.glob("*.py")):
@@ -184,7 +185,7 @@ def _is_dataclass(node):
     return False
 
 
-def unread_fields(package=PACKAGE, read_dirs=CALLER_DIRS):
+def unread_fields(package=PACKAGE, read_dirs=READ_DIRS):
     """Sorted `Class.field` labels of dataclass fields no attribute load reads."""
     loaded = set()
     for root in read_dirs:

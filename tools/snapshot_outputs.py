@@ -30,8 +30,11 @@ converge (the summary's krylov_unconverged);
 mixture at tau = 0.5; certificate at n=1 N=256, where the Kiselman-Legendre
 t-grids of the rows overlap, on the flat metric and on the conformal one
 with deltas 1/16, 1/32, 1/64, the one certificate where A > 0 and the
-transform's infimum drops below its t = delta value; and a 2x2 stability
-sweep (N = 32, 64 x tau = 0.5, 1.0).
+transform's infimum drops below its t = delta value; capacity at n=1
+N=128, the bench's capacity-n1 input and the one configuration where
+psh_repair returns a g its rounds repaired, not contracted; regularize
+with deltas 1/4, 1/8, the one ladder that rate_deltas extends downward;
+and a 2x2 stability sweep (N = 32, 64 x tau = 0.5, 1.0).
 Progress and wall times go to the terminal only, so the snapshot itself is
 deterministic.
 """
@@ -93,6 +96,10 @@ def matrix():
                  {"torus": {"n": 1, "N": 256},
                   "metric": {"amplitude": 0.2},
                   "certificate": {"delta_list": "0.0625,0.03125,0.015625"}}))
+    runs.append(("capacity-n1-N128-flat", "capacity",
+                 {"torus": {"n": 1, "N": 128}}))
+    runs.append(("regularize-n1-N64-downward", "regularize",
+                 {"certificate": {"delta_list": "0.25,0.125"}}))
     runs.append(("sweep-stability", "sweep",
                  {"sweep": {"command": "stability", "N": "32,64",
                             "tau": "0.5,1.0"}}))
