@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 from .errors import PreconditionError
 
@@ -287,8 +287,9 @@ def spectral_symbols(torus: Torus) -> SpectralSymbols:
 
 
 def to_spectrum(values: np.ndarray) -> np.ndarray:
-    """rfftn half spectrum of a real lattice field."""
-    return scipy.fft.rfftn(values)
+    """rfftn half spectrum of a real float64 lattice field."""
+    # the call scipy.fft.rfftn makes: all axes, forward, unnormalized, one thread
+    return _pocketfft.r2c(values, None, True, 0, None, 1)
 
 
 def from_spectrum(torus: Torus, spectrum: np.ndarray,
@@ -296,17 +297,22 @@ def from_spectrum(torus: Torus, spectrum: np.ndarray,
     """Real lattice field of the Hermitian half spectrum symbol * spectrum
     (of `spectrum` when `symbol` is None); the inverse of `to_spectrum`.
 
-    The product, or a copy of `spectrum`, is the one work array: the leading
-    axes are inverted in place on it, then the halved last axis, so no
-    spectrum-sized buffer is allocated beside it. That is `irfftn`'s own
-    c2c-then-c2r sequence; only the 1/N factors are applied per stage, and
-    they are powers of two, so the result is bit-identical. Neither argument
-    is written to.
+    The product is the one work array: its leading axes are inverted in
+    place, then its halved last axis, so no spectrum-sized buffer is
+    allocated beside it (without a symbol, the leading axes are inverted out
+    of place into it). That is `irfftn`'s own c2c-then-c2r sequence; only
+    the 1/N factors are applied per stage, and they are powers of two, so
+    the result is bit-identical. Neither argument is written to. The calls
+    are those scipy.fft.ifftn(overwrite_x=True) and irfft make (inverse,
+    1/N normalization, one thread), without their dispatch.
     """
-    work = spectrum.copy() if symbol is None else symbol * spectrum
-    work = scipy.fft.ifftn(work, axes=tuple(range(torus.ndim_real - 1)),
-                           overwrite_x=True)
-    return scipy.fft.irfft(work, n=torus.N, axis=-1, overwrite_x=True)
+    leading = tuple(range(torus.ndim_real - 1))
+    if symbol is None:
+        work = _pocketfft.c2c(spectrum, leading, False, 2, None, 1)
+    else:
+        work = symbol * spectrum
+        _pocketfft.c2c(work, leading, False, 2, work, 1)
+    return _pocketfft.c2r(work, (-1,), torus.N, False, 2, None, 1)
 
 
 def hessian_of_spectrum(torus: Torus, F: np.ndarray) -> HermitianForm:

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import torusma.geometry
 from torusma.regularize import mollify
@@ -26,14 +25,17 @@ def _counted(monkeypatch, module, name):
 @pytest.fixture
 def inverse_transforms(monkeypatch):
     """List that gains one entry per inverse transform during the test:
-    `geometry.from_spectrum` makes one scipy.fft.irfft call, on the last axis."""
-    return _counted(monkeypatch, scipy.fft, "irfft")
+    `geometry.from_spectrum` makes one `c2r` call on geometry's pocketfft
+    binding, on the last axis, after the leading axes' `c2c`."""
+    return _counted(monkeypatch, torusma.geometry._pocketfft, "c2r")
 
 
 @pytest.fixture
 def forward_transforms(monkeypatch):
-    """List that gains one entry per scipy.fft.rfftn call during the test."""
-    return _counted(monkeypatch, scipy.fft, "rfftn")
+    """List that gains one entry per forward transform during the test:
+    `geometry.to_spectrum` makes one `r2c` call on geometry's pocketfft
+    binding."""
+    return _counted(monkeypatch, torusma.geometry._pocketfft, "r2c")
 
 
 @pytest.fixture

@@ -371,16 +371,16 @@ class TestCertificateCommand:
         # the solution check reads phi's half spectrum from the family that
         # the certificate convolves, so no field is transformed forward twice
         import hashlib
-        import scipy.fft
+        from torusma.geometry import _pocketfft
         from torusma.regularize import _kernel
-        rfftn = scipy.fft.rfftn
+        r2c = _pocketfft.r2c
         digests = []
 
-        def hashed(x, *args, **kwargs):
+        def hashed(x, *args):
             digests.append(hashlib.sha1(np.ascontiguousarray(x)).hexdigest())
-            return rfftn(x, *args, **kwargs)
+            return r2c(x, *args)
 
-        monkeypatch.setattr(scipy.fft, "rfftn", hashed)
+        monkeypatch.setattr(_pocketfft, "r2c", hashed)
         _kernel.cache_clear()  # the run builds its kernels
         assert main([command, "--out", str(tmp_path / "o")]) == 0
         assert digests and len(set(digests)) == len(digests)
@@ -491,3 +491,44 @@ class TestSweep:
                      "--out", str(direct_out)]) == 0
         direct_line = capsys.readouterr().out.strip().splitlines()[-1]
         assert sweep_rows[0]["summary"] == direct_line
+
+
+class TestTransformSeam:
+    """Every lattice transform is a call on geometry's pocketfft binding."""
+
+    @pytest.mark.parametrize("command", ["capacity", "solve", "certificate"])
+    def test_no_transform_goes_through_scipy_fft(self, tmp_path, monkeypatch,
+                                                 command):
+        import scipy.fft
+
+        def refused(*args, **kwargs):
+            raise AssertionError("scipy.fft transform called")
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft",
+                     "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+            monkeypatch.setattr(scipy.fft, name, refused)
+        assert main([command, "--out", str(tmp_path / "o")]) == 0
+
+    # the bench's three inputs at their reference amplitude; a pipeline that
+    # transforms more than this must say why
+    @pytest.mark.parametrize("command, n, N, forward, inverse", [
+        ("capacity", 1, 128, 1016, 1180),
+        ("solve", 2, 16, 32, 129),
+        ("certificate", 1, 1024, 4, 9)])
+    def test_transforms_per_warm_call(self, tmp_path, forward_transforms,
+                                      inverse_transforms, command, n, N,
+                                      forward, inverse):
+        import torusma.cli
+        cfg = load_config(None, [("torus", "n", n), ("torus", "N", N),
+                                 ("fixture", "amplitude", 0.05)])
+        run = getattr(torusma.cli, "run_" + command)
+        for k in range(2):  # the first call fills the kernel caches
+            forward_transforms.clear()
+            inverse_transforms.clear()
+            out = tmp_path / str(k)
+            out.mkdir()
+            code, _ = run(cfg, str(out), False,
+                          np.random.default_rng(cfg["run"]["seed"]))
+            assert code == 0
+        assert (len(forward_transforms), len(inverse_transforms)) == (
+            forward, inverse)

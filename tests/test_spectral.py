@@ -231,11 +231,15 @@ def test_symbols_cached_per_torus():
 
 @pytest.mark.parametrize("n,N", [(1, 64), (1, 1024), (2, 8), (2, 16)])
 def test_from_spectrum_bit_equals_irfftn(n, N):
-    """The split inverse (leading axes in place, then the last axis) equals
-    scipy's multi-axis irfftn bit for bit, and writes to neither argument."""
+    """The transforms call pocketfft as scipy.fft does, without its dispatch:
+    to_spectrum equals scipy's rfftn bit for bit, and the split inverse
+    (leading axes, then the last axis) its multi-axis irfftn, writing to
+    neither argument."""
     torus = Torus(n, N)
     rng = np.random.default_rng(N + n)
-    F = scipy.fft.rfftn(rng.standard_normal(torus.shape))
+    values = rng.standard_normal(torus.shape)
+    F = to_spectrum(values)
+    assert np.array_equal(F, scipy.fft.rfftn(values))
     sym = spectral_symbols(torus)
     symbols = (sym.hess[0], sym.hess[-1], 1j * sym.xi[0], sym.inv_quarter_lap,
                build_kernel(torus, 0.25).spectrum)
