@@ -242,10 +242,10 @@ def _certificate_row(family: Mollifications, d: float, b: float, T: KLTransform,
 
 def check_solution(family: Mollifications, mu: MeasureField,
                    metric: HermitianMetric) -> None:
-    """The Hoelder chain's precondition: raise unless the phi of `family`
+    """The Hoelder chain's first step: raise unless the phi of `family`
     solves (omega + dd^c phi)^n = c mu up to the constant c. The model
     measure is built from the family's half spectrum of phi, so phi is not
-    transformed again, and dropped on return, before the chain runs."""
+    transformed again, and dropped on return, before the rate fit."""
     model = measure_of_form(omega_form(family.spectrum, metric), metric)
     c = model.mass / mu.mass
     mismatch = float(np.abs(model.density.values - c * mu.density.values).max())
@@ -258,8 +258,8 @@ def check_solution(family: Mollifications, mu: MeasureField,
 def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
                         metric: HermitianMetric, delta_list) -> HoelderCertificate:
     """Run the full Hoelder chain on a solution phi of
-    (omega + dd^c phi)^n = c mu that `check_solution(family, mu, metric)`
-    accepted; the chain itself builds no Monge-Ampere measure.
+    (omega + dd^c phi)^n = c mu, which its first step, `check_solution`,
+    verifies.
 
     `family` is the family rho_t phi of the sup-normalized solution phi
     (sup phi = 0, as `solve_ma` returns it). The rate fit reads the ladder
@@ -284,6 +284,7 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
     top = phi.values.max()
     if top != 0.0:
         raise PreconditionError(f"phi must be sup-normalized, got sup phi = {top:.3e}")
+    check_solution(family, mu, metric)
     gamma = stability_gamma(n, tau)
 
     span = top - phi.values.min()
@@ -372,7 +373,6 @@ def mixture_experiment(phi1: GridFunction, phi2: GridFunction, c1: float, c2: fl
     mu = MeasureField.from_density(GridFunction(metric.torus, mixed), metric)
     del mixed  # mu holds its own clamped copy
     report = solve_ma(mu, metric, tol=tol, max_iter=max_iter)
-    family = Mollifications(report.phi)
-    check_solution(family, mu, metric)
-    cert = hoelder_certificate(family, mu, tau, metric, delta_list)
+    cert = hoelder_certificate(Mollifications(report.phi), mu, tau, metric,
+                               delta_list)
     return MixtureResult(report=report, certificate=cert, domination_slack=slack)

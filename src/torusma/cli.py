@@ -22,7 +22,7 @@ from .capacity import estimate_capacity, fit_volume_capacity, fit_htau
 from .regularize import (Mollifications, kernel_eta, build_kernel, l1_rate,
                          rate_deltas, discrete_mass_convergence)
 from .solver import solve_ma, continuation_solve
-from .certify import (check_level_formula, check_solution, stability_check,
+from .certify import (check_level_formula, stability_check,
                       hoelder_certificate, mixture_experiment)
 from .gridio import write_grid
 from . import fixtures
@@ -308,8 +308,7 @@ def run_certificate(cfg, out, dump_stages, rng):
     mu = _build_measure(cfg, metric)
     rep = solve_ma(mu, metric, tol=cfg["solver"]["tol"],
                    max_iter=cfg["solver"]["max_iter"])
-    family = Mollifications(rep.phi)  # the check's, the chain's and the dumps'
-    check_solution(family, mu, metric)
+    family = Mollifications(rep.phi)  # the chain's and the dumps'
     cert = hoelder_certificate(family, mu, cfg["certificate"]["tau"], metric,
                                cfg["certificate"]["delta_list"])
     if dump_stages:

@@ -113,13 +113,12 @@ def holder_subsolution(N: int):
                      * np.ones(torus.shape))
     dens = GridFunction(torus, ma_measure(u, metric).density.values * h.values)
     mu = MeasureField.from_density(dens, metric)
-    base = decompose_subsolution(mu, u, metric)
+    C0, h_split = decompose_subsolution(mu, u, metric)
     floor = 2.0 * torus.spacing
     deltas = tuple(d for d in (2.0 ** -j for j in range(3, 8)) if d >= floor)
     if len(deltas) < 2:
         raise PreconditionError(f"N = {N} leaves fewer than two resolvable deltas")
-    return ContinuationSchedule(u=base.u, C0=base.C0, h=base.h,
-                                delta_list=deltas), metric
+    return ContinuationSchedule(u=u, C0=C0, h=h_split, delta_list=deltas), metric
 
 
 def stability_pair(n: int, N: int, amplitude: float):

@@ -110,12 +110,12 @@ class GridFunction:
 class HermitianMetric:
     """Conformally flat Hermitian metric g = factor * I, with curvature/torsion constants.
 
-    `factor` is the float 1.0 for the flat metric, otherwise a positive real
-    lattice field e^u. K bounds the curvature contribution to mollification
-    monotonicity, A the negative part of the Chern curvature, B the
-    dd^c(omega^k) torsion terms. All three vanish for the flat metric; for
-    conformal perturbations they are coarse lattice sup-bounds (see
-    `conformal_metric`).
+    `factor` is a positive float for a constant metric (1.0 for the flat
+    metric) or a positive real lattice field e^u. K bounds the curvature
+    contribution to mollification monotonicity, A the negative part of the
+    Chern curvature, B the dd^c(omega^k) torsion terms. All three vanish for
+    the flat metric; for conformal perturbations they are coarse lattice
+    sup-bounds (see `conformal_metric`).
     """
 
     torus: Torus
@@ -141,14 +141,10 @@ class HermitianMetric:
             raise PreconditionError("metric must be positive definite")
 
     @property
-    def is_flat(self) -> bool:
-        return bool(np.allclose(self.factor, 1.0, atol=1e-15)) \
-            and self.K == self.A == self.B == 0.0
-
-    @property
     def is_kahler(self) -> bool:
-        """d omega = 0: the flat metric, or any conformal factor at n = 1."""
-        return self.is_flat or self.torus.n == 1
+        """d omega = 0: a constant metric (a scalar factor), or any conformal
+        factor at n = 1."""
+        return np.ndim(self.factor) == 0 or self.torus.n == 1
 
     def det(self) -> float | np.ndarray:
         return self.factor ** self.torus.n

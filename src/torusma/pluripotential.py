@@ -66,13 +66,16 @@ def measure_of_form(M: HermitianForm, metric: HermitianMetric) -> MeasureField:
     accepted iterate's form has min eigenvalue > -psh_tolerance, and the
     lattice synthesis of phi moves it only at round-off."""
     tol = psh_tolerance(metric)
-    defect = float(M.min_eig().min())
+    det = M.det()
+    defect = float(M.min_eig(det).min())
     if defect < -100.0 * tol:
         raise NotOmegaPshError(
             f"psh defect {defect:.3e} below -100*tol = {-100*tol:.3e}; "
             "not a valid Monge-Ampere input"
         )
-    density = np.maximum(M.det() / metric.det(), 0.0)
+    density = det / metric.det()
+    det = None  # not held through from_density's copy
+    np.maximum(density, 0.0, out=density)
     return MeasureField.from_density(GridFunction(metric.torus, density), metric)
 
 

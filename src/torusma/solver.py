@@ -27,14 +27,15 @@ from .regularize import Mollifications, psh_repair
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution (sup-normalized), constant c, and convergence diagnostics."""
+    """Solution (sup-normalized), constant c, and convergence diagnostics;
+    only `continuation_solve` fills c_trace and cauchy_diffs, per stage."""
 
     phi: GridFunction
     c: float
     residual_history: list
-    c_trace: list
     iterations: int
     converged: bool
+    c_trace: list = field(default_factory=list)
     cauchy_diffs: list = field(default_factory=list)
     krylov_unconverged: int = 0  # Newton steps whose inner Krylov solve did not converge
 
@@ -247,7 +248,6 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     detg = metric.det()
 
     residual_history: list = []
-    c_trace: list = []
 
     def diagnostics(M: HermitianForm):
         """(c, residual, sup residual, min eigenvalue) of the form M."""
@@ -263,7 +263,6 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
     P = np.zeros(spectral_symbols(torus).inv_quarter_lap.shape, dtype=complex)
     c, res, res_norm, _ = diagnostics(form)
     residual_history.append(res_norm)
-    c_trace.append(c)
     converged = res_norm <= tol
     iterations = 0
     unconverged = 0  # Newton steps whose inner Krylov solve did not converge
@@ -299,7 +298,6 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         P, form, c, res, res_norm = accepted
         accepted = None
         residual_history.append(res_norm)
-        c_trace.append(c)
         converged = res_norm <= tol
 
     form = res = None  # only P is read from here on
@@ -310,7 +308,6 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         phi=phi,
         c=c,
         residual_history=residual_history,
-        c_trace=c_trace,
         iterations=iterations,
         converged=bool(converged),
         krylov_unconverged=unconverged,
@@ -350,9 +347,10 @@ def _line_search(P: np.ndarray, Psi: np.ndarray, res_norm: float, diagnostics,
 
 
 def decompose_subsolution(mu: MeasureField, u: GridFunction,
-                          metric: HermitianMetric) -> ContinuationSchedule:
-    """Radon-Nikodym split mu = C0 h omega_u^n with h in [0, 1]; the cone
-    check and omega_u^n are read from one form of u."""
+                          metric: HermitianMetric) -> tuple:
+    """(C0, h) of the Radon-Nikodym split mu = C0 h omega_u^n, with C0 the
+    least such constant and h in [0, 1] a GridFunction; the cone check and
+    omega_u^n are read from one form of u."""
     M = omega_form(u, metric)
     if M.min_eig().min() < -psh_tolerance(metric):
         raise PreconditionError("subsolution candidate u is not omega-psh")
@@ -368,10 +366,7 @@ def decompose_subsolution(mu: MeasureField, u: GridFunction,
     C0 = float(ratio.max())
     if C0 <= 0.0:
         raise PreconditionError("mu has no mass")
-    h = np.clip(ratio / C0, 0.0, 1.0)
-    return ContinuationSchedule(
-        u=u, C0=C0, h=GridFunction(metric.torus, h), delta_list=(),
-    )
+    return C0, GridFunction(metric.torus, np.clip(ratio / C0, 0.0, 1.0))
 
 
 def continuation_solve(schedule: ContinuationSchedule, metric: HermitianMetric,

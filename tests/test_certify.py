@@ -43,12 +43,13 @@ class TestCheckSubsolution:
     # C0 is the least constant with mu <= C0 (omega + dd^c u)^n
     def test_accepts_true_subsolution(self):
         phi, mu, m = manufactured_cos(1, 64)
-        assert decompose_subsolution(mu, phi, m).C0 == pytest.approx(1.0, rel=1e-12)
+        C0, _ = decompose_subsolution(mu, phi, m)
+        assert C0 == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_undersized_constant(self):
         phi, mu, m = manufactured_cos(1, 64)
-        big = mu.scaled(3.0, m)
-        assert decompose_subsolution(big, phi, m).C0 == pytest.approx(3.0, rel=1e-12)
+        C0, _ = decompose_subsolution(mu.scaled(3.0, m), phi, m)
+        assert C0 == pytest.approx(3.0, rel=1e-12)
 
 
 class TestStabilityCheck:
@@ -172,6 +173,23 @@ class TestHoelderCertificate:
         with pytest.raises(PreconditionError, match="does not solve"):
             check_solution(Mollifications(rep.phi), other, m)
 
+    def test_chain_rejects_mismatched_measure(self, cert_l2, inverse_transforms,
+                                              monkeypatch):
+        # the chain checks its own solution first: no earlier check_solution
+        # call, one inverse transform (the check's n=1 Hessian) and no kernel
+        import torusma.regularize
+        _, rep, _, m = cert_l2
+        other = lp_density_fixture(2.0, 0.3, m)
+        family = Mollifications(rep.phi)
+        kernels = []
+        monkeypatch.setattr(torusma.regularize, "build_kernel",
+                            lambda *args: kernels.append(args))
+        inverse_transforms.clear()
+        with pytest.raises(PreconditionError, match="does not solve"):
+            hoelder_certificate(family, other, 1.0, m, (1 / 8, 1 / 16))
+        assert len(inverse_transforms) == 1
+        assert kernels == []
+
     def test_unnormalized_phi_rejected(self, cert_l2):
         # the family of phi - 0.1 has the same measure, but sup 0 is required
         _, rep, mu, m = cert_l2
@@ -195,11 +213,11 @@ class TestHoelderCertificate:
         # the levels b = delta^(1/7) are 0.743, 0.673, 0.610, so
         # k b ln 2 >= 0.42 at k = 1 exceeds osc phi + K_eff delta (1 + delta)
         # <= 0.157 on every row. That leaves 4 distinct radii, and the model
-        # measure's n=1 Hessian makes one more inverse transform
+        # measure's n=1 Hessian in the chain's check_solution makes one more
+        # inverse transform
         phi, mu, m = manufactured_cos(1, 128)
         inverse_transforms.clear()
         family = Mollifications(phi)
-        check_solution(family, mu, m)
         cert = hoelder_certificate(family, mu, 1.0, m, (1 / 8, 1 / 16, 1 / 32))
         assert cert.passed and not cert.trivial
         assert len(inverse_transforms) == 4 + 1

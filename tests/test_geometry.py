@@ -225,7 +225,7 @@ class TestIntegration:
 class TestMetrics:
     def test_flat_metric_constants(self):
         m = flat_metric(Torus(1, 32))
-        assert m.is_flat
+        assert m.factor == 1.0 and m.is_kahler
         assert m.K == 0.0 and m.A == 0.0 and m.B == 0.0
         assert m.min_eig() == pytest.approx(1.0)
 
@@ -239,7 +239,7 @@ class TestMetrics:
 
     def test_conformal_has_positive_curvature_bounds(self):
         m = conformal_metric(Torus(1, 64), 0.2)
-        assert not m.is_flat
+        assert np.ndim(m.factor) == 2
         assert m.K > 0.0 and m.B > 0.0
         assert m.min_eig() > 0.0
 

@@ -358,6 +358,25 @@ class TestInnerSolve:
         assert not metric_case("conformal", 2, 8)[1].is_kahler
         assert asymmetry("conformal", 2, 8) > 1e-6
 
+    def test_constant_metric_is_kaehler_at_n2(self, monkeypatch):
+        # a scalar factor is a constant metric, so the step runs CG; a solve
+        # keeps no per-iteration c_trace
+        from torusma.fixtures import cos_datum
+        from torusma.geometry import HermitianMetric
+
+        def no_gmres(*args, **kwargs):
+            raise AssertionError("a Kaehler metric's step runs CG")
+
+        m = HermitianMetric(Torus(2, 16), 2.0)
+        assert m.is_kahler
+        monkeypatch.setattr(solver, "_gmres", no_gmres)
+        phi_star, mu = cos_datum(m, 0.05)
+        rep = solve_ma(mu, m, tol=1e-10)
+        assert rep.converged and rep.iterations == 5
+        assert rep.krylov_unconverged == 0
+        assert np.abs(rep.phi.values - phi_star.values).max() < 1e-10
+        assert rep.c_trace == []
+
     def test_matvecs_on_reference_solve(self, monkeypatch):
         # solve-n2's reference input, on the flat metric: the step runs PCG
         matvecs = []
