@@ -17,6 +17,7 @@ import numpy as np
 from .errors import PreconditionError
 from .geometry import (
     GridFunction,
+    HermitianForm,
     HermitianMetric,
     Torus,
     from_spectrum,
@@ -173,15 +174,25 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> tup
     Each round raises the smallest eigenvalue of M = g + H(f) to 0 wherever it
     is negative, which adds max(-lambda_min, 0) to the trace of M, and rebuilds
     f spectrally from the trace of that clamped Hessian part,
-    tr M + max(-lambda_min, 0) - n factor, keeping the mean of f. The rounds
-    carry the half spectrum of the iterate, so each costs one inverse
-    transform per form part and one forward transform; lattice values are
-    synthesized only for the result. Beside its transforms a round allocates
-    one field, max(-lambda_min, 0): the target trace is formed on the trace
-    of M (at n = 1 the one part of M itself) and the new spectrum is scaled
-    in place. Not a true metric projection: callers must re-verify
-    feasibility. A contraction toward the zero function is used as a last
-    resort (it always lands in the cone since g is positive).
+    T = tr M + max(-lambda_min, 0) - n factor, as the f with
+    (1/4) Lap f = T - mean T and the mean of f. Beside its transforms a round
+    allocates one field, max(-lambda_min, 0): T is formed on the trace of M
+    (at n = 1 the one part of M itself), and the previous round's T is
+    dropped before it.
+
+    At n = 2 the rounds carry the half spectrum of the iterate, so each costs
+    one inverse transform per form part and one forward transform.
+
+    At n = 1 the Hessian symbol is the quarter-Laplacian itself, so the form
+    of the rebuilt f is g + (T - mean T) = max(M, 0) - mean max(-M, 0), and
+    a round forms it on the lattice with no transform. Each round's defect is thus
+    minus the mean of the previous form's negative part. Only the last T is
+    transformed, once, when the result is synthesized: a repair that runs
+    any round costs two forward and two inverse transforms in all.
+
+    Not a true metric projection: callers must re-verify feasibility. A
+    contraction toward the zero function is used as a last resort (it
+    always lands in the cone since g is positive).
     """
     tol = psh_tolerance(metric)
     torus = f.torus
@@ -190,32 +201,50 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> tup
     F = to_spectrum(f.values)
     origin = (0,) * torus.ndim_real
     mean_mode = F[origin]  # the sum of f, kept by every round
+
+    def spectrum_of(target):
+        """Half spectrum of the f with (1/4) Lap f = target - mean target
+        and the sum of the input f."""
+        F = to_spectrum(target)
+        F *= inv_quarter_lap
+        F[origin] = mean_mode
+        return F
+
+    # F is the half spectrum of the iterate, or None at n = 1 while the
+    # last round's target T is not yet transformed
+    M = omega_form(F, metric)
     for k in range(rounds + 1):
-        M = omega_form(F, metric)
         lam = M.min_eig()
         defect = float(lam.min())
-        if defect >= -tol:
-            if k == 0:
-                return f, M
-            return GridFunction(torus, from_spectrum(torus, F)), None
-        if k == rounds:
+        if defect >= -tol and k == 0:
+            return f, M
+        if defect >= -tol or k == rounds:
             break
+        target = None  # the previous round's T goes before this one's is formed
         # sum the clamped diagonal before subtracting g: at n = 1 this is
         # max(M_00, 0) - factor bit for bit
         clamp = np.negative(lam)
         np.maximum(clamp, 0.0, out=clamp)
-        target_trace = M.trace()
-        target_trace += clamp
-        target_trace -= trace_g
-        M = lam = clamp = None
-        F = to_spectrum(target_trace)
-        target_trace = None
-        F *= inv_quarter_lap
-        F[origin] = mean_mode
-    lam = metric.min_eig()
-    theta = lam / (lam - defect + tol)
+        target = M.trace()
+        target += clamp
+        target -= trace_g
+        M = lam = clamp = F = None
+        if torus.n == 1:  # the form of the f rebuilt from T, on the lattice
+            M = HermitianForm((target - target.mean())[np.newaxis])
+            M.parts[0] += metric.factor
+        else:
+            F = spectrum_of(target)
+            target = None
+            M = omega_form(F, metric)
+    M = lam = None
+    if F is None:
+        F = spectrum_of(target)
+        target = None
     g = from_spectrum(torus, F)
-    g *= theta
+    if defect < -tol:
+        lam = metric.min_eig()
+        theta = lam / (lam - defect + tol)
+        g *= theta
     return GridFunction(torus, g), None
 
 

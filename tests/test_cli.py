@@ -512,7 +512,7 @@ class TestTransformSeam:
     # the bench's three inputs at their reference amplitude; a pipeline that
     # transforms more than this must say why
     @pytest.mark.parametrize("command, n, N, forward, inverse", [
-        ("capacity", 1, 128, 1016, 1180),
+        ("capacity", 1, 128, 442, 458),
         ("solve", 2, 16, 32, 129),
         ("certificate", 1, 1024, 4, 9)])
     def test_transforms_per_warm_call(self, tmp_path, forward_transforms,

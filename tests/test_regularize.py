@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torusma.errors import PreconditionError
 from torusma.geometry import (
-    Torus, GridFunction, flat_metric, conformal_metric, inverse_quarter_laplacian,
-    omega_form, spectral_symbols, to_spectrum, from_spectrum,
+    Torus, GridFunction, HermitianForm, flat_metric, conformal_metric,
+    inverse_quarter_laplacian, omega_form, spectral_symbols, to_spectrum, from_spectrum,
 )
 from torusma.pluripotential import ma_measure, psh_defect, psh_tolerance, is_omega_psh
 from torusma.regularize import (
@@ -202,17 +202,20 @@ def ref_clamp_eigs(M, floor):
     return out
 
 
-def ref_psh_repair(f, metric, rounds=5):
+def ref_psh_repair(f, metric, rounds=5, lattice_round=False):
     """psh repair that rebuilds f from the trace of the whole clamped field,
-    carrying the half spectrum of the iterate as `psh_repair` does."""
+    carrying the half spectrum of the iterate as `psh_repair` does at n = 2.
+    With `lattice_round` (n = 1) each next form is g + (T - mean T), formed
+    on the lattice as `psh_repair` forms it at n = 1, and only the last
+    round's spectrum is synthesized."""
     tol = psh_tolerance(metric)
     torus = f.torus
     inv_quarter_lap = spectral_symbols(torus).inv_quarter_lap
     F = to_spectrum(f.values)
     origin = (0,) * torus.ndim_real
     mean_mode = F[origin]
+    M = omega_form(F, metric)
     for _ in range(rounds):
-        M = omega_form(F, metric)
         if float(M.min_eig().min()) >= -tol:
             break
         clamped = ref_clamp_eigs(as_matrix(M), 0.0)
@@ -220,8 +223,13 @@ def ref_psh_repair(f, metric, rounds=5):
                            for j in range(torus.n))
         F = inv_quarter_lap * to_spectrum(target_trace)
         F[origin] = mean_mode
+        if lattice_round:
+            M = HermitianForm(((target_trace - target_trace.mean())
+                               + metric.factor)[np.newaxis])
+        else:
+            M = omega_form(F, metric)
     current = GridFunction(torus, from_spectrum(torus, F))
-    defect = float(omega_form(F, metric).min_eig().min())
+    defect = float(M.min_eig().min())
     if defect >= -tol:
         return current
     lam = metric.min_eig()
@@ -267,8 +275,9 @@ def cusp_with_noise(t):
 @pytest.mark.parametrize("rounds", [1, 5, 8])
 def test_trace_repair_matches_clamped_field(n, N, kind, rounds):
     """Raising lambda_min to 0 adds max(-lambda_min, 0) to the trace, so the
-    repair from the trace reproduces the repair from the clamped field:
-    bit for bit at n = 1, to rounding at n = 2."""
+    repair from the trace reproduces the repair from the clamped field: at
+    n = 1 bit for bit with the lattice round, and to rounding with the
+    spectral round; at n = 2 to rounding."""
     t = Torus(n, N)
     m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
     f = cusp_with_noise(t)
@@ -278,9 +287,9 @@ def test_trace_repair_matches_clamped_field(n, N, kind, rounds):
     want = ref_psh_repair(f, m, rounds=rounds).values
     assert not np.array_equal(want, vals)
     if n == 1:
-        assert np.array_equal(got, want)
-    else:
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        lattice = ref_psh_repair(f, m, rounds=rounds, lattice_round=True).values
+        assert np.array_equal(got, lattice)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 8), (2, 16)])
@@ -311,7 +320,9 @@ def test_spectral_repair_matches_lattice_repair(n, N, kind, rounds,
 def psh_repair_with_temporaries(f, metric, rounds=5):
     """`psh_repair` as it was before its rounds were formed in place: the
     target trace built from fresh temporaries, the spectrum scaled into a
-    new array and the contraction multiplied into a new field. Kept as the
+    new array and the contraction multiplied into a new field. At n = 1 the
+    next form is g + (T - mean T) on the lattice, and every round's T is
+    transformed where `psh_repair` transforms only the last. Kept as the
     byte-level reference of the in-place rounds."""
     tol = psh_tolerance(metric)
     torus = f.torus
@@ -319,8 +330,8 @@ def psh_repair_with_temporaries(f, metric, rounds=5):
     F = to_spectrum(f.values)
     origin = (0,) * torus.ndim_real
     mean_mode = F[origin]
+    M = omega_form(F, metric)
     for k in range(rounds + 1):
-        M = omega_form(F, metric)
         lam = M.min_eig()
         defect = float(lam.min())
         if defect >= -tol:
@@ -332,6 +343,11 @@ def psh_repair_with_temporaries(f, metric, rounds=5):
         target_trace = M.trace() + np.maximum(-lam, 0.0) - torus.n * metric.factor
         F = inv_quarter_lap * to_spectrum(target_trace)
         F[origin] = mean_mode
+        if torus.n == 1:
+            M = HermitianForm(((target_trace - target_trace.mean())
+                               + metric.factor)[np.newaxis])
+        else:
+            M = omega_form(F, metric)
     lam = metric.min_eig()
     theta = lam / (lam - defect + tol)
     return GridFunction(torus, theta * from_spectrum(torus, F)), None
@@ -361,24 +377,86 @@ def test_repair_bytes_match_the_reference(n, N, kind, rounds, inside):
         assert M.parts.tobytes() == want_M.parts.tobytes()
     else:
         assert g.values.tobytes() != f.values.tobytes()
+        if n == 1:  # the lattice round moves the spectral one's g at rounding
+            spectral = ref_psh_repair(f, m, rounds=rounds).values
+            assert np.abs(g.values - spectral).max() <= 1e-12 * np.abs(spectral).max()
 
 
 class TestPshRepairTransforms:
-    """f is transformed forward once; each round costs one inverse transform
-    per form part and one forward transform, the last check one inverse per
-    part, and the result one inverse transform."""
+    """f is transformed forward once, and its form costs one inverse
+    transform per part. At n = 2 each round costs one inverse transform per
+    form part and one forward transform, and the result one inverse
+    transform. At n = 1 a round costs none: only the last round's target is
+    transformed forward, and the result inverted."""
 
     def test_one_dim_five_rounds(self, inverse_transforms, forward_transforms):
         t = Torus(1, 64)
         psh_repair(cusp_with_noise(t), flat_metric(t), rounds=5)
-        assert len(inverse_transforms) == 7
-        assert len(forward_transforms) == 6
+        assert len(inverse_transforms) == 2
+        assert len(forward_transforms) == 2
 
     def test_two_dim_five_rounds(self, inverse_transforms, forward_transforms):
         t = Torus(2, 8)
         psh_repair(cusp_with_noise(t), flat_metric(t))
         assert len(inverse_transforms) == 4 * 6 + 1
         assert len(forward_transforms) == 6
+
+
+@pytest.mark.parametrize("kind, fields", [("flat", 3.1), ("conformal", 4.1)])
+def test_one_dim_repair_peak(kind, fields):
+    # tracemalloc peak above entry of one n = 1 N = 256 repair, in lattice
+    # fields: the half spectrum of f beside its form's inverse transform
+    # (3.02 flat), plus the field n * factor on a conformal metric. A round
+    # holds the form and its clamp, or T and the next form; the previous
+    # round's T and the spectrum of f are gone by then (4.02 and 5.02 when
+    # every round was transformed)
+    import tracemalloc
+    t = Torus(1, 256)
+    m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
+    f = cusp_with_noise(t)
+    psh_repair(f, m)  # symbol tables and FFT plans cached
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        g, M = psh_repair(f, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M is None and g.values.tobytes() != f.values.tobytes()
+    assert (peak - entry) / (8 * t.npoints) <= fields
+
+
+@given(seed=st.integers(0, 2**32 - 1), cusp=st.floats(0.02, 0.2),
+       noise=st.floats(0.0, 0.01), kind=st.sampled_from(["flat", "conformal"]))
+@settings(max_examples=25, deadline=None)
+def test_one_dim_round_identity(seed, cusp, noise, kind):
+    """At n = 1 a round maps the form M to g + (T - mean T), T = max(M, 0) - g.
+    Its minimum is -mean max(-M, 0), minus the mean negative part of M, and
+    it is the form of the iterate the round synthesizes. One round of
+    `psh_repair` contracts that iterate by the defect the identity gives."""
+    t = Torus(1, 32)
+    m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
+    x = t.axis_coord(0)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(t, cusp * np.abs(np.sin(np.pi * x)) ** 0.5 * np.ones(t.shape)
+                     + noise * rng.standard_normal(t.shape))
+    M = omega_form(f, m).parts[0]
+    target = np.maximum(M, 0.0) - m.factor
+    lattice = (target - target.mean()) + m.factor
+    negative = float(np.maximum(-M, 0.0).mean())
+    scale = 1e-12 * np.abs(M).max()
+    assert abs(lattice.min() + negative) <= scale
+    # the synthesized iterate: (1/4) Lap f1 = T - mean T, with the sum of f
+    F = to_spectrum(target) * spectral_symbols(t).inv_quarter_lap
+    F[0, 0] = to_spectrum(f.values)[0, 0]
+    f1 = from_spectrum(t, F)
+    assert np.abs(omega_form(GridFunction(t, f1), m).parts[0] - lattice).max() <= scale
+    tol = psh_tolerance(m)
+    assert negative > 2.0 * tol  # the cusp keeps one round short of the cone
+    g, _ = psh_repair(f, m, rounds=1)
+    lam = m.min_eig()
+    theta = lam / (lam + negative + tol)
+    assert np.abs(g.values - theta * f1).max() <= 1e-12 * np.abs(f1).max()
 
 
 class TestKiselmanLegendre:
