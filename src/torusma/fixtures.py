@@ -6,6 +6,8 @@ HermitianMetric) so the command-line pipelines and the test-suite share one
 source of truth for the inputs they exercise.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from .errors import PreconditionError

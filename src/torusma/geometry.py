@@ -9,13 +9,40 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 from .errors import PreconditionError
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file without
+    importing the scipy.fft package, whose start-up (scipy.special, the
+    array-API layer) costs ~0.3 s and ~26 MB. It is loaded under its own
+    name, so a later `import scipy.fft` returns this same module object."""
+    scipy = importlib.util.find_spec("scipy")  # locates, does not import
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    folder = Path(scipy.submodule_search_locations[0]) / "fft" / "_pocketfft"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"pypocketfft{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no pypocketfft extension module in {folder}")
+    spec = importlib.util.spec_from_file_location(
+        "scipy.fft._pocketfft.pypocketfft", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
 
 
 def _is_power_of_two(m: int) -> bool:

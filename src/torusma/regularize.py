@@ -197,7 +197,8 @@ def psh_repair(f: GridFunction, metric: HermitianMetric, rounds: int = 5) -> tup
     tol = psh_tolerance(metric)
     torus = f.torus
     inv_quarter_lap = spectral_symbols(torus).inv_quarter_lap
-    trace_g = torus.n * metric.factor
+    # at n = 1 the factor itself, not a fresh field equal to it
+    trace_g = metric.factor if torus.n == 1 else torus.n * metric.factor
     F = to_spectrum(f.values)
     origin = (0,) * torus.ndim_real
     mean_mode = F[origin]  # the sum of f, kept by every round

@@ -1,7 +1,10 @@
-"""The package loads numpy and scipy.fft, and no other scipy subpackage it
-would pay for at start-up; no solve loads scipy.sparse, since every Newton
-step runs a Krylov method of its own on half spectra."""
+"""The package loads numpy and, of scipy, only its compiled pocketfft module,
+which geometry loads from its file: no scipy package is imported at
+start-up, and no source module imports scipy, so that loader stays the one
+path to it. No solve loads scipy.sparse, since every Newton step runs a
+Krylov method of its own on half spectra."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -31,12 +34,52 @@ def loaded_modules(code):
                           capture_output=True, text=True).stdout.split()
 
 
-def test_import_loads_only_scipy_fft():
+SCIPY_FFT_ORDER = """
+import numpy as np
+{first}
+{second}
+assert geometry._pocketfft is scipy.fft._pocketfft.pypocketfft
+rng = np.random.default_rng(0)
+for n, N in ((1, 16), (2, 8)):
+    torus = geometry.Torus(n, N)
+    values = rng.standard_normal(torus.shape)
+    F = geometry.to_spectrum(values)
+    assert np.array_equal(F, scipy.fft.rfftn(values))
+    assert np.array_equal(geometry.from_spectrum(torus, F),
+                          scipy.fft.irfftn(F, s=torus.shape))
+"""
+
+
+def test_import_loads_no_scipy_module():
     loaded = loaded_modules("import torusma, torusma.cli")
-    assert "scipy.fft" in loaded
-    for heavy in ("scipy.integrate", "scipy.sparse", "scipy.optimize",
-                  "scipy.linalg"):
-        assert heavy not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded if m.split(".")[:2] == ["numpy", "random"]] == []
+
+
+@pytest.mark.parametrize("scipy_fft_first", [True, False])
+def test_pocketfft_is_scipy_fft_module(scipy_fft_first):
+    # the extension geometry loads is the module scipy.fft uses, whichever
+    # is imported first, and the transforms give the public functions' bits
+    imports = ["import scipy.fft", "from torusma import geometry"]
+    first, second = imports if scipy_fft_first else imports[::-1]
+    loaded_modules(SCIPY_FFT_ORDER.format(first=first, second=second))
+
+
+def test_no_source_module_imports_scipy():
+    # geometry's loader is the one path to scipy; an import statement would
+    # bring back the scipy.fft package's start-up time
+    found = []
+    for path in sorted((SRC / "torusma").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize("kind, n, N, sparse", [

@@ -402,14 +402,14 @@ class TestPshRepairTransforms:
         assert len(forward_transforms) == 6
 
 
-@pytest.mark.parametrize("kind, fields", [("flat", 3.1), ("conformal", 4.1)])
+@pytest.mark.parametrize("kind, fields", [("flat", 3.1), ("conformal", 3.1)])
 def test_one_dim_repair_peak(kind, fields):
     # tracemalloc peak above entry of one n = 1 N = 256 repair, in lattice
     # fields: the half spectrum of f beside its form's inverse transform
-    # (3.02 flat), plus the field n * factor on a conformal metric. A round
-    # holds the form and its clamp, or T and the next form; the previous
-    # round's T and the spectrum of f are gone by then (4.02 and 5.02 when
-    # every round was transformed)
+    # (3.02 flat and conformal: at n = 1 the trace of g is the metric's own
+    # factor, not a fresh field). A round holds the form and its clamp, or T
+    # and the next form; the previous round's T and the spectrum of f are
+    # gone by then (4.02 and 5.02 when every round was transformed)
     import tracemalloc
     t = Torus(1, 256)
     m = flat_metric(t) if kind == "flat" else conformal_metric(t, 0.2)
