@@ -264,11 +264,12 @@ def hoelder_certificate(family: Mollifications, mu: MeasureField, tau: float,
     `family` is the family rho_t phi of the sup-normalized solution phi
     (sup phi = 0, as `solve_ma` returns it). The rate fit reads the ladder
     from the largest radius down and releases the radii above the largest
-    delta; the Kiselman-Legendre transform convolves what its rows read
-    and releases the spectrum of phi. Then one row at a time is formed,
-    checked and dropped. Each radius is convolved once and released after
-    its last read, except the rows' rho_delta phi, which stay for a caller
-    that reads them too.
+    delta, which no later step reads; the Kiselman-Legendre transform
+    convolves what its rows read and releases the spectrum of phi. Then
+    one row at a time is formed, checked and dropped. Each radius is
+    convolved once, and the radii the transform read stay in the family
+    until it dies: the peak is reached during the first row, so freeing
+    one after a later row would lower nothing.
 
     The monotonicity level uses K_eff = metric.K + sigma_n (kernel second
     moment): the omega term contributes sigma_n t^2 to the Kiselman-Legendre

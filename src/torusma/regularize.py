@@ -124,9 +124,10 @@ def _kernel(torus: Torus, delta: float) -> MollifierKernel:
 
 class Mollifications:
     """The family t -> rho_t phi: phi is transformed once, into `spectrum`,
-    and each radius is convolved at most once. A field lives until its last
-    reader releases it, and so does the spectrum: once its last convolution
-    is done, `release_spectrum` drops it. Reading a released radius again,
+    and each radius is convolved at most once. A field lives until the
+    family dies unless `release` drops it first: the rate fit drops the
+    radii no later reader needs. Once the last convolution is done,
+    `release_spectrum` drops the spectrum. Reading a released radius again,
     or a radius never convolved after the spectrum went, is an error, not a
     second transform."""
 
@@ -288,9 +289,11 @@ def kiselman_legendre(family: Mollifications, levels, K: float) -> Iterator[KLTr
     - b log(t/delta), left to right, in one work field and keeps a strict
     `<` running infimum. Its t0_min is the last t at which its infimum
     dropped anywhere, which is the minimum over the lattice of the pointwise
-    minimizer, so its modulus is read while that field is live. A radius
-    that is no row's delta is released after its last row; the rows'
-    rho_delta phi stay in the family for the caller. Nothing of a row but
+    minimizer, so its modulus is read while that field is live. Every
+    radius convolved here stays in the family: all are convolved before
+    the first row and every row allocates the same work fields, so the
+    live set is largest during the first row, and a radius dropped in a
+    later row would be freed only after that peak. Nothing of a row but
     its KLTransform outlives it, so a caller that drops each transform
     before asking for the next holds one row's infimum at a time.
     """
@@ -301,32 +304,27 @@ def kiselman_legendre(family: Mollifications, levels, K: float) -> Iterator[KLTr
     top, bottom = float(phi.max()), float(phi.min())
     margin = 1e-9 * (1.0 + abs(top) + abs(bottom))
     t_min = 2.0 * torus.spacing
-    grids, kept = [], []
+    rows = []
     for delta, b in levels:
         if b <= 0.0:
             raise PreconditionError(f"level b must be positive, got {b}")
         if delta < t_min:
             raise PreconditionError("delta must be at least two lattice spacings")
         k_max = max(0, int(math.floor(math.log2(delta / t_min))))
-        grids.append(tuple(delta * 2.0**-k for k in range(k_max + 1)))
+        grid = tuple(delta * 2.0**-k for k in range(k_max + 1))
         reach = top - bottom + K * delta * (1.0 + delta) + margin
-        kept.append(tuple(t for k, t in enumerate(grids[-1])
-                          if k * b * math.log(2.0) <= reach))
-    for t in sorted(set().union(*kept), reverse=True):
+        cut = tuple(t for k, t in enumerate(grid) if k * b * math.log(2.0) <= reach)
+        rows.append((delta, b, grid, cut))
+    for t in sorted({t for *_, cut in rows for t in cut}, reverse=True):
         family(t)
     family.release_spectrum()
-    last = {t: i for i, cut in enumerate(kept) for t in cut}
-    deltas = {delta for delta, _ in levels}
-    rows = [(delta, b, grid, cut,
-             [t for t in cut if t not in deltas and last[t] == i])
-            for i, ((delta, b), grid, cut) in enumerate(zip(levels, grids, kept))]
     return (_kl_row(family, K, *row) for row in rows)
 
 
 def _kl_row(family: Mollifications, K: float, delta: float, b: float, grid: tuple,
-            cut: tuple, release: list) -> KLTransform:
-    """One row of `kiselman_legendre` over the radii `cut` of its grid;
-    the radii in `release` are dropped from the family after their read."""
+            cut: tuple) -> KLTransform:
+    """One row of `kiselman_legendre` over the radii `cut` of its grid,
+    read from the family, which keeps them."""
     phi = family.phi.values
     best = None
     cand = np.empty(phi.shape)
@@ -346,9 +344,6 @@ def _kl_row(family: Mollifications, K: float, delta: float, b: float, grid: tupl
             take = None
         if dropped:
             t0_min, modulus = t, float(np.subtract(rho, phi, out=cand).max())
-        if t in release:
-            family.release(t)
-        rho = None  # a released radius dies here
     return KLTransform(GridFunction(family.phi.torus, best), t0_min, modulus, grid)
 
 

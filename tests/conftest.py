@@ -45,6 +45,19 @@ def complex_hessians(monkeypatch):
     return _counted(monkeypatch, torusma.geometry, "complex_hessian")
 
 
+@pytest.fixture
+def violated_domination(monkeypatch):
+    """Make `certify.mixture_measure` report a domination slack of -1e-6,
+    below the -1e-10 that `mixture_experiment` accepts."""
+    import torusma.certify
+    measure = torusma.certify.mixture_measure
+
+    def violated(*args):
+        return measure(*args)[0], -1e-6
+
+    monkeypatch.setattr(torusma.certify, "mixture_measure", violated)
+
+
 def _reference_kiselman_legendre(phi, delta, b, K):
     """One row of the Kiselman-Legendre transform in a loop of its own, as
     the chain ran it row by row: each rho_t phi from its own `mollify`, the

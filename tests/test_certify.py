@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from torusma.errors import PreconditionError
+from torusma.errors import DominationError, PreconditionError
 from torusma.geometry import Torus, GridFunction, flat_metric, conformal_metric
 from torusma.pluripotential import ma_measure
 from torusma.regularize import Mollifications
@@ -16,7 +16,7 @@ from torusma.certify import (
     mixture_measure, mixture_experiment, check_level_formula,
 )
 from torusma.fixtures import (
-    lp_density_fixture, manufactured_cos, stability_pair, mixture_pair,
+    cos_datum, lp_density_fixture, manufactured_cos, stability_pair, mixture_pair,
 )
 
 
@@ -318,19 +318,25 @@ class TestOnePassChain:
                                              kl_reference)
 
 
-def test_chain_peak_memory_in_fields():
+@pytest.mark.parametrize("amplitude, deltas, bound", [
+    (0.0, (1 / 8, 1 / 16, 1 / 32), 5.5),
+    (0.2, (1 / 16, 1 / 32, 1 / 64), 6.5),
+], ids=["flat", "conformal"])
+def test_chain_peak_memory_in_fields(amplitude, deltas, bound):
     # tracemalloc peak of the chain above its entry, in N^2 float64 fields,
-    # at n=1 N=256 with the default deltas; a first call builds the kernels,
-    # so the count is of lattice fields only. Run row by row, keeping every
-    # radius and a t_opt field per row, the chain peaked at 10.1 fields; one
-    # pass that drops each radius after its last reader peaked at 9.1, and
-    # skipping the radii that cannot lower the infimum brought it to 8.1.
-    # Reading the rate ladder from the top down, releasing the spectrum
-    # after the last convolution and forming, checking and dropping one row
-    # at a time bring it to 5.1
+    # at n=1 N=256; a first call builds the kernels, so the count is of
+    # lattice fields only. Flat, with the default deltas: run row by row,
+    # keeping every radius and a t_opt field per row, the chain peaked at
+    # 10.1 fields; one pass that drops each radius after its last reader
+    # peaked at 9.1, and skipping the radii that cannot lower the infimum
+    # brought it to 8.1. Reading the rate ladder from the top down,
+    # releasing the spectrum after the last convolution and forming,
+    # checking and dropping one row at a time bring it to 5.1. Conformal,
+    # with deltas 1/16, 1/32, 1/64: the rows' grids overlap and 1/128,
+    # which is no row's delta, is read by two rows; it peaks at 6.1
     import tracemalloc
-    phi, mu, m = manufactured_cos(1, 256)
-    deltas = (1 / 8, 1 / 16, 1 / 32)
+    m = conformal_metric(Torus(1, 256), amplitude)
+    phi, mu = cos_datum(m, 0.05)
     hoelder_certificate(Mollifications(phi), mu, 1.0, m, deltas)
     family = Mollifications(phi)
     tracemalloc.start()
@@ -341,7 +347,7 @@ def test_chain_peak_memory_in_fields():
     finally:
         tracemalloc.stop()
     fields = (peak - entry) / phi.values.nbytes
-    assert fields <= 5.5
+    assert fields <= bound
 
 
 def test_run_certificate_peak_memory_in_fields(tmp_path):
@@ -412,6 +418,19 @@ class TestMixture:
         with pytest.raises(Stop):
             mixture_experiment(phi1, phi2, c1, c2, m)
         assert len(complex_hessians) == 3
+
+    def test_violated_domination_raises_before_the_solve(self, violated_domination,
+                                                         monkeypatch):
+        import torusma.certify
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ma called on a violated domination")
+
+        monkeypatch.setattr(torusma.certify, "solve_ma", no_solve)
+        rng = np.random.default_rng(7)
+        phi1, phi2, c1, c2, m = mixture_pair(1, 64, rng)
+        with pytest.raises(DominationError, match="domination violated"):
+            mixture_experiment(phi1, phi2, c1, c2, m)
 
     def test_nonpositive_weight_rejected(self):
         rng = np.random.default_rng(3)

@@ -318,6 +318,11 @@ class TestMixtureCommand:
         summary = dict(part.split("=") for part in line.split()[2:])
         assert float(summary["alpha"]) == 0.1
 
+    def test_violated_domination_exits_one(self, tmp_path, capsys,
+                                           violated_domination):
+        assert main(["mixture", "--out", str(tmp_path / "o")]) == 1
+        assert "domination violated" in capsys.readouterr().err
+
 
 class TestLatticeRoundOffFloor:
     """n=1 N=1024 runs that stalled at 1.55e-10 against the default tol 1e-10

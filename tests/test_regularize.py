@@ -538,15 +538,19 @@ class TestKiselmanLegendre:
             assert T.modulus == float(
                 (mollify(phi, T.t0_min).values - phi.values).max())
 
-    def test_pass_releases_all_but_the_rows(self, phi64):
+    def test_pass_keeps_the_radii_it_convolved(self, phi64, inverse_transforms):
+        # after both rows the family still holds every radius they read:
+        # the rows' deltas, and 1/32, which is no row's delta
         phi, m = phi64
         family = Mollifications(phi)
         first = family(0.125)
+        inverse_transforms.clear()
         list(kiselman_legendre(family, [(0.125, 0.01), (0.0625, 0.01)], 0.5))
+        assert len(inverse_transforms) == 2
         assert family(0.125) is first
         family(0.0625)
-        with pytest.raises(RuntimeError, match="released"):
-            family(1 / 32)
+        family(1 / 32)
+        assert len(inverse_transforms) == 2
 
     # kl_reference is a pure function, so hypothesis may share it across examples
     @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 1.0),
@@ -601,23 +605,20 @@ class TestKiselmanLegendre:
         assert len(inverse_transforms) == 3
 
     def test_rows_are_formed_one_at_a_time(self, phi64, inverse_transforms):
-        # the union of the cut grids is convolved before the first row; a
-        # row is formed when asked for, and releases a radius that is no
-        # row's delta after its last row
+        # the union of the cut grids is convolved before the first row, and
+        # a row is formed when asked for; the rows release nothing, so 1/32,
+        # which both rows read, is still there after the second
         phi, m = phi64
         family = Mollifications(phi)
         inverse_transforms.clear()
         rows = kiselman_legendre(family, [(0.125, 0.01), (0.0625, 0.01)], 0.5)
         assert len(inverse_transforms) == 3
         assert family.spectrum is None
-        family(1 / 32)  # read by both rows, so not yet released
         first = next(rows)
         assert first.t_grid[0] == 0.125
-        family(1 / 32)
         second = next(rows)
         assert second.t_grid[0] == 0.0625
-        with pytest.raises(RuntimeError, match="released"):
-            family(1 / 32)
+        family(1 / 32)
         assert len(inverse_transforms) == 3
 
     def test_negative_K_rejected(self, phi64, inverse_transforms):
