@@ -98,6 +98,18 @@ def load_config(path=None, overrides=()):
     if cfg["fixture"]["name"] not in _FIXTURE_READS:
         raise ConfigError(f"unknown fixture {cfg['fixture']['name']!r}; "
                           f"choose from {tuple(_FIXTURE_READS)}")
+    # numeric settings that would fail, or stall a solve, only after work
+    positive = [("certificate", "tau", cfg["certificate"]["tau"]),
+                ("solver", "tol", cfg["solver"]["tol"])]
+    positive += [("sweep", "tau", tau) for tau in cfg["sweep"]["tau"] or ()]
+    for sec, key, value in positive:
+        if not value > 0.0:
+            raise ConfigError(f"bad value for [{sec}] {key} = {value}: "
+                              "must be positive")
+    for sec, key in (("solver", "max_iter"), ("stability", "budget")):
+        if cfg[sec][key] < 1:
+            raise ConfigError(f"bad value for [{sec}] {key} = {cfg[sec][key]}: "
+                              "must be at least 1")
     return cfg
 
 

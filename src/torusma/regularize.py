@@ -286,10 +286,10 @@ def kiselman_legendre(family: Mollifications, levels, K: float) -> Iterator[KLTr
     grid, convolves the union of the cut grids, each radius once, and
     releases the family's spectrum. A row then runs alone: for each t of
     its cut grid, descending, it forms (rho_t phi + K t^2) + K t
-    - b log(t/delta), left to right, in one work field and keeps a strict
-    `<` running infimum. Its t0_min is the last t at which its infimum
-    dropped anywhere, which is the minimum over the lattice of the pointwise
-    minimizer, so its modulus is read while that field is live. Every
+    - b log(t/delta), left to right, and keeps a strict `<` running
+    infimum. Its t0_min is the last t at which its infimum dropped
+    anywhere, which is the minimum over the lattice of the pointwise
+    minimizer, and its modulus is read from rho_t0_min phi. Every
     radius convolved here stays in the family: all are convolved before
     the first row and every row allocates the same work fields, so the
     live set is largest during the first row, and a radius dropped in a
@@ -324,26 +324,36 @@ def kiselman_legendre(family: Mollifications, levels, K: float) -> Iterator[KLTr
 def _kl_row(family: Mollifications, K: float, delta: float, b: float, grid: tuple,
             cut: tuple) -> KLTransform:
     """One row of `kiselman_legendre` over the radii `cut` of its grid,
-    read from the family, which keeps them."""
+    read from the family, which keeps them.
+
+    The first t fills the infimum in place; every later candidate, its
+    `take` mask and the modulus are formed on slabs of the leading axis, as
+    in `certify._certificate_row`. All are elementwise or reduce by max and
+    any, so the row is the one the whole lattice gives, without a work
+    field of the lattice size."""
     phi = family.phi.values
+    step = max(1, len(phi) // 16)
+    slabs = [slice(k, k + step) for k in range(0, len(phi), step)]
     best = None
-    cand = np.empty(phi.shape)
     for t in cut:
         rho = family(t).values
-        np.add(rho, K * t * t, out=cand)
-        cand += K * t
-        cand -= b * math.log(t / delta)
+        level = b * math.log(t / delta)
         if best is None:  # the row's first t fills every point
-            best, cand = cand, np.empty(phi.shape)
-            dropped = True
-        else:
-            take = np.less(cand, best)
-            dropped = bool(take.any())
-            if dropped:
-                np.copyto(best, cand, where=take)
-            take = None
-        if dropped:
-            t0_min, modulus = t, float(np.subtract(rho, phi, out=cand).max())
+            best = np.add(rho, K * t * t)
+            best += K * t
+            best -= level
+            t0_min = t
+            continue
+        for s in slabs:
+            cand = np.add(rho[s], K * t * t)
+            cand += K * t
+            cand -= level
+            take = np.less(cand, best[s])
+            if take.any():
+                np.copyto(best[s], cand, where=take)
+                t0_min = t
+    rho = family(t0_min).values
+    modulus = max(float(np.subtract(rho[s], phi[s]).max()) for s in slabs)
     return KLTransform(GridFunction(family.phi.torus, best), t0_min, modulus, grid)
 
 
@@ -388,9 +398,10 @@ def l1_rate(family: Mollifications, mu: MeasureField, delta_list,
     """Regression of log ||rho_delta phi - phi||_{L1(d mu)} against log delta,
     with rho_delta phi read from the family of phi.
 
-    The radii are read from the largest down, and each one's integrand is
-    formed in one work field; a radius not in `keep`, the radii a later
-    reader needs, is released before the next one is convolved. The points
+    The radii are read from the largest down. Each one's integrand is
+    allocated after that radius is convolved and dropped before the next
+    one is, so no integrand is live beside a convolution; a radius not in
+    `keep`, the radii a later reader needs, is released too. The points
     reach the fit in the order of `delta_list`. Returns (alpha1_hat, C).
     Constant phi reports (1.0, 0.0).
     """
@@ -400,12 +411,13 @@ def l1_rate(family: Mollifications, mu: MeasureField, delta_list,
     if span < 8.0 - 1e-9:
         raise PreconditionError("delta_list must span roughly a decade (factor >= 8)")
     l1 = {}
-    diff = np.empty(family.phi.torus.shape)  # |rho_d phi - phi| mu, per d
     for d in sorted(set(delta_list), reverse=True):
-        np.subtract(family(d).values, family.phi.values, out=diff)
+        # |rho_d phi - phi| mu, allocated only once rho_d phi is convolved
+        diff = np.subtract(family(d).values, family.phi.values)
         np.abs(diff, out=diff)
         diff *= mu.density.values
         l1[d] = integrate(diff, metric)
+        diff = None
         if d not in keep:
             family.release(d)
     logs = [(math.log(d), l1[d]) for d in delta_list]

@@ -57,11 +57,12 @@ def _linearization(M: HermitianForm, metric: HermitianMetric, w):
 
     tr(adj(M) H(psi)) is det g times the linearized density; on a Kaehler
     metric the cofactor field of M is divergence-free, so it is self-adjoint
-    and negative semi-definite, on the lattice at n = 1 and for band-limited
-    iterates at n = 2. On a rough n = 2 iterate the product adj(M) H(psi)
-    aliases and the off-diagonal symbols zero the Nyquist mode, so the
-    symmetry is only approximate (1.6e-3 relative at N = 16 on white-noise
-    phi). With w = f det g / mean(f det g) the oblique projection is det g
+    and negative semi-definite, on the lattice at n = 1 (where it is Lap/4
+    and `solve_ma` inverts it without building this map) and for
+    band-limited iterates at n = 2. On a rough n = 2 iterate the product
+    adj(M) H(psi) aliases and the off-diagonal symbols zero the Nyquist
+    mode, so the symmetry is only approximate (1.6e-3 relative at N = 16 on
+    white-noise phi). With w = f det g / mean(f det g) the oblique projection is det g
     times the exact Jacobian of det M / det g - c f, whose constant
     c = mean(det M) / mean(f det g) depends on phi; w = 1 projects onto mean
     zero. It keeps only the adjugate weights, built on M's own parts, so M
@@ -116,11 +117,12 @@ def _inner(A: np.ndarray, B: np.ndarray, parseval: np.ndarray) -> float:
 
 def _pcg(apply_L, B: np.ndarray, torus, rtol: float) -> tuple:
     """Preconditioned CG on -apply_L(psi) = rhs, B the half spectrum of rhs,
-    for a Kaehler metric, where -apply_L is symmetric positive definite on
-    mean-zero fields up to the n = 2 aliasing that `_linearization`
-    describes; apply_L is a `_linearization`. On rough n = 2 data that can
-    leave a solve unconverged, which the caller counts in
-    `krylov_unconverged`.
+    for a Kaehler metric at n = 2, where -apply_L is symmetric positive
+    definite on mean-zero fields up to the aliasing that `_linearization`
+    describes; apply_L is a `_linearization`. On rough data that can leave
+    a solve unconverged, which the caller counts in `krylov_unconverged`.
+    At n = 1 the preconditioner is the exact inverse, and `solve_ma` applies
+    it without this iteration.
 
     The preconditioner is the inverse flat quarter-Laplacian, negated, a
     multiplier on the half spectrum, so the iterate, residual and direction
@@ -230,6 +232,14 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
              max_iter: int = 50) -> SolveReport:
     """Damped Newton iteration with spectral preconditioning, from phi = 0.
 
+    At n = 1, omega + dd^c phi = g + Lap(phi)/4, so det g times the
+    linearization is Lap/4 exactly: each Newton step is Psi = -B (Lap/4)^-1,
+    B the half spectrum of the mean-zero det g * residual, one forward
+    transform and no Krylov solve. At n = 2 the step solves the linearized
+    system with `_pcg` on a Kaehler metric and `_gmres` otherwise, to an
+    Eisenstat-Walker tolerance, and `krylov_unconverged` counts the steps
+    whose inner solve did not converge; at n = 1 it is 0.
+
     The iterate is carried as the half spectrum P of phi, so the forms of the
     line-search trials P + s Psi cost no forward transform; c and the residual
     do not depend on constants, so phi is synthesized on the lattice and
@@ -260,7 +270,8 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         return c, res, float(np.abs(res).max()), min_eig
 
     form = metric.form()  # of phi = 0
-    P = np.zeros(spectral_symbols(torus).inv_quarter_lap.shape, dtype=complex)
+    inv_quarter_lap = spectral_symbols(torus).inv_quarter_lap
+    P = np.zeros(inv_quarter_lap.shape, dtype=complex)
     c, res, res_norm, _ = diagnostics(form)
     residual_history.append(res_norm)
     converged = res_norm <= tol
@@ -277,20 +288,30 @@ def solve_ma(mu: MeasureField, metric: HermitianMetric, tol: float = 1e-11,
         rhs = res  # not read again: scaled in place
         rhs *= detg
         rhs -= rhs.mean()
-        norm = float(np.linalg.norm(rhs))
-        eta = _ETA_MAX if iterations == 1 else _forcing(eta, norm, prev_norm)
-        prev_norm = norm
-        # w = f det g / mean(f det g), the direction in which c(phi) moves
-        # the residual, lives only as long as apply_L
-        apply_L = _linearization(form, metric, f * detg * (torus.volume / mu.mass))
-        form = res = None  # not held in the Krylov solve
-        B = to_spectrum(rhs)
-        rhs = None
-        Psi, info = krylov(apply_L, B, torus, rtol=eta)
-        B = apply_L = None
+        if torus.n == 1:
+            # det g L is Lap/4 (the mean its projection removes is 0), so
+            # the step is the preconditioner itself: no Krylov solve
+            form = res = None
+            Psi = to_spectrum(rhs)
+            rhs = None
+            Psi *= inv_quarter_lap
+            np.negative(Psi, out=Psi)
+        else:
+            norm = float(np.linalg.norm(rhs))
+            eta = _ETA_MAX if iterations == 1 else _forcing(eta, norm, prev_norm)
+            prev_norm = norm
+            # w = f det g / mean(f det g), the direction in which c(phi)
+            # moves the residual, lives only as long as apply_L
+            apply_L = _linearization(form, metric,
+                                     f * detg * (torus.volume / mu.mass))
+            form = res = None  # not held in the Krylov solve
+            B = to_spectrum(rhs)
+            rhs = None
+            Psi, info = krylov(apply_L, B, torus, rtol=eta)
+            B = apply_L = None
+            unconverged += info != 0
         if not np.all(np.isfinite(Psi)):
             raise PreconditionError("Newton step is not finite")
-        unconverged += info != 0
         accepted = _line_search(P, Psi, res_norm, diagnostics, metric)
         Psi = None
         if accepted is None:

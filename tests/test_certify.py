@@ -375,6 +375,27 @@ def test_run_certificate_peak_memory_in_fields(tmp_path):
     assert max(peaks) <= 11.5
 
 
+def test_warm_run_certificate_peak_above_entry(tmp_path):
+    # tracemalloc peak of a warm `certificate` command above its entry, in
+    # N^2 float64 fields at flat n=1 N=256. With one CG iteration per Newton
+    # step and the rate fit's integrand held across its convolutions it
+    # read 8.02; the direct n = 1 step and an integrand allocated after
+    # each convolution bring it to 7.03
+    import tracemalloc
+    from torusma.cli import load_config, run_certificate
+    cfg = load_config(None, [("torus", "N", 256)])
+    run_certificate(cfg, str(tmp_path), False, None)  # symbols and kernels
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        code, _ = run_certificate(cfg, str(tmp_path), False, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (peak - entry) / (8 * 256**2) <= 7.1
+
+
 def test_level_formula_checked_at_gamma():
     # conformal n=1 N=64 at tau = 1: delta^gamma = 0.743 <= 2 K_eff delta = 0.989
     # at delta = 1/8, while the ladder from 1/16 down keeps b positive

@@ -68,6 +68,45 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("text, key", [
+        ("[certificate]\ntau = 0\n", "tau"),
+        ("[certificate]\ntau = -0.5\n", "tau"),
+        ("[certificate]\ntau = nan\n", "tau"),
+        ("[sweep]\ncommand = stability\ntau = 0.5,0\n", "tau"),
+        ("[solver]\ntol = 0\n", "tol"),
+        ("[solver]\ntol = -1\n", "tol"),
+        ("[solver]\nmax_iter = 0\n", "max_iter"),
+        ("[stability]\nbudget = 0\n", "budget"),
+    ], ids=["tau-0", "tau-negative", "tau-nan", "sweep-tau-0", "tol-0",
+            "tol-negative", "max_iter-0", "budget-0"])
+    def test_bad_numeric_setting_rejected(self, tmp_path, text, key):
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
+    @pytest.mark.parametrize("command, text", [
+        ("capacity", "[certificate]\ntau = 0\n"),
+        ("solve", "[solver]\ntol = -1\n"),
+    ], ids=["capacity-tau-0", "solve-tol-negative"])
+    def test_bad_numeric_setting_exits_before_work(self, tmp_path, capsys,
+                                                   monkeypatch, command, text):
+        # rejected before any capacity estimate or solve; unchecked, tau = 0
+        # raises only in the fit after all eight estimates, and tol = -1
+        # stalls the solve, which exits 2 as a checked FAIL would
+        import torusma.cli
+
+        def refused(*args, **kwargs):
+            raise AssertionError("work started on a rejected config")
+
+        monkeypatch.setattr(torusma.cli, "estimate_capacity", refused)
+        monkeypatch.setattr(torusma.cli, "solve_ma", refused)
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        assert main([command, "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_uniform_datum_summary(self, tmp_path, capsys):
@@ -97,7 +136,10 @@ class TestSolveCommand:
     def test_unconverged_inner_solves_reach_summary(self, tmp_path, capsys,
                                                     monkeypatch, command):
         # every inner CG solve reports failure but returns its real step, so
-        # the Newton iteration is unchanged and every step counts
+        # the Newton iteration is unchanged and every step counts. Only n=2
+        # runs inner solves; certificate and mixture run at n=1, since n=2
+        # N=16 is below the delta ladder, and their steps call neither
+        # Krylov method
         import torusma.solver
         pcg = torusma.solver._pcg
         calls = []
@@ -106,13 +148,24 @@ class TestSolveCommand:
             calls.append(1)
             return pcg(*args, **kwargs)[0], 1
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an n=1 Newton step called GMRES")
+
         monkeypatch.setattr(torusma.solver, "_pcg", flagged)
-        assert main([command, "--out", str(tmp_path / "o")]) == 0
+        monkeypatch.setattr(torusma.solver, "_gmres", forbidden)
+        argv = [command, "--out", str(tmp_path / "o")]
+        if command == "solve":
+            ini = tmp_path / "c.ini"
+            ini.write_text("[torus]\nn = 2\nN = 16\n")
+            argv += ["--config", str(ini)]
+        assert main(argv) == 0
         summary = dict(part.split("=") for part in
                        capsys.readouterr().out.split()[2:])
-        assert calls and int(summary["krylov_unconverged"]) == len(calls)
         if command == "solve":
-            assert int(summary["iterations"]) == len(calls)
+            assert calls and int(summary["iterations"]) == len(calls)
+            assert int(summary["krylov_unconverged"]) == len(calls)
+        else:
+            assert not calls and summary["krylov_unconverged"] == "0"
 
 
 class TestCapacityCommand:
@@ -519,7 +572,7 @@ class TestTransformSeam:
     @pytest.mark.parametrize("command, n, N, forward, inverse", [
         ("capacity", 1, 128, 442, 458),
         ("solve", 2, 16, 32, 129),
-        ("certificate", 1, 1024, 4, 9)])
+        ("certificate", 1, 1024, 3, 8)])
     def test_transforms_per_warm_call(self, tmp_path, forward_transforms,
                                       inverse_transforms, command, n, N,
                                       forward, inverse):

@@ -306,9 +306,9 @@ def flag_inner_solves(monkeypatch, used, unused):
 
 class TestInnerSolveFlag:
     def test_unconverged_inner_solves_counted(self, monkeypatch):
-        # the flat metric is Kaehler, so the step runs CG
+        # the flat metric is Kaehler, so the n=2 step runs CG
         flag_inner_solves(monkeypatch, "_pcg", "_gmres")
-        _, mu, m = manufactured_cos(1, 64)
+        _, mu, m = manufactured_cos(2, 16)
         rep = solve_ma(mu, m, tol=1e-12)
         # the flag is reported; Newton acceptance is unchanged
         assert rep.converged and rep.iterations >= 1
@@ -416,11 +416,10 @@ class TestInnerSolve:
         # tracemalloc at the entry of every apply_L: the residual (the
         # caller's right-hand side, overwritten), the direction and, from
         # the second matvec on, the iterate; no preconditioned residual or
-        # image of the direction survives into a matvec. At n=1 the
-        # linearization is the quarter-Laplacian minus a multiple of its
-        # mean, 0, so CG ends after one matvec, as it does on the first
-        # Newton system, at phi = 0; the second of the flat n=2 N=16 solve
-        # takes several
+        # image of the direction survives into a matvec. CG ends after one
+        # matvec on the first Newton system, at phi = 0, where the
+        # linearization is the quarter-Laplacian the preconditioner
+        # inverts; the second of the flat n=2 N=16 solve takes several
         import tracemalloc
         systems = []
         pcg = solver._pcg
@@ -537,9 +536,21 @@ class TestInnerSolve:
         assert not rep.converged
         assert rep.krylov_unconverged == 1
 
-    def test_conformal_n1_solves_in_one_step(self):
-        # at n=1 det g * L is exactly Lap/4, which the preconditioner inverts
-        mu, m = conformal_case(1, 64)
+    @pytest.mark.parametrize("kind", ["flat", "conformal"])
+    def test_n1_step_runs_no_krylov_solve(self, monkeypatch, kind):
+        # at n=1 det g * L is exactly Lap/4, so the step is
+        # Psi = -B (Lap/4)^-1: no linearization is built and neither Krylov
+        # method is called
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an n=1 Newton step built a Krylov solve")
+
+        for name in ("_pcg", "_gmres", "_linearization"):
+            monkeypatch.setattr(solver, name, forbidden)
+        if kind == "flat":
+            _, mu, m = manufactured_cos(1, 64)
+        else:
+            mu, m = conformal_case(1, 64)
         rep = solve_ma(mu, m, tol=1e-10)
-        assert rep.converged
-        assert rep.iterations == 1
+        assert rep.converged and rep.iterations == 1
+        assert rep.residual_history[-1] <= 1e-10
+        assert rep.krylov_unconverged == 0

@@ -30,7 +30,9 @@ converge (the summary's krylov_unconverged);
 mixture at tau = 0.5; certificate at n=1 N=256, where the Kiselman-Legendre
 t-grids of the rows overlap, on the flat metric and on the conformal one
 with deltas 1/16, 1/32, 1/64, the one certificate where A > 0 and the
-transform's infimum drops below its t = delta value; capacity at n=1
+transform's infimum drops below its t = delta value; certificate at n=1
+N=1024 on the flat metric with amplitude 0.05 and the default deltas, the
+bench's certificate-n1 input; capacity at n=1
 N=128, the bench's capacity-n1 input and the one configuration where
 psh_repair returns a g its rounds repaired, not contracted; regularize
 with deltas 1/4, 1/8, the one ladder that rate_deltas extends downward;
@@ -96,6 +98,9 @@ def matrix():
                  {"torus": {"n": 1, "N": 256},
                   "metric": {"amplitude": 0.2},
                   "certificate": {"delta_list": "0.0625,0.03125,0.015625"}}))
+    runs.append(("certificate-n1-N1024-flat", "certificate",
+                 {"torus": {"n": 1, "N": 1024},
+                  "fixture": {"amplitude": 0.05}}))
     runs.append(("capacity-n1-N128-flat", "capacity",
                  {"torus": {"n": 1, "N": 128}}))
     runs.append(("regularize-n1-N64-downward", "regularize",
