@@ -31,62 +31,87 @@ from . import fixtures
 # configuration
 # ---------------------------------------------------------------------------
 
-# section -> {key: (parser, default)}
-def _floats(text):
-    return tuple(float(p) for p in text.split(",") if p.strip())
+def _checked(parse, ok, why):
+    """`parse`, raising ValueError(`why`) on the values where `ok` fails."""
+    def checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(why)
+        return value
+    return checked
 
 
-def _ints(text):
-    return tuple(int(p) for p in text.split(",") if p.strip())
+def _list(parse):
+    """A comma-separated list of distinct values, each read by `parse`."""
+    return _checked(lambda text: tuple(parse(p) for p in text.split(",")
+                                       if p.strip()),
+                    lambda v: len(set(v)) == len(v), "repeated value")
 
 
+_POSITIVE = _checked(float, lambda v: v > 0.0, "must be positive")  # not NaN
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "must be at least 1")
+
+# the [fixture] keys a fixture adds to the reads of [fixture] name's readers
+_FIXTURE_READS = {"manufactured_cos": ("amplitude",),
+                  "singular_density": ("s", "p"),
+                  "holder_subsolution": ()}
+_FIXTURE_NAME = _checked(str, _FIXTURE_READS.__contains__,
+                         f"unknown fixture; choose from {tuple(_FIXTURE_READS)}")
+_CERTIFY = ("certificate", "mixture")  # run the Hoelder chain
+_FIXTURED = ("solve", "capacity", "certificate")  # build the named fixture
+
+# section -> {key: (parser, default, readers)}; readers names the commands
+# that read the key, None all of them ([sweep] only when a sweep runs)
 _SCHEMA = {
-    "torus": {"n": (int, 1), "N": (int, 64)},
-    "metric": {"amplitude": (float, 0.0)},  # 0 is the flat metric
-    "fixture": {"name": (str, "manufactured_cos"), "amplitude": (float, 0.05),
-                "s": (float, 0.5), "p": (float, 2.0)},
-    "solver": {"tol": (float, 1e-10), "max_iter": (int, 60)},
-    "certificate": {"tau": (float, 1.0),
-                    "delta_list": (_floats, (1 / 8, 1 / 16, 1 / 32))},
-    "stability": {"amplitude": (float, 1e-2), "budget": (int, 10)},
-    "run": {"seed": (int, 0), "out": (str, "out")},
-    "sweep": {"command": (str, "solve"), "N": (_ints, None), "tau": (_floats, None)},
+    "torus": {"n": (int, 1, None), "N": (int, 64, None)},
+    "metric": {"amplitude": (float, 0.0, _FIXTURED + ("regularize",))},
+    "fixture": {"name": (_FIXTURE_NAME, "manufactured_cos", _FIXTURED),
+                "amplitude": (float, 0.05, ("capacity", "regularize")),
+                "s": (float, 0.5, ()), "p": (float, 2.0, ())},
+    "solver": {"tol": (_POSITIVE, 1e-10, ("solve",) + _CERTIFY),
+               "max_iter": (_AT_LEAST_ONE, 60, ("solve",) + _CERTIFY)},
+    "certificate": {"tau": (_POSITIVE, 1.0,
+                            ("capacity", "stability") + _CERTIFY),
+                    "delta_list": (_list(float), (1 / 8, 1 / 16, 1 / 32),
+                                   ("regularize",) + _CERTIFY)},
+    "stability": {"amplitude": (_POSITIVE, 1e-2, ("stability",)),
+                  "budget": (_AT_LEAST_ONE, 10, ("stability",))},
+    "run": {"seed": (int, 0, None), "out": (str, "out", None)},
+    "sweep": {"command": (str, "solve", None), "N": (_list(int), None, None),
+              "tau": (_list(_POSITIVE), None, None)},
 }
-
-# the [fixture] keys each named fixture reads; its keys are the fixture names
-_FIXTURE_READS = {"manufactured_cos": ("name", "amplitude"),
-                  "singular_density": ("name", "s", "p"),
-                  "holder_subsolution": ("name",)}
 
 
 def load_config(path=None, overrides=()):
     """Parse the INI config into a flat {section: {key: value}} dict.
 
-    Unknown sections or keys are rejected; every value must parse under the
-    declared type.  `overrides` is an iterable of (section, key, value).
+    Unknown sections or keys are rejected.  Each value of the file and of
+    `overrides` ((section, key, value) triples; a list as its text) goes
+    through its key's parser, which rejects values outside its range.
     """
-    cfg = {sec: {k: d for k, (_, d) in keys.items()}
+    cfg = {sec: {k: d for k, (_, d, _) in keys.items()}
            for sec, keys in _SCHEMA.items()}
-    if path is not None:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # keep key case ("N" vs "n")
-        read = parser.read(path)
-        if not read:
+    given = []
+    parser = configparser.ConfigParser()
+    parser.optionxform = str  # keep key case ("N" vs "n")
+    try:
+        if path is not None and not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
         for sec in parser.sections():
             if sec not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{sec}]")
-            for key, raw in parser.items(sec):
-                if key not in _SCHEMA[sec]:
-                    raise ConfigError(f"unknown key '{key}' in section [{sec}]")
-                conv = _SCHEMA[sec][key][0]
-                try:
-                    cfg[sec][key] = conv(raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
-    for sec, key, value in overrides:
-        cfg[sec][key] = value
+            given += [(sec, key, raw) for key, raw in parser.items(sec)]
+    except configparser.Error as exc:  # a repeated key, no section header
+        raise ConfigError("malformed config file: "
+                          + " ".join(str(exc).splitlines())) from exc
+    for sec, key, raw in given + list(overrides):
+        if key not in _SCHEMA[sec]:
+            raise ConfigError(f"unknown key '{key}' in section [{sec}]")
+        try:
+            cfg[sec][key] = _SCHEMA[sec][key][0](raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
     # Torus decides which sizes are valid; check every size the run will use
     sizes = [("torus", cfg["torus"]["N"])]
     sizes += [("sweep", N) for N in cfg["sweep"]["N"] or ()]
@@ -95,22 +120,23 @@ def load_config(path=None, overrides=()):
             Torus(cfg["torus"]["n"], N)
         except PreconditionError as exc:
             raise ConfigError(f"bad value in [{sec}]: {exc}") from exc
-    if cfg["fixture"]["name"] not in _FIXTURE_READS:
-        raise ConfigError(f"unknown fixture {cfg['fixture']['name']!r}; "
-                          f"choose from {tuple(_FIXTURE_READS)}")
-    # numeric settings that would fail, or stall a solve, only after work
-    positive = [("certificate", "tau", cfg["certificate"]["tau"]),
-                ("solver", "tol", cfg["solver"]["tol"])]
-    positive += [("sweep", "tau", tau) for tau in cfg["sweep"]["tau"] or ()]
-    for sec, key, value in positive:
-        if not value > 0.0:
-            raise ConfigError(f"bad value for [{sec}] {key} = {value}: "
-                              "must be positive")
-    for sec, key in (("solver", "max_iter"), ("stability", "budget")):
-        if cfg[sec][key] < 1:
-            raise ConfigError(f"bad value for [{sec}] {key} = {cfg[sec][key]}: "
-                              "must be at least 1")
     return cfg
+
+
+def _check_reads(cfg, command):
+    """Reject every setting off its default that `command` does not read."""
+    name = cfg["fixture"]["name"]
+    for sec, keys in _SCHEMA.items():
+        for key, (_, default, readers) in keys.items():
+            reads = readers is None or command in readers
+            if command in _FIXTURED and sec == "fixture":
+                reads = reads or key in _FIXTURE_READS[name]
+            if command in _FIXTURED and sec == "metric":
+                reads = name != "holder_subsolution"  # builds its own metric
+            if not reads and cfg[sec][key] != default:
+                raise ConfigError(f"{command} does not read [{sec}] {key}; "
+                                  f"[{sec}] {key} = {cfg[sec][key]} "
+                                  "is not supported")
 
 
 def _rate_ladder(cfg, torus):
@@ -119,15 +145,6 @@ def _rate_ladder(cfg, torus):
         return rate_deltas(cfg["certificate"]["delta_list"], torus)
     except PreconditionError as exc:
         raise ConfigError(f"bad [certificate] delta_list: {exc}") from exc
-
-
-def _require_defaults(cfg, section, what, reads=()):
-    """`what` builds its own [section] input and reads only the keys in
-    `reads`: reject any other key of [section] that is not at its default."""
-    for key, (_, default) in _SCHEMA[section].items():
-        if key not in reads and cfg[section][key] != default:
-            raise ConfigError(f"{what} builds its own {section}; [{section}] "
-                              f"{key} = {cfg[section][key]} is not supported")
 
 
 def _metric_for(cfg):
@@ -178,10 +195,8 @@ def _build_measure(cfg, metric):
 
 
 def run_solve(cfg, out, dump_stages, rng):
-    name = cfg["fixture"]["name"]
-    _require_defaults(cfg, "fixture", f"solve with {name}", _FIXTURE_READS[name])
-    if name == "holder_subsolution":
-        _require_defaults(cfg, "metric", f"solve with {name}")
+    _check_reads(cfg, "solve")
+    if cfg["fixture"]["name"] == "holder_subsolution":
         if cfg["torus"]["n"] != 1:
             raise ConfigError("holder_subsolution is defined for [torus] n = 1 only")
         sched, metric = fixtures.holder_subsolution(cfg["torus"]["N"])
@@ -210,10 +225,7 @@ def run_solve(cfg, out, dump_stages, rng):
 
 
 def run_capacity(cfg, out, dump_stages, rng):
-    name = cfg["fixture"]["name"]
-    # the reference sets always come from manufactured_cos at [fixture] amplitude
-    _require_defaults(cfg, "fixture", f"capacity with {name}",
-                      _FIXTURE_READS[name] + ("amplitude",))
+    _check_reads(cfg, "capacity")
     metric = _metric_for(cfg)
     mu = _build_measure(cfg, metric)
     torus = metric.torus
@@ -251,7 +263,7 @@ def run_capacity(cfg, out, dump_stages, rng):
 
 
 def run_regularize(cfg, out, dump_stages, rng):
-    _require_defaults(cfg, "fixture", "regularize", reads=("amplitude",))
+    _check_reads(cfg, "regularize")
     metric = _metric_for(cfg)
     torus = metric.torus
     deltas = _rate_ladder(cfg, torus)
@@ -282,8 +294,7 @@ def run_regularize(cfg, out, dump_stages, rng):
 
 
 def run_stability(cfg, out, dump_stages, rng):
-    _require_defaults(cfg, "metric", "stability")
-    _require_defaults(cfg, "fixture", "stability")
+    _check_reads(cfg, "stability")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     psi, phi, mu, metric = fixtures.stability_pair(
         n, N, cfg["stability"]["amplitude"])
@@ -310,9 +321,7 @@ _CERT_HEADER = ["delta", "b", "gap", "t0_min", "kappa_hat", "modulus",
 
 
 def run_certificate(cfg, out, dump_stages, rng):
-    name = cfg["fixture"]["name"]
-    _require_defaults(cfg, "fixture", f"certificate with {name}",
-                      _FIXTURE_READS[name])
+    _check_reads(cfg, "certificate")
     metric = _metric_for(cfg)
     _rate_ladder(cfg, metric.torus)
     check_level_formula(metric, cfg["certificate"]["tau"],
@@ -339,8 +348,7 @@ def run_certificate(cfg, out, dump_stages, rng):
 
 
 def run_mixture(cfg, out, dump_stages, rng):
-    _require_defaults(cfg, "metric", "mixture")
-    _require_defaults(cfg, "fixture", "mixture")
+    _check_reads(cfg, "mixture")
     n, N = cfg["torus"]["n"], cfg["torus"]["N"]
     _rate_ladder(cfg, Torus(n, N))
     phi1, phi2, c1, c2, metric = fixtures.mixture_pair(n, N, rng)
@@ -371,11 +379,6 @@ _COMMANDS = {
 }
 
 
-# the commands that read [certificate] tau; a tau axis over any other
-# command would write identical cells
-_READS_TAU = ("capacity", "stability", "certificate", "mixture")
-
-
 def run_sweep(cfg, out, dump_stages, rng):
     command = cfg["sweep"]["command"]
     if command not in _COMMANDS:
@@ -384,7 +387,9 @@ def run_sweep(cfg, out, dump_stages, rng):
     taus = cfg["sweep"]["tau"]
     if Ns == () or taus == ():
         raise ConfigError("sweep grid is empty")
-    if taus is not None and command not in _READS_TAU:
+    _check_reads(cfg, command)  # once, before any cell
+    # a tau axis over a command that ignores tau would write identical cells
+    if taus is not None and command not in _SCHEMA["certificate"]["tau"][2]:
         raise ConfigError(f"{command} does not read [certificate] tau; "
                           "[sweep] tau is not supported")
     if Ns is None:

@@ -1,6 +1,7 @@
 """Command-line runner: configs, exit codes, CSV/CMAG artifacts, determinism."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["[torus]\nN = 32\nN = 64\n", "N = 32\n"],
+                             ids=["repeated-key", "no-section-header"])
+    def test_malformed_ini_exits_one(self, tmp_path, capsys, text):
+        # configparser's own errors leave through the one ERROR line
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        assert main(["solve", "--config", str(ini),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solve ERROR malformed config file: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_empty_sweep_grid_exits_one(self, tmp_path, capsys):
         ini = tmp_path / "c.ini"
         ini.write_text("[sweep]\ncommand = solve\nN =\n")
@@ -293,6 +306,20 @@ def run_rejected(tmp_path, capsys, command, text):
     return capsys.readouterr().err
 
 
+def last_setting(text):
+    """(section, key, value) of the last line of the INI `text`."""
+    sec = re.findall(r"^\[(\w+)\]$", text, re.M)[-1]
+    key, value = text.strip().splitlines()[-1].split(" = ")
+    return sec, key, value
+
+
+def unread(command, text):
+    """The error for the last setting of `text`, one `command` does not read."""
+    sec, key, value = last_setting(text)
+    return (f"{command} does not read [{sec}] {key}; "
+            f"[{sec}] {key} = {value} is not supported")
+
+
 class TestIgnoredConfigRejected:
     """Settings a pipeline would silently ignore fail before any solve."""
 
@@ -321,8 +348,65 @@ class TestIgnoredConfigRejected:
     def test_exits_one_before_solving(self, tmp_path, capsys, no_solver,
                                       command, text):
         err = run_rejected(tmp_path, capsys, command, text)
-        assert ("builds its own metric" in err or "n = 1 only" in err
-                or "builds its own fixture" in err or "level formula" in err)
+        assert (unread(command, text) in err or "n = 1 only" in err
+                or "level formula" in err)
+
+    # every pair of a command and a [solver], [certificate] or [stability]
+    # setting the command does not read
+    @pytest.mark.parametrize("command, text", [
+        (command, text)
+        for commands, text in [
+            (("solve", "regularize"), "[certificate]\ntau = 0.5\n"),
+            (("solve", "capacity", "stability"),
+             "[certificate]\ndelta_list = 0.25\n"),
+            (("solve", "capacity", "regularize", "certificate", "mixture"),
+             "[stability]\namplitude = 0.02\n"),
+            (("solve", "capacity", "regularize", "certificate", "mixture"),
+             "[stability]\nbudget = 4\n"),
+            (("capacity", "regularize", "stability"), "[solver]\ntol = 1e-3\n"),
+            (("capacity", "regularize", "stability"),
+             "[solver]\nmax_iter = 30\n")]
+        for command in commands])
+    def test_unread_setting_rejected(self, tmp_path, capsys, no_solver,
+                                     command, text):
+        # one line naming the command, the section and the key; a list's
+        # value is shown as the tuple it parsed to
+        err = run_rejected(tmp_path, capsys, command, text)
+        setting = unread(command, text).partition(" = ")[0]
+        assert err.startswith(f"{command} ERROR {setting} = ")
+        assert err.endswith(" is not supported\n") and err.count("\n") == 1
+
+    def test_sweep_checks_its_commands_reads_before_any_cell(
+            self, tmp_path, capsys, no_solver):
+        err = run_rejected(tmp_path, capsys, "sweep",
+                           "[sweep]\ncommand = solve\nN = 32,64\n"
+                           "[stability]\nbudget = 4\n")
+        assert unread("solve", "[stability]\nbudget = 4\n") in err
+        assert not list((tmp_path / "o").glob("cell_*"))
+
+    def test_every_setting_has_a_reader(self):
+        from torusma.cli import _COMMANDS, _FIXTURE_READS, _SCHEMA, _check_reads
+
+        def accepted(command, name, sec, key):
+            cfg = load_config(None, [("fixture", "name", name)])
+            if key != "name":
+                cfg[sec][key] = object()  # off its default
+            try:
+                _check_reads(cfg, command)
+            except ConfigError:
+                return False
+            return True
+
+        for sec in ("metric", "fixture", "solver", "certificate", "stability"):
+            for key in _SCHEMA[sec]:
+                assert any(accepted(command, name, sec, key)
+                           for command in _COMMANDS
+                           for name in _FIXTURE_READS
+                           if key != "name" or name != "manufactured_cos"), (
+                    sec, key)
+        for keys in _SCHEMA.values():
+            for _, _, readers in keys.values():
+                assert readers is None or set(readers) <= set(_COMMANDS)
 
     @pytest.mark.parametrize("command,text,message", [
         # one key per setting: the retired keys are unknown, not aliases
@@ -331,7 +415,7 @@ class TestIgnoredConfigRejected:
         ("stability", "[stability]\ntau = 0.5\n",
          "unknown key 'tau' in section [stability]"),
         ("stability", "[metric]\namplitude = 0.2\n",
-         "stability builds its own metric; [metric] amplitude = 0.2 "
+         "stability does not read [metric] amplitude; [metric] amplitude = 0.2 "
          "is not supported"),
         ("solve", "[metric]\namplitude = 0.6\n", "|amplitude| < 0.5"),
         ("certificate", "[metric]\namplitude = -0.6\n", "|amplitude| < 0.5"),
@@ -357,6 +441,34 @@ class TestIgnoredConfigRejected:
         p.write_text(f"[fixture]\nname = {name}\n")
         with pytest.raises(ConfigError, match="unknown fixture"):
             load_config(p)
+
+
+class TestRanges:
+    """Values outside a setting's range fail before any work."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("stability", "[stability]\namplitude = 0\n", "must be positive"),
+        ("stability", "[stability]\namplitude = -0.01\n", "must be positive"),
+        ("stability", "[stability]\namplitude = nan\n", "must be positive"),
+        ("certificate", "[certificate]\ndelta_list = 0.125,0.0625,0.125\n",
+         "repeated value"),
+        ("sweep", "[sweep]\ncommand = stability\ntau = 0.5,0.5\n",
+         "repeated value"),
+    ], ids=["stability-amplitude-0", "stability-amplitude-negative",
+            "stability-amplitude-nan", "delta_list-repeated", "sweep-tau-repeated"])
+    def test_out_of_range_exits_one(self, tmp_path, capsys, no_solver, command,
+                                    text, message):
+        sec, key, _ = last_setting(text)
+        err = run_rejected(tmp_path, capsys, command, text)
+        assert f"bad value for [{sec}] {key} = " in err and message in err
+
+    def test_repeated_sweep_size_runs_no_cell(self, tmp_path, capsys,
+                                              no_solver):
+        # N = 32,32 ran two cells into one directory and wrote two rows
+        err = run_rejected(tmp_path, capsys, "sweep",
+                           "[sweep]\ncommand = solve\nN = 32,32\n")
+        assert "bad value for [sweep] N = '32,32': repeated value" in err
+        assert not list((tmp_path / "o").glob("cell_*"))
 
 
 class TestMixtureCommand:
